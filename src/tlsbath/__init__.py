@@ -23,7 +23,6 @@ __version__ = "0.1.0"
 from .bath import (
     BathEnvironment,
     BlochSteadyState,
-    PsdTable,
     TlsParams,
     bloch_matrix,
     bloch_steady_state,
@@ -52,7 +51,6 @@ from .linalg import (
     KernelDimensionError,
     NoConvergenceError,
     SingularMatrixError,
-    eigenpairs,
     eigenvalues,
     expm_apply,
     null_vector,

@@ -8,6 +8,12 @@ module provides the stationary Bloch state, the drift matrix of the
 fluctuations, their equal-time correlators, and the one-sided spectral
 densities obtained by resolvent integration of the regression dynamics.
 
+The spectral densities of a bath coupled to M modes form one complex
+array ``table[a, b, m, n]`` of shape ``(2, 2, M, M)``: ``a`` and ``b``
+are the positions of the fluctuation signs alpha and beta in ``SIGNS``
+(0 for +1, raising; 1 for -1, lowering) and ``m``, ``n`` index modes.
+Every entry already carries the coupling weights, summed over the bath.
+
 Units: hbar = k_B = 1 throughout; rates and frequencies share the same unit.
 """
 
@@ -24,7 +30,6 @@ __all__ = [
     "TlsParams",
     "BathEnvironment",
     "BlochSteadyState",
-    "PsdTable",
     "bose_occupation",
     "transverse_rate",
     "saturation",
@@ -36,9 +41,12 @@ __all__ = [
     "build_psd_table",
 ]
 
-# Row order of the fluctuation vector used everywhere in this module:
-# (raising, lowering, inversion), i.e. (sigma+~, sigma-~, sigmaz~).
-IDX_PLUS, IDX_MINUS, IDX_Z = 0, 1, 2
+# Fluctuation signs in positional order.  The fluctuation vector used
+# everywhere in this module is (raising, lowering, inversion), i.e.
+# (sigma+~, sigma-~, sigmaz~), so its first two rows line up with SIGNS.
+# Axes over signs hold +1 at index 0 and -1 at index 1; index them with
+# ``SIGNS.index(sign)``, since a sign used as an index wraps silently.
+SIGNS = (+1, -1)
 
 
 @dataclass(frozen=True)
@@ -226,50 +234,26 @@ def correlator_integral(
     return -solve_linear(shifted, c0)
 
 
-class PsdTable:
-    """Spectral-density components indexed by (alpha, beta, m, n).
+def _grouped(tls_list, counts, n_modes: int):
+    """Collapse identical TLS into ``(params, weight)`` pairs.
 
-    ``alpha`` and ``beta`` are +1/-1 for the raising/lowering TLS
-    fluctuation; ``m`` and ``n`` index modes.  Entries carry the coupling
-    weights, summed over the bath.
+    ``counts`` holds one positive real weight per entry of ``tls_list``
+    (``None`` means 1 each); the rates are linear in it, so a fractional N
+    is honoured, not truncated.  An N-fold ensemble then costs a single
+    resolvent solve per exponent sign and mode.  Every TLS must carry
+    exactly one coupling per mode, ``n_modes`` in all.
     """
-
-    def __init__(self, entries: dict, n_modes: int):
-        self._entries = dict(entries)
-        self.n_modes = n_modes
-
-    def __getitem__(self, key) -> complex:
-        return self._entries[key]
-
-    def items(self):
-        return self._entries.items()
-
-
-def _coupling(g: complex, alpha: int) -> complex:
-    return g if alpha == +1 else np.conj(g)
-
-
-def _resolve_counts(tls_list, counts):
     if counts is None:
-        return [1] * len(tls_list)
-    counts = [int(c) for c in counts]
-    if len(counts) != len(tls_list) or any(c < 1 for c in counts):
-        raise ValueError("counts must hold one positive integer per TLS")
-    return counts
-
-
-def _grouped(tls_list, counts):
-    # Identical-TLS fast path: collapse equal parameter sets into one
-    # weighted entry so an N-fold ensemble costs a single resolvent solve.
-    groups: dict[TlsParams, int] = {}
-    order: list[TlsParams] = []
+        counts = [1.0] * len(tls_list)
+    counts = [float(c) for c in counts]
+    if len(counts) != len(tls_list) or not all(0 < c < math.inf for c in counts):
+        raise ValueError("counts must hold one positive finite weight per TLS")
+    groups: dict[TlsParams, float] = {}
     for p, c in zip(tls_list, counts):
-        if p in groups:
-            groups[p] += c
-        else:
-            groups[p] = c
-            order.append(p)
-    return [(p, groups[p]) for p in order]
+        if len(p.couplings) != n_modes:
+            raise ValueError("each TLS needs exactly one coupling per mode")
+        groups[p] = groups.get(p, 0.0) + c
+    return list(groups.items())
 
 
 def psd(
@@ -288,56 +272,41 @@ def psd(
     ``I`` is :func:`correlator_integral` of TLS ``i`` evaluated with
     exponent sign ``beta`` at the detuning of mode ``m``, and the coupling
     factors conjugate with negative alpha/beta.  Independent TLS do not mix,
-    so the sum runs over the bath with one term per TLS.
+    so the sum runs over the bath with one term per TLS.  This is one entry
+    of :func:`build_psd_table`.
     """
-    if alpha not in (+1, -1) or beta not in (+1, -1):
+    if alpha not in SIGNS or beta not in SIGNS:
         raise ValueError("alpha and beta must be +1 or -1")
-    detunings = np.atleast_1d(np.asarray(detunings, dtype=float))
-    n_modes = len(detunings)
+    n_modes = np.atleast_1d(detunings).shape[0]
     if not (0 <= m < n_modes and 0 <= n < n_modes):
         raise ValueError("mode indices out of range")
-    counts = _resolve_counts(tls_list, counts)
-    row = IDX_PLUS if alpha == +1 else IDX_MINUS
-    total = 0.0 + 0.0j
-    for p, weight in _grouped(tls_list, counts):
-        integ = correlator_integral(p, env, beta, detunings[m])
-        g_n = _coupling(p.couplings[n], alpha)
-        g_m = _coupling(p.couplings[m], beta)
-        total += weight * g_n * g_m * integ[row]
-    return complex(total)
+    table = build_psd_table(tls_list, env, detunings, counts=counts)
+    return complex(table[SIGNS.index(alpha), SIGNS.index(beta), m, n])
 
 
 def build_psd_table(
     tls_list, env: BathEnvironment, detunings, counts=None
-) -> PsdTable:
+) -> np.ndarray:
     """All spectral-density components for a set of modes.
 
-    Shares the resolvent work across components: for each TLS group only
-    2 * n_modes linear solves are needed (one per exponent sign and mode
-    detuning), from which every (alpha, beta, m, n) entry follows.
+    Returns the complex array ``table[a, b, m, n]`` of shape
+    ``(2, 2, M, M)`` laid out as described in the module docstring.  For
+    each TLS group only 2 * M linear solves are needed (one per exponent
+    sign and mode detuning), from which every entry follows.
     """
     detunings = np.atleast_1d(np.asarray(detunings, dtype=float))
     n_modes = len(detunings)
-    counts = _resolve_counts(tls_list, counts)
-    entries: dict = {}
-    for alpha in (+1, -1):
-        for beta in (+1, -1):
-            for m in range(n_modes):
-                for n in range(n_modes):
-                    entries[(alpha, beta, m, n)] = 0.0 + 0.0j
-    for p, weight in _grouped(tls_list, counts):
-        integrals = {
-            (beta, m): correlator_integral(p, env, beta, detunings[m])
-            for beta in (+1, -1)
-            for m in range(n_modes)
-        }
-        for alpha in (+1, -1):
-            row = IDX_PLUS if alpha == +1 else IDX_MINUS
-            for beta in (+1, -1):
-                for m in range(n_modes):
-                    val = integrals[(beta, m)][row]
-                    for n in range(n_modes):
-                        g_n = _coupling(p.couplings[n], alpha)
-                        g_m = _coupling(p.couplings[m], beta)
-                        entries[(alpha, beta, m, n)] += weight * g_n * g_m * val
-    return PsdTable(entries, n_modes)
+    table = np.zeros((2, 2, n_modes, n_modes), dtype=complex)
+    for p, weight in _grouped(tls_list, counts, n_modes):
+        # couplings [a, n]: G for sign +1, conj(G) for sign -1
+        cpl = np.array([p.couplings, [g.conjugate() for g in p.couplings]])
+        # resolvent integrals [b, m, row], kept as [a, b, m] over the
+        # raising and lowering rows
+        integ = np.array(
+            [[correlator_integral(p, env, beta, d) for d in detunings] for beta in SIGNS]
+        ).transpose(2, 0, 1)[:2]
+        # product order ((N G_n) G_m) I, as in the bath sum written out
+        table += (
+            (weight * cpl[:, None, None, :]) * cpl[None, :, :, None]
+        ) * integ[..., None]
+    return table

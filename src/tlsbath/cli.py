@@ -18,15 +18,7 @@ from .bath import saturation, transverse_rate
 from .config import ConfigError, load_config
 from .oracle import DimensionCapError
 from .rates import BelowThresholdError
-from .sweeps import (
-    SCENARIOS,
-    SweepResult,
-    _rates_at,
-    _timestamp,
-    render_csv,
-    render_json,
-    run_scenario,
-)
+from .sweeps import SCENARIOS, SweepResult, rates_at, run_scenario, write_result
 from .validation import report_rows, validate_all
 from .config import resolved_items
 
@@ -96,20 +88,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _emit(result: SweepResult, cfg, args) -> None:
-    fmt = args.format or cfg.out_format
     path = args.out or cfg.out_path
-    text = render_csv(result) if fmt == "csv" else render_json(result)
+    write_result(result, path, args.format or cfg.out_format)
     if path:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
         print(f"wrote {path} ({len(result.rows)} rows)")
-    else:
-        sys.stdout.write(text)
 
 
 def _cmd_rates(args) -> int:
     cfg = load_config(args.config, args.overrides)
-    r = _rates_at(cfg)
+    r = rates_at(cfg)
     tls = cfg.tls_params()
     env = cfg.environment()
     columns = (
@@ -145,7 +132,6 @@ def _cmd_rates(args) -> int:
         columns=columns,
         rows=(tuple(float(v) for v in row),),
         meta=tuple(resolved_items(cfg)),
-        generated=_timestamp(),
     )
     if args.out or cfg.out_path or args.format == "json":
         _emit(result, cfg, args)
@@ -169,17 +155,8 @@ def _cmd_validate(args) -> int:
         print(line)
     if args.out:
         columns, rows = report_rows(report)
-        result = SweepResult(
-            scenario="validate-all",
-            columns=columns,
-            rows=rows,
-            meta=tuple(resolved_items(cfg)),
-            generated=_timestamp(),
-        )
-        fmt = args.format or cfg.out_format
-        text = render_csv(result) if fmt == "csv" else render_json(result)
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        result = SweepResult("validate-all", columns, rows, tuple(resolved_items(cfg)))
+        write_result(result, args.out, args.format or cfg.out_format)
         print(f"wrote {args.out}")
     if report.all_passed:
         print("all criteria passed")
@@ -192,10 +169,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.jobs < 1:
+            raise ConfigError(f"--jobs: must be >= 1, got {args.jobs}")
         return args.func(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     except (
         DimensionCapError,
         BelowThresholdError,
@@ -204,6 +180,10 @@ def main(argv=None) -> int:
     ) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
+    except ValueError as exc:
+        # ConfigError, and parameter checks the library makes itself
+        print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

@@ -19,7 +19,6 @@ __all__ = [
     "KernelDimensionError",
     "solve_linear",
     "eigenvalues",
-    "eigenpairs",
     "expm_apply",
     "null_vector",
 ]
@@ -27,9 +26,6 @@ __all__ = [
 # Pivot threshold for declaring a linear system singular, relative to the
 # max-row-sum norm of the matrix.
 PIVOT_RTOL = 1e-14
-
-# Eigenvector residual bound ||A v - lambda v|| <= EIG_RTOL * ||A||.
-EIG_RTOL = 1e-9
 
 # Singular values below NULL_RTOL * ||A||_inf count as zero when sizing the
 # kernel in null_vector.
@@ -93,28 +89,6 @@ def eigenvalues(a) -> np.ndarray:
         return np.linalg.eigvals(a)
     except np.linalg.LinAlgError as exc:  # QR iteration failed
         raise NoConvergenceError(str(exc)) from exc
-
-
-def eigenpairs(a) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues and right eigenvectors, residual-checked.
-
-    The recovered pairs must satisfy ``||a v - lam v|| <= 1e-9 ||a||``
-    column by column; a violation (defective or badly conditioned problem)
-    raises :class:`NoConvergenceError`.
-    """
-    a = _as_matrix(a)
-    try:
-        lam, vec = np.linalg.eig(a)
-    except np.linalg.LinAlgError as exc:
-        raise NoConvergenceError(str(exc)) from exc
-    norm = np.linalg.norm(a, np.inf)
-    resid = np.linalg.norm(a @ vec - vec * lam[None, :], axis=0)
-    bound = EIG_RTOL * max(norm, np.finfo(float).tiny)
-    if np.any(resid > bound):
-        raise NoConvergenceError(
-            f"eigenvector residual {resid.max():.3e} exceeds {bound:.3e}"
-        )
-    return lam, vec
 
 
 def expm_apply(a, v, t: float) -> np.ndarray:

@@ -22,7 +22,6 @@ from .bath import (
     TlsParams,
     bloch_steady_state,
     build_psd_table,
-    _resolve_counts,
     _grouped,
 )
 
@@ -119,12 +118,10 @@ def effective_driving(
     coupling; without TLS drive the bare mode drives are returned
     unchanged.
     """
-    counts = _resolve_counts(tls_list, counts)
     out = np.array([complex(m.Omega) for m in modes], dtype=complex)
-    for p, weight in _grouped(tls_list, counts):
+    for p, weight in _grouped(tls_list, counts, len(out)):
         sp = bloch_steady_state(p, env).sigma_plus
-        for n in range(len(modes)):
-            out[n] += weight * p.couplings[n] * sp
+        out += [weight * g * sp for g in p.couplings]
     return out
 
 
@@ -156,29 +153,15 @@ def assemble_rates(
         raise ValueError("drive frequency must be positive")
     modes = list(modes)
     detunings = tuple(m.omega - omega_d for m in modes)
-    nm = len(modes)
-    table = build_psd_table(tls_list, env, detunings, counts=counts)
+    # pm is the (alpha, beta) = (+1, -1) block, and so on (see bath.SIGNS)
+    (pp, pm), (mp, mm) = build_psd_table(tls_list, env, detunings, counts=counts)
 
-    delta = np.zeros((nm, nm), dtype=complex)
-    g = np.zeros((nm, nm), dtype=complex)
-    gamma_plus = np.zeros((nm, nm), dtype=complex)
-    gamma_minus = np.zeros((nm, nm), dtype=complex)
-    big_gamma = np.zeros((nm, nm), dtype=complex)
-    for m in range(nm):
-        for n in range(nm):
-            pm_mn = table[(+1, -1, m, n)]
-            mp_mn = table[(-1, +1, m, n)]
-            pm_nm = table[(+1, -1, n, m)]
-            mp_nm = table[(-1, +1, n, m)]
-            pp_mn = table[(+1, +1, m, n)]
-            mm_nm = table[(-1, -1, n, m)]
-            delta[m, n] = -0.5j * (pm_mn + mp_mn) + 0.5j * np.conj(
-                pm_nm + mp_nm
-            )
-            g[m, n] = -0.5j * (pp_mn - np.conj(mm_nm))
-            gamma_plus[m, n] = pm_mn + np.conj(pm_nm)
-            gamma_minus[m, n] = mp_mn + np.conj(mp_nm)
-            big_gamma[m, n] = pp_mn + np.conj(mm_nm)
+    shift = pm + mp
+    delta = -0.5j * shift + 0.5j * shift.conj().T
+    g = -0.5j * (pp - mm.conj().T)
+    gamma_plus = pm + pm.conj().T
+    gamma_minus = mp + mp.conj().T
+    big_gamma = pp + mm.conj().T
 
     _check_hermitian(delta, "frequency-shift matrix")
     _check_hermitian(gamma_plus, "upward-rate matrix")

@@ -28,6 +28,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import json
+import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from datetime import datetime, timezone
@@ -63,6 +64,10 @@ SCENARIOS = (
 UNSTABLE = "unstable"
 
 
+def _timestamp() -> str:
+    return datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
+
+
 @dataclass(frozen=True)
 class SweepResult:
     """One scenario run: metadata, column names, and value rows."""
@@ -71,7 +76,8 @@ class SweepResult:
     columns: tuple
     rows: tuple
     meta: tuple  # (key, value) pairs of the resolved config
-    generated: str  # UTC timestamp, the only nondeterministic field
+    # UTC timestamp, the only nondeterministic field
+    generated: str = dataclasses.field(default_factory=_timestamp)
 
     def column(self, name: str) -> list:
         idx = self.columns.index(name)
@@ -79,18 +85,11 @@ class SweepResult:
 
 
 def _apply_value(cfg: ScenarioConfig, variable: str, value: float) -> ScenarioConfig:
-    if variable == "Omega_B":
-        return cfg.replace(Omega_B=complex(value))
-    if variable == "Delta_B":
-        return cfg.replace(Delta_B=float(value))
-    if variable == "Delta_0":
-        return cfg.replace(Delta_0=float(value))
-    if variable == "gamma_0":
-        return cfg.replace(gamma_0=float(value))
-    raise ConfigError(f"sweep.variable: {variable!r} cannot be applied to parameters")
+    return cfg.replace(**{variable: complex(value) if variable == "Omega_B" else float(value)})
 
 
-def _rates_at(cfg: ScenarioConfig):
+def rates_at(cfg: ScenarioConfig):
+    """Single-mode rates of the bath and mode a resolved config describes."""
     return single_mode_rates(
         cfg.mode_params(),
         [cfg.tls_params()],
@@ -100,41 +99,17 @@ def _rates_at(cfg: ScenarioConfig):
     )
 
 
-def _row_driving(cfg: ScenarioConfig, value: float) -> tuple:
-    r = _rates_at(_apply_value(cfg, cfg.sweep.variable, value))
-    om = r.Omega_prime
-    return (value, om.real, om.imag, abs(om))
+def _split(z: complex) -> tuple:
+    return (z.real, z.imag, abs(z))
 
 
-def _row_gamma_rate(cfg: ScenarioConfig, value: float) -> tuple:
-    r = _rates_at(_apply_value(cfg, cfg.sweep.variable, value))
-    return (value, r.Gamma.real, r.Gamma.imag, abs(r.Gamma))
-
-
-def _row_squeeze_rate(cfg: ScenarioConfig, value: float) -> tuple:
-    r = _rates_at(_apply_value(cfg, cfg.sweep.variable, value))
-    return (value, r.g.real, r.g.imag, abs(r.g))
-
-
-def _row_decay_rate(cfg: ScenarioConfig, value: float) -> tuple:
-    r = _rates_at(_apply_value(cfg, cfg.sweep.variable, value))
-    return (value, r.gamma, r.gamma_plus, r.gamma_minus)
-
-
-def _row_freq_shift(cfg: ScenarioConfig, value: float) -> tuple:
-    r = _rates_at(_apply_value(cfg, cfg.sweep.variable, value))
-    return (value, r.delta)
-
-
-def _row_steady_state(cfg: ScenarioConfig, value: float) -> tuple:
-    point = _apply_value(cfg, cfg.sweep.variable, value)
-    ms = build_moment_system(_rates_at(point), point.gamma_0, point.Delta_0)
+def _steady_state_cols(point: ScenarioConfig, r) -> tuple:
+    ms = build_moment_system(r, point.gamma_0, point.Delta_0)
     try:
         rep = steady_state(ms)
     except UnstableSystemError:
-        return (value,) + (UNSTABLE,) * 7 + (0,)
+        return (UNSTABLE,) * 7 + (0,)
     return (
-        value,
         rep.occupation,
         rep.amplitude.real,
         rep.amplitude.imag,
@@ -146,69 +121,69 @@ def _row_steady_state(cfg: ScenarioConfig, value: float) -> tuple:
     )
 
 
-def _row_squeezing(cfg: ScenarioConfig, value: float) -> tuple:
-    point = _apply_value(cfg, cfg.sweep.variable, value)
-    r = _rates_at(point)
+def _squeezing_cols(point: ScenarioConfig, r) -> tuple:
     ms = build_moment_system(r, point.gamma_0, point.Delta_0)
     try:
         rep = steady_state(ms)
     except UnstableSystemError:
-        return (value,) + (UNSTABLE,) * 5 + (0,)
+        return (UNSTABLE,) * 5 + (0,)
     # variant with the pair-pumping rate switched off
     ms0 = build_moment_system(dataclasses.replace(r, g=0j), point.gamma_0, point.Delta_0)
     try:
         xi0 = steady_state(ms0).xi
     except UnstableSystemError:
         xi0 = UNSTABLE
-    return (
-        value,
-        rep.xi,
-        xi0,
-        rep.var_x,
-        rep.var_p,
-        rep.det_sigma,
-        int(rep.squeezed),
-    )
+    return (rep.xi, xi0, rep.var_x, rep.var_p, rep.det_sigma, int(rep.squeezed))
+
+
+# One-axis scenarios: their columns after the swept value, and how a row
+# reads them off the point's config and rates.
+_SWEEP_SCENARIOS = {
+    "driving": (
+        ("Omega_prime_re", "Omega_prime_im", "Omega_prime_abs"),
+        lambda point, r: _split(r.Omega_prime),
+    ),
+    "gamma-rate": (("Gamma_re", "Gamma_im", "Gamma_abs"), lambda point, r: _split(r.Gamma)),
+    "squeeze-rate": (("g_re", "g_im", "g_abs"), lambda point, r: _split(r.g)),
+    "decay-rate": (
+        ("gamma", "gamma_plus", "gamma_minus"),
+        lambda point, r: (r.gamma, r.gamma_plus, r.gamma_minus),
+    ),
+    "freq-shift": (("delta",), lambda point, r: (r.delta,)),
+    "steady-state": (
+        (
+            "occupation",
+            "amplitude_re",
+            "amplitude_im",
+            "pair_re",
+            "pair_im",
+            "xi",
+            "centered_occupation",
+            "stable",
+        ),
+        _steady_state_cols,
+    ),
+    "squeezing": (
+        ("xi", "xi_no_pair_pumping", "var_x", "var_p", "det_sigma", "squeezed"),
+        _squeezing_cols,
+    ),
+}
+
+
+def _sweep_row(name: str, cfg: ScenarioConfig, value: float) -> tuple:
+    # looked up by name, so worker processes receive a picklable partial
+    _, read = _SWEEP_SCENARIOS[name]
+    point = _apply_value(cfg, cfg.sweep.variable, value)
+    return (value,) + read(point, rates_at(point))
 
 
 def _row_stability(cfg: ScenarioConfig, values: tuple) -> tuple:
     v1, v2 = values
     point = _apply_value(cfg, cfg.sweep.variable, v1)
     point = _apply_value(point, cfg.sweep2.variable, v2)
-    ms = build_moment_system(_rates_at(point), point.gamma_0, point.Delta_0)
+    ms = build_moment_system(rates_at(point), point.gamma_0, point.Delta_0)
     rep = stability(ms)
     return (v1, v2, int(rep.stable), int(rep.criterion), rep.max_real_part)
-
-
-_POINT_FUNCS = {
-    "driving": _row_driving,
-    "gamma-rate": _row_gamma_rate,
-    "squeeze-rate": _row_squeeze_rate,
-    "decay-rate": _row_decay_rate,
-    "freq-shift": _row_freq_shift,
-    "steady-state": _row_steady_state,
-    "squeezing": _row_squeezing,
-    "stability-map": _row_stability,
-}
-
-_COLUMNS = {
-    "driving": ("Omega_prime_re", "Omega_prime_im", "Omega_prime_abs"),
-    "gamma-rate": ("Gamma_re", "Gamma_im", "Gamma_abs"),
-    "squeeze-rate": ("g_re", "g_im", "g_abs"),
-    "decay-rate": ("gamma", "gamma_plus", "gamma_minus"),
-    "freq-shift": ("delta",),
-    "steady-state": (
-        "occupation",
-        "amplitude_re",
-        "amplitude_im",
-        "pair_re",
-        "pair_im",
-        "xi",
-        "centered_occupation",
-        "stable",
-    ),
-    "squeezing": ("xi", "xi_no_pair_pumping", "var_x", "var_p", "det_sigma", "squeezed"),
-}
 
 
 def _map_points(func, points, jobs: int) -> list:
@@ -234,23 +209,18 @@ def _normalize_row(row) -> tuple:
     return tuple(out)
 
 
-def _timestamp() -> str:
-    return datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
-
-
 def run_scenario(name: str, cfg: ScenarioConfig, jobs: int = 1) -> SweepResult:
     """Evaluate one scenario on its sweep grid."""
     if name not in SCENARIOS:
         raise ConfigError(f"scenario: unknown scenario {name!r}; choose from {SCENARIOS}")
     meta = tuple(resolved_items(cfg))
-    stamp = _timestamp()
 
     if name == "coherence":
         if cfg.sweep.variable != "tau":
             raise ConfigError("sweep.variable: the coherence scenario sweeps tau")
         rows = _coherence_rows(cfg)
         cols = ("tau", "g1_re", "g1_im", "g1_abs")
-        return SweepResult(name, cols, tuple(rows), meta, stamp)
+        return SweepResult(name, cols, tuple(rows), meta)
 
     if name == "oracle-validate":
         rows = _oracle_rows(cfg, jobs)
@@ -271,7 +241,7 @@ def run_scenario(name: str, cfg: ScenarioConfig, jobs: int = 1) -> SweepResult:
             "pair_exact_im",
             "pair_rel_err",
         )
-        return SweepResult(name, cols, tuple(rows), meta, stamp)
+        return SweepResult(name, cols, tuple(rows), meta)
 
     if name == "stability-map":
         if cfg.sweep.variable == cfg.sweep2.variable:
@@ -290,18 +260,18 @@ def run_scenario(name: str, cfg: ScenarioConfig, jobs: int = 1) -> SweepResult:
             "stable_criterion",
             "max_real_part",
         )
-        return SweepResult(name, cols, tuple(rows), meta, stamp)
+        return SweepResult(name, cols, tuple(rows), meta)
 
     if cfg.sweep.variable == "tau":
         raise ConfigError("sweep.variable: tau only applies to the coherence scenario")
-    func = functools.partial(_POINT_FUNCS[name], cfg)
+    func = functools.partial(_sweep_row, name, cfg)
     rows = _map_points(func, list(cfg.sweep.grid()), jobs)
-    cols = (cfg.sweep.variable,) + _COLUMNS[name]
-    return SweepResult(name, cols, tuple(rows), meta, stamp)
+    cols = (cfg.sweep.variable,) + _SWEEP_SCENARIOS[name][0]
+    return SweepResult(name, cols, tuple(rows), meta)
 
 
 def _coherence_rows(cfg: ScenarioConfig) -> list:
-    rates = _rates_at(cfg)
+    rates = rates_at(cfg)
     ms = build_moment_system(rates, cfg.gamma_0, cfg.Delta_0)
     try:
         rep = steady_state(ms)
@@ -321,7 +291,8 @@ def _coherence_rows(cfg: ScenarioConfig) -> list:
     ]
 
 
-def _oracle_point(cfg: ScenarioConfig, ratio: float) -> tuple:
+def oracle_point(cfg: ScenarioConfig, ratio: float) -> tuple:
+    """Effective-model and exact moments at one coupling ratio (one row)."""
     n = int(round(cfg.n_tls))
     tls = cfg.tls_params()
     env = cfg.environment()
@@ -375,7 +346,7 @@ def _oracle_rows(cfg: ScenarioConfig, jobs: int) -> list:
         )
     if cfg.Omega_B == 0:
         raise ConfigError("bath.Omega_B: the oracle comparison needs a driven bath")
-    func = functools.partial(_oracle_point, cfg)
+    func = functools.partial(oracle_point, cfg)
     return _map_points(func, list(cfg.oracle_ratios), jobs)
 
 
@@ -414,7 +385,11 @@ def render_json(result: SweepResult) -> str:
     return json.dumps(payload, indent=2) + "\n"
 
 
-def write_result(result: SweepResult, path: str, fmt: str = "csv") -> None:
+def write_result(result: SweepResult, path=None, fmt: str = "csv") -> None:
+    """Render ``result`` as CSV or JSON into ``path``, or to stdout without one."""
     text = render_csv(result) if fmt == "csv" else render_json(result)
+    if not path:
+        sys.stdout.write(text)
+        return
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(text)

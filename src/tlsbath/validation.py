@@ -27,7 +27,7 @@ from .dynamics import (
 )
 from .oracle import DimensionCapError, bloch_correlator_numeric
 from .rates import ModeParams, mollow_sideband, optimal_detuning, single_mode_rates
-from .sweeps import _oracle_point
+from .sweeps import oracle_point
 
 N_TLS = 1e5
 COUPLING = 1e-8
@@ -391,7 +391,7 @@ def criterion_10_oracle(cfg: ScenarioConfig) -> CriterionResult:
     devs = []
     try:
         for ratio in ratios:
-            row = _oracle_point(point, float(ratio))
+            row = oracle_point(point, float(ratio))
             devs.append(max(row[4], row[9], row[14]))
     except DimensionCapError as exc:
         return CriterionResult(

@@ -171,24 +171,42 @@ def test_correlator_integral_rejects_bad_beta():
 
 
 def test_psd_table_matches_single_entries():
-    rng = np.random.default_rng(31)
-    kappa1 = 1e-4
-    p1 = TlsParams(1.0, kappa1, 0.0, 5e-5 + 2e-5j, 1e-5, (1e-8, 2e-8j))
-    p2 = TlsParams(1.0, 2e-4, 1e-5, 8e-5, -2e-5, (3e-8, 1e-8))
+    """Every table entry equals the bath sum written out term by term:
+    table[a, b, m, n] = sum_i N_i G^(alpha)_in G^(beta)_im I_i[a], with
+    I_i the resolvent integral at exponent sign beta and detuning m, and
+    positions a, b = 0 for sign +1 and 1 for sign -1."""
+    p1 = TlsParams(1.0, 1e-4, 0.0, 5e-5 + 2e-5j, 1e-5, (1e-8 + 3e-9j, 2e-8j))
+    p2 = TlsParams(1.0, 2e-4, 1e-5, 8e-5, -2e-5, (3e-8, 1e-8 - 4e-9j))
     env = BathEnvironment(temperature=0.1)
     detunings = np.array([2e-5, -1e-5])
     counts = [100.0, 3.0]
     table = build_psd_table([p1, p2], env, detunings, counts=counts)
-    for alpha in (+1, -1):
-        for beta in (+1, -1):
+    assert table.shape == (2, 2, 2, 2)
+    for a, alpha in enumerate((+1, -1)):
+        for b, beta in enumerate((+1, -1)):
             for m in range(2):
                 for n in range(2):
-                    direct = psd(
-                        [p1, p2], env, detunings, alpha, beta, m, n, counts=counts
-                    )
-                    assert table[(alpha, beta, m, n)] == pytest.approx(
-                        direct, rel=1e-12, abs=1e-30
-                    )
+                    direct = 0j
+                    for p, weight in zip((p1, p2), counts):
+                        g_n = p.couplings[n] if alpha == +1 else np.conj(p.couplings[n])
+                        g_m = p.couplings[m] if beta == +1 else np.conj(p.couplings[m])
+                        integ = correlator_integral(p, env, beta, detunings[m])
+                        direct += weight * g_n * g_m * integ[a]
+                    assert table[a, b, m, n] == pytest.approx(direct, rel=1e-12, abs=1e-30)
+                    single = psd([p1, p2], env, detunings, alpha, beta, m, n, counts=counts)
+                    assert single == table[a, b, m, n]
+
+
+def test_psd_counts_take_real_weights():
+    """Rates are linear in N, so a fractional count scales them exactly."""
+    p, env = _random_tls(np.random.default_rng(4))
+    detunings = np.array([1e-5])
+    one = build_psd_table([p], env, detunings, counts=[1])
+    half_more = build_psd_table([p], env, detunings, counts=[1.5])
+    assert np.allclose(half_more, 1.5 * one, rtol=1e-14, atol=0.0)
+    for bad in ([0.0], [-2.0], [1.0, 1.0], [float("nan")]):
+        with pytest.raises(ValueError):
+            build_psd_table([p], env, detunings, counts=bad)
 
 
 def test_psd_counts_equal_explicit_repetition():

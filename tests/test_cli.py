@@ -126,6 +126,31 @@ def test_bad_value_exit_code(capsys):
     assert "bath.kappa_1" in err
 
 
+_TAU = ["--set", "sweep.variable=tau", "--set", "sweep.start=0", "--set", "sweep.stop=10",
+        "--set", "sweep.scale=linear", "--set", "sweep.count=3"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["rates", "--set", "bath.Delta_B=2"],
+        ["rates", "--set", "mode.Delta_0=-3"],
+        ["sweep", "driving", "--set", "sweep.variable=Delta_B", "--set", "sweep.start=0.5",
+         "--set", "sweep.stop=1.5", "--set", "sweep.scale=linear", "--set", "sweep.count=5"],
+        ["coherence", *_TAU],
+        ["sweep", "driving", "--jobs", "0"],
+        ["steady-state", "--jobs", "-3"],
+    ],
+    ids=["drive-frequency", "mode-frequency", "Delta_B-sweep", "undriven-coherence",
+         "jobs-zero", "jobs-negative"],
+)
+def test_library_parameter_errors_are_config_errors(capsys, argv):
+    code, _, err = _run(capsys, *argv)
+    assert code == cli.EXIT_CONFIG
+    assert err.startswith("config error:")
+    assert "Traceback" not in err
+
+
 def test_numerical_failure_exit_code(capsys):
     code, _, err = _run(
         capsys,

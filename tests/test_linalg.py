@@ -5,7 +5,6 @@ import scipy.linalg
 from tlsbath.linalg import (
     KernelDimensionError,
     SingularMatrixError,
-    eigenpairs,
     eigenvalues,
     expm_apply,
     null_vector,
@@ -47,14 +46,6 @@ def test_eigenvalues_known_spectrum():
     got = np.sort_complex(eigenvalues(a))
     want = np.sort_complex(np.diag(d))
     assert np.allclose(got, want, atol=1e-10)
-
-
-def test_eigenpairs_residuals():
-    rng = np.random.default_rng(11)
-    a = _random_complex(rng, (6, 6))
-    vals, vecs = eigenpairs(a)
-    for k in range(6):
-        assert np.linalg.norm(a @ vecs[:, k] - vals[k] * vecs[:, k]) < 1e-9 * np.linalg.norm(a, np.inf)
 
 
 def test_expm_apply_matches_dense():

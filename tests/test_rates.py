@@ -3,7 +3,13 @@
 import numpy as np
 import pytest
 
-from tlsbath.bath import BathEnvironment, TlsParams, transverse_rate
+from tlsbath.bath import (
+    BathEnvironment,
+    TlsParams,
+    bloch_steady_state,
+    psd,
+    transverse_rate,
+)
 from tlsbath.rates import (
     BelowThresholdError,
     ModeParams,
@@ -239,6 +245,73 @@ def test_rates_scale_linearly_with_tls_number():
     assert r2.gamma == pytest.approx(250 * r1.gamma, rel=1e-12)
     # the drive term is linear too (no bare mode drive here)
     assert r2.Omega_prime == pytest.approx(250 * r1.Omega_prime, rel=1e-12)
+
+
+def test_fractional_tls_number_is_not_truncated():
+    r1 = _pipeline(_drive(2.0), Delta_0=KAPPA_T, n=1.0)
+    r15 = _pipeline(_drive(2.0), Delta_0=KAPPA_T, n=1.5)
+    for name in ("Omega_prime", "delta", "g", "gamma_plus", "gamma_minus", "Gamma"):
+        assert getattr(r15, name) == pytest.approx(1.5 * getattr(r1, name), rel=1e-14)
+
+
+@pytest.mark.parametrize("counts", [[0.0], [-1.0], [1.0, 1.0], []])
+def test_bad_tls_counts_raise(counts):
+    mode = ModeParams(omega=1.0, gamma0=1e-7)
+    tls = TlsParams(1.0, KAPPA_1, 0.0, _drive(2.0), 0.0, (G,))
+    with pytest.raises(ValueError):
+        single_mode_rates(mode, [tls], ENV0, 1.0, counts=counts)
+
+
+@pytest.mark.parametrize("couplings", [(G,), (G, G, G)])
+def test_one_coupling_per_mode_is_required(couplings):
+    modes = [ModeParams(1.0, 1e-7), ModeParams(1.0 + 1e-5, 1e-7)]
+    tls = TlsParams(1.0, KAPPA_1, 0.0, _drive(2.0), 0.0, couplings)
+    with pytest.raises(ValueError):
+        effective_driving(modes, [tls], ENV0)
+    with pytest.raises(ValueError):
+        assemble_rates(modes, [tls], ENV0, 1.0)
+
+
+def test_two_mode_rates_match_entrywise_formulas():
+    """Each off-diagonal entry follows the per-entry contraction of the
+    spectral densities; a transposed index would fail here even though
+    it keeps delta and the incoherent rates Hermitian."""
+    omega_d = 1.0 - 1e-5
+    modes = [
+        ModeParams(omega=omega_d + 3e-5, gamma0=1e-7, Omega=1e-6),
+        ModeParams(omega=omega_d - 7e-5, gamma0=1e-7, Omega=-2e-6j),
+    ]
+    tls_list = [
+        TlsParams(1.0, 1e-4, 0.0, 4e-5 + 3e-5j, 1e-5, (1e-8 + 4e-9j, 3e-9 - 2e-8j)),
+        TlsParams(1.0, 3e-4, 2e-5, 1e-4, -4e-5, (2e-8j, 1.5e-8 + 5e-9j)),
+    ]
+    counts = [200.0, 50.0]
+    env = BathEnvironment(temperature=0.2)
+    rates = assemble_rates(modes, tls_list, env, omega_d, counts=counts)
+    det = np.array(rates.detunings)
+
+    def gam(alpha, beta, m, n):
+        return psd(tls_list, env, det, alpha, beta, m, n, counts=counts)
+
+    for m, n in ((0, 1), (1, 0)):
+        want = {
+            "delta": -0.5j * (gam(+1, -1, m, n) + gam(-1, +1, m, n))
+            + 0.5j * np.conj(gam(+1, -1, n, m) + gam(-1, +1, n, m)),
+            "g": -0.5j * (gam(+1, +1, m, n) - np.conj(gam(-1, -1, n, m))),
+            "gamma_plus": gam(+1, -1, m, n) + np.conj(gam(+1, -1, n, m)),
+            "gamma_minus": gam(-1, +1, m, n) + np.conj(gam(-1, +1, n, m)),
+            "Gamma": gam(+1, +1, m, n) + np.conj(gam(-1, -1, n, m)),
+        }
+        for name, value in want.items():
+            got = getattr(rates, name)[m, n]
+            assert got == pytest.approx(value, rel=1e-12, abs=1e-30), (name, m, n)
+        assert rates.g[m, n] != pytest.approx(rates.g[n, m], rel=1e-6)
+    for n, mode in enumerate(modes):
+        dipoles = sum(
+            c * p.couplings[n] * bloch_steady_state(p, env).sigma_plus
+            for p, c in zip(tls_list, counts)
+        )
+        assert rates.Omega_prime[n] == pytest.approx(mode.Omega + dipoles, rel=1e-12)
 
 
 def test_detuning_frame_consistency():
