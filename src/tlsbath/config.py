@@ -256,6 +256,18 @@ def resolve(raw: dict) -> ScenarioConfig:
     kappa_2 = _parse_float(b["kappa_2"], "bath.kappa_2")
     if kappa_2 < 0:
         raise ConfigError(f"bath.kappa_2: must be >= 0, got {kappa_2}")
+    delta_b = _parse_float(b["Delta_B"], "bath.Delta_B")
+    if 1.0 - delta_b <= 0:
+        raise ConfigError(
+            f"bath.Delta_B: drive frequency omega_d = 1 - Delta_B must be > 0, "
+            f"got {1.0 - delta_b}"
+        )
+    delta_0 = _parse_float(m["Delta_0"], "mode.Delta_0")
+    if 1.0 - delta_b + delta_0 <= 0:
+        raise ConfigError(
+            f"mode.Delta_0: mode frequency omega_d + Delta_0 must be > 0, "
+            f"got {1.0 - delta_b + delta_0}"
+        )
     temperature = _parse_float(e["temperature"], "environment.temperature")
     if temperature < 0:
         raise ConfigError(f"environment.temperature: must be >= 0, got {temperature}")
@@ -282,7 +294,7 @@ def resolve(raw: dict) -> ScenarioConfig:
 
     out = merged["output"]
     return ScenarioConfig(
-        Delta_0=_parse_float(m["Delta_0"], "mode.Delta_0"),
+        Delta_0=delta_0,
         gamma_0=gamma_0,
         Omega_0=_parse_complex(m["Omega_0"], "mode.Omega_0"),
         n_tls=n_tls,
@@ -290,7 +302,7 @@ def resolve(raw: dict) -> ScenarioConfig:
         kappa_1=kappa_1,
         kappa_2=kappa_2,
         Omega_B=_parse_complex(b["Omega_B"], "bath.Omega_B"),
-        Delta_B=_parse_float(b["Delta_B"], "bath.Delta_B"),
+        Delta_B=delta_b,
         temperature=temperature,
         sweep=_validate_axis("sweep", merged["sweep"]),
         sweep2=_validate_axis("sweep2", merged["sweep2"]),

@@ -3,18 +3,25 @@
 The effective single-mode master equation is quadratic, so the first and
 second moments close on themselves.  Everything here works on the moment
 vector ``v = (<s+ s>, <s>, <s+>, <s^2>, <s+^2>)`` (that ordering is used
-throughout): linear drift plus constant inhomogeneity, steady state by
-direct solve, stability from the drift spectrum, quadrature covariance and
-squeezing, and the first-order coherence function by quantum regression.
+throughout): linear drift plus constant inhomogeneity.  The drift is
+block-triangular: the amplitude block ``B`` on ``(<s>, <s+>)`` never sees
+the second moments, and ``(B + gamma/2)^2 = sigma^2 I`` with the total
+decay rate ``gamma`` and ``sigma = sqrt(4 |g|^2 - delta'^2)``.  The
+spectrum is therefore exactly ``{-gamma/2 +- sigma, -gamma, -gamma +- 2
+sigma}``.  Stability, the steady state (two block solves) and the
+first-order coherence function (quantum regression with a closed-form
+``exp(B tau)``) follow from that block form, and quadrature covariance and
+squeezing from the steady state.
 """
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import eigenvalues, expm_apply, solve_linear
+from .linalg import expm_apply, solve_linear
 from .rates import SingleModeRates
 
 __all__ = [
@@ -40,6 +47,10 @@ OCCUPATION_ATOL = 1e-9
 
 # Conjugation structure of the moment vector, checked after solves.
 CONJUGATION_RTOL = 1e-10
+
+# Second-moment entries (<s+ s>, <s^2>, <s+^2>) of the moment vector; the
+# amplitudes (<s>, <s+>) are entries 1:3.
+_SECOND = [0, 3, 4]
 
 
 class UnstableSystemError(ArithmeticError):
@@ -147,19 +158,25 @@ def build_moment_system(
     )
 
 
+def _sigma(ms: MomentSystem) -> complex:
+    # Principal root, so Re(sigma) >= 0: (B + gamma/2)^2 = sigma^2 I.
+    return cmath.sqrt(4.0 * abs(ms.rates.g) ** 2 - ms.delta_prime**2)
+
+
 def stability(ms: MomentSystem) -> StabilityReport:
     """Evaluate both stability tests.
 
-    ``stable`` is the spectral verdict on the drift; ``criterion`` is the
-    closed-form inequality ``gamma0 + gamma >= 4 |g|`` carried with the
-    same margin, exact for a resonant mode (the two verdicts provably
-    coincide there; off resonance the criterion is only indicative).
+    ``stable`` is the verdict on the drift spectrum, whose largest real
+    part is ``max(-gamma/2 + Re sigma, -gamma + 2 Re sigma)`` exactly, so
+    the mode is stable exactly when ``gamma > 2 Re sigma`` at any detuning
+    ``delta'``.  ``criterion`` is the closed-form inequality
+    ``gamma0 + gamma >= 4 |g|`` carried with the same margin; it is the
+    ``delta' = 0`` case of that condition.
     """
-    max_re = float(np.max(eigenvalues(ms.drift).real))
+    re_sigma, gt = _sigma(ms).real, ms.gamma_total
+    max_re = max(-0.5 * gt + re_sigma, -gt + 2.0 * re_sigma)
     stable = max_re < EPS_STAB
-    criterion = (
-        ms.gamma_total - 4.0 * abs(ms.rates.g) > -2.0 * EPS_STAB
-    )
+    criterion = gt - 4.0 * abs(ms.rates.g) > -2.0 * EPS_STAB
     return StabilityReport(
         stable=stable, criterion=criterion, max_real_part=max_re
     )
@@ -192,7 +209,13 @@ def steady_state(ms: MomentSystem) -> SteadyStateReport:
         raise UnstableSystemError(
             f"drift spectrum reaches Re(lambda) = {verdict.max_real_part:.3e}"
         )
-    v = solve_linear(ms.drift, -ms.inhom)
+    # Block-triangular drift: amplitudes first, then the second moments
+    # driven by them.  Solving the blocks apart keeps the pivot check on
+    # each block's own scale, not on that of the large drive entries.
+    v = np.empty(5, dtype=complex)
+    v[1:3] = solve_linear(ms.drift[1:3, 1:3], -ms.inhom[1:3])
+    source = ms.drift[_SECOND, 1:3] @ v[1:3] + ms.inhom[_SECOND]
+    v[_SECOND] = solve_linear(ms.drift[np.ix_(_SECOND, _SECOND)], -source)
     _check_conjugation(v)
     occupation = float(v[0].real)
     amp = complex(v[1])
@@ -241,11 +264,6 @@ def approx_steady_state(
     return float(occupation), complex(amplitude_dag)
 
 
-def _amplitude_block(ms: MomentSystem) -> tuple[np.ndarray, np.ndarray]:
-    # Drift and inhomogeneity of the (<s>, <s+>) pair.
-    return ms.drift[1:3, 1:3], ms.inhom[1:3]
-
-
 def default_tau_grid(gamma_total: float, points: int = 400) -> np.ndarray:
     """Logarithmic time grid from zero out to 20 total decay times."""
     if gamma_total <= 0:
@@ -263,11 +281,13 @@ def coherence_g1(
     """Normalized first-order coherence of the stationary mode.
 
     Quantum regression: the lagged pair ``(<s+(0) s(tau)>, <s+(0) s+(tau)>)``
-    obeys the amplitude block of the moment drift with the inhomogeneity
-    scaled by the stationary amplitude, starting from the stationary
-    occupation and pair moment.  Values are normalized to unity at zero
-    lag; the asymptote is the coherent fraction
-    ``|<s>|^2 / <s+ s>``.
+    relaxes under the amplitude block ``B`` to ``conj(<s>) (<s>, <s+>)``,
+    starting from the stationary occupation and pair moment.  A deviation
+    ``d`` propagates as ``e^(lam tau) [(1 + e^(-2 sigma tau))/2 d
+    + tau phi(2 sigma tau) (B + gamma/2) d]`` with ``lam = -gamma/2 + sigma``
+    and ``phi(x) = (1 - e^-x)/x``, finite at any lag and at ``sigma = 0``.
+    Values are normalized to unity at zero lag; the asymptote is the
+    coherent fraction ``|<s>|^2 / <s+ s>``.
     """
     if report.occupation <= 0:
         raise ValueError("coherence undefined for an unoccupied mode")
@@ -276,22 +296,23 @@ def coherence_g1(
     tau_grid = np.asarray(tau_grid, dtype=float)
     if np.any(tau_grid < 0) or np.any(np.diff(tau_grid) <= 0):
         raise ValueError("tau grid must be nonnegative and increasing")
-    block, inhom = _amplitude_block(ms)
-    source = inhom * np.conj(report.amplitude)
     z0 = np.array(
         [report.occupation, np.conj(report.pair_amplitude)], dtype=complex
     )
-    z_inf = solve_linear(block, -source)
+    z_inf = np.conj(report.amplitude) * report.moments[1:3]
     dev0 = z0 - z_inf
-    values = np.empty(tau_grid.size, dtype=complex)
-    for k, tau in enumerate(tau_grid):
-        if tau == 0.0:
-            values[k] = z0[0]
-        else:
-            values[k] = z_inf[0] + expm_apply(block, dev0, tau)[0]
+    # first row of B + gamma/2: the sum cancels B's real diagonal exactly
+    shifted = ms.drift[1, 1:3] + (0.5 * ms.gamma_total, 0.0)
+    sigma = _sigma(ms)
+    x = 2.0 * sigma * tau_grid
+    # tau phi(2 sigma tau); the block is defective at sigma = 0
+    tau_phi = tau_grid if sigma == 0 else -np.expm1(-x) / (2.0 * sigma)
+    decay = np.exp((sigma - 0.5 * ms.gamma_total) * tau_grid)
+    values = z_inf[0] + decay * (
+        0.5 * (1.0 + np.exp(-x)) * dev0[0] + tau_phi * (shifted @ dev0)
+    )
     values /= report.occupation
-    if tau_grid[0] == 0.0:
-        values[0] = 1.0 + 0.0j
+    values[tau_grid == 0.0] = 1.0
     asymptote = complex(z_inf[0] / report.occupation)
     return CoherenceSeries(tau=tau_grid, values=values, asymptote=asymptote)
 

@@ -277,17 +277,10 @@ def _coherence_rows(cfg: ScenarioConfig) -> list:
         rep = steady_state(ms)
     except UnstableSystemError:
         return [(float(t),) + (UNSTABLE,) * 3 for t in cfg.sweep.grid()]
-    grid = cfg.sweep.grid()
-    if grid[0] > 0:
-        tau = np.concatenate(([0.0], grid))
-        series = coherence_g1(ms, rep, tau)
-        vals = series.values[1:]
-    else:
-        series = coherence_g1(ms, rep, grid)
-        vals = series.values
+    series = coherence_g1(ms, rep, cfg.sweep.grid())
     return [
         _normalize_row((float(t), v.real, v.imag, abs(v)))
-        for t, v in zip(grid, vals)
+        for t, v in zip(series.tau, series.values)
     ]
 
 

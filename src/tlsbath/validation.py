@@ -20,11 +20,13 @@ import scipy.optimize
 from .bath import BathEnvironment, TlsParams, psd, transverse_rate
 from .config import ScenarioConfig, resolve
 from .dynamics import (
+    EPS_STAB,
     UnstableSystemError,
     build_moment_system,
     stability,
     steady_state,
 )
+from .linalg import eigenvalues
 from .oracle import DimensionCapError, bloch_correlator_numeric
 from .rates import ModeParams, mollow_sideband, optimal_detuning, single_mode_rates
 from .sweeps import oracle_point
@@ -305,33 +307,49 @@ def criterion_08_stability_map() -> CriterionResult:
     drives = np.geomspace(1e-6, 1e-3, 100)
     gammas = np.geomspace(1e-9, 1e-5, 100)
     disagreements = 0
+    eig_disagreements = 0
     unstable_low = 0
     unstable_high = 0
+
+    def verdict(ob, g0, d0=0.0):
+        # closed-form verdict, checked against the numerical drift spectrum
+        nonlocal eig_disagreements
+        ms = build_moment_system(_pipeline(complex(ob), Delta_0=d0, gamma0=g0), g0, d0)
+        rep = stability(ms)
+        eig_disagreements += rep.stable != (eigenvalues(ms.drift).real.max() < EPS_STAB)
+        return rep
+
     for g0 in gammas:
         for ob in drives:
-            r = _pipeline(complex(ob), gamma0=float(g0))
-            ms = build_moment_system(r, float(g0), 0.0)
-            rep = stability(ms)
+            rep = verdict(ob, float(g0))
             if rep.stable != rep.criterion:
                 disagreements += 1
             if not rep.stable and g0 >= 1e-6:
                 unstable_high += 1
     for ob in drives:
-        r = _pipeline(complex(ob), gamma0=3e-8)
-        rep = stability(build_moment_system(r, 3e-8, 0.0))
-        if not rep.stable:
+        if not verdict(ob, 3e-8).stable:
             unstable_low += 1
-    ok = disagreements == 0 and unstable_low > 0 and unstable_high == 0
+    detuned = sum(verdict(ob, 3e-8, 1e-8).stable for ob in drives)
+    ok = (
+        disagreements == 0
+        and eig_disagreements == 0
+        and unstable_low > 0
+        and unstable_high == 0
+        and 0 < detuned < drives.size
+    )
     return _verdict(
         8,
         "stability-map",
         ok,
         (
             f"{disagreements} verdict disagreements on 100x100 grid; "
+            f"{eig_disagreements} with the numerical eigensolve; "
             f"{unstable_low} unstable cells at gamma_0 = 3e-8, "
-            f"{unstable_high} at gamma_0 >= 1e-6"
+            f"{unstable_high} at gamma_0 >= 1e-6; "
+            f"{detuned} of {drives.size} stable at Delta_0 = 1e-8"
         ),
-        "verdicts identical; unstable region nonempty at 3e-8, empty at >= 1e-6",
+        "verdicts identical, also to the eigensolve; unstable region nonempty "
+        "at 3e-8, empty at >= 1e-6; detuned line holds both verdicts",
         t0,
         budget=30.0,
     )

@@ -131,24 +131,42 @@ _TAU = ["--set", "sweep.variable=tau", "--set", "sweep.start=0", "--set", "sweep
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv, fragment",
     [
-        ["rates", "--set", "bath.Delta_B=2"],
-        ["rates", "--set", "mode.Delta_0=-3"],
-        ["sweep", "driving", "--set", "sweep.variable=Delta_B", "--set", "sweep.start=0.5",
-         "--set", "sweep.stop=1.5", "--set", "sweep.scale=linear", "--set", "sweep.count=5"],
-        ["coherence", *_TAU],
-        ["sweep", "driving", "--jobs", "0"],
-        ["steady-state", "--jobs", "-3"],
+        (["rates", "--set", "bath.Delta_B=2"], "bath.Delta_B"),
+        (["rates", "--set", "mode.Delta_0=-3"], "mode.Delta_0"),
+        (["sweep", "driving", "--set", "sweep.variable=Delta_B", "--set", "sweep.start=0.5",
+          "--set", "sweep.stop=1.5", "--set", "sweep.scale=linear", "--set", "sweep.count=5"],
+         "mode frequency"),
+        (["coherence", *_TAU], "unoccupied mode"),
+        (["sweep", "driving", "--jobs", "0"], "--jobs"),
+        (["steady-state", "--jobs", "-3"], "--jobs"),
     ],
     ids=["drive-frequency", "mode-frequency", "Delta_B-sweep", "undriven-coherence",
          "jobs-zero", "jobs-negative"],
 )
-def test_library_parameter_errors_are_config_errors(capsys, argv):
+def test_library_parameter_errors_are_config_errors(capsys, argv, fragment):
     code, _, err = _run(capsys, *argv)
     assert code == cli.EXIT_CONFIG
     assert err.startswith("config error:")
+    assert fragment in err
     assert "Traceback" not in err
+
+
+def test_marginally_stable_steady_state_exits_zero(capsys):
+    """max Re(lambda) = -1.2e-11 here: the large drive entries of the full
+    drift once tripped the pivot check; the block solves do not."""
+    code, out, _ = _run(
+        capsys, "steady-state", "--format", "json",
+        "--set", "mode.gamma_0=3e-8",
+        "--set", "sweep.start=0.00022241987215950321",
+        "--set", "sweep.stop=0.0002224198721595033",
+        "--set", "sweep.count=2",
+    )
+    assert code == 0
+    doc = json.loads(out)
+    stable = doc["columns"].index("stable")
+    assert [row[stable] for row in doc["rows"]] == [1, 1]
 
 
 def test_numerical_failure_exit_code(capsys):

@@ -4,9 +4,12 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tlsbath.bath import BathEnvironment, TlsParams
 from tlsbath.dynamics import (
+    EPS_STAB,
     UnstableSystemError,
     approx_steady_state,
     build_moment_system,
@@ -16,7 +19,7 @@ from tlsbath.dynamics import (
     stability,
     steady_state,
 )
-from tlsbath.linalg import eigenvalues
+from tlsbath.linalg import eigenvalues, expm_apply, solve_linear
 from tlsbath.rates import ModeParams, SingleModeRates, single_mode_rates
 
 N_TLS = 1e5
@@ -48,6 +51,41 @@ def _bare_rates(delta_0=0.0):
         gamma_minus=0.0,
         Gamma=0j,
     )
+
+
+_PROPERTY = settings(derandomize=True, max_examples=60, deadline=None)
+
+
+def _log(lo, hi):
+    return st.floats(lo, hi).map(lambda e: 10.0**e)
+
+
+_phase = st.floats(0.0, 2 * np.pi).map(lambda p: np.exp(1j * p))
+
+
+@st.composite
+def _detuned_rates(draw, ratio):
+    """Rate set whose detuning is ``ratio`` times 2|g|, either sign."""
+    mag = draw(_log(-9, -6))
+    sign = draw(st.sampled_from((-1.0, 1.0)))
+    return SingleModeRates(
+        detuning=0.0,
+        Omega_prime=draw(_log(-7, -3)) * draw(_phase),
+        delta=sign * draw(ratio) * 2.0 * mag,
+        g=mag * draw(_phase),
+        gamma_plus=draw(_log(-10, -7)),
+        gamma_minus=draw(_log(-10, -7)),
+        Gamma=draw(_log(-10, -7)) * draw(_phase),
+    )
+
+
+def _g1_by_expm(ms, rep, tau_grid):
+    """Quantum-regression g1 with one matrix exponential per lag."""
+    block = ms.drift[1:3, 1:3]
+    z_inf = solve_linear(block, -ms.inhom[1:3] * np.conj(rep.amplitude))
+    dev0 = np.array([rep.occupation, np.conj(rep.pair_amplitude)]) - z_inf
+    vals = [z_inf[0] + expm_apply(block, dev0, t)[0] for t in tau_grid]
+    return np.array(vals) / rep.occupation
 
 
 def test_bare_oscillator_spectrum():
@@ -112,6 +150,71 @@ def test_stability_max_real_part_closed_form():
         amp = 2 * mag - gamma0 / 2
         want = max(amp, 2 * amp)
         assert rep.max_real_part == pytest.approx(want, rel=1e-9)
+
+
+@_PROPERTY
+@given(r=_detuned_rates(st.floats(0.0, 3.0)), gamma0=_log(-9, -6))
+def test_stability_closed_form_matches_drift_spectrum(r, gamma0):
+    """max Re(lambda) = max(-gamma/2 + Re sigma, -gamma + 2 Re sigma) on
+    both sides of delta' = 2|g|, with the verdict of the numerical
+    spectrum wherever the margin resolves it."""
+    ms = build_moment_system(r, gamma0, 0.0)
+    rep = stability(ms)
+    numeric = eigenvalues(ms.drift).real.max()
+    tol = 1e-9 * (abs(ms.gamma_total) + 2.0 * abs(r.g) + abs(ms.delta_prime))
+    assert rep.max_real_part == pytest.approx(numeric, abs=tol)
+    if abs(numeric - EPS_STAB) > tol:
+        assert rep.stable == (numeric < EPS_STAB)
+
+
+@_PROPERTY
+@given(
+    near=st.booleans(),
+    offset=_log(-8, -3),
+    ratio=st.floats(0.0, 3.0).filter(lambda x: abs(x - 1.0) > 0.1),
+    data=st.data(),
+)
+def test_coherence_closed_form_matches_expm(near, offset, ratio, data):
+    """Closed-form g1 against one expm per lag: 1e-12 away from the
+    exceptional point sigma = 0, 1e-7 next to it (where expm itself loses
+    accuracy); at 1e4 decay times it is finite and equals the asymptote."""
+    pick = st.sampled_from((1.0 - offset, 1.0 + offset)) if near else st.just(ratio)
+    r = data.draw(_detuned_rates(pick))
+    # a margin above threshold of at least 0.03 x 2|g| keeps the solves conditioned
+    margin = data.draw(_log(-1.5, 1.0)) * 2.0 * abs(r.g)
+    re_sigma = np.sqrt(max(4.0 * abs(r.g) ** 2 - r.delta**2, 0.0))
+    gamma0 = max(2.0 * re_sigma - r.gamma, 0.0) + margin
+    ms = build_moment_system(r, gamma0, 0.0)
+    rep = steady_state(ms)
+    tau = np.append(default_tau_grid(ms.gamma_total), 1e4 / ms.gamma_total)
+    series = coherence_g1(ms, rep, tau)
+    assert np.all(np.isfinite(series.values)) and series.values[0] == 1.0
+    want = _g1_by_expm(ms, rep, tau[:-1])
+    assert np.abs(series.values[:-1] - want).max() <= (1e-7 if near else 1e-12)
+    assert series.values[-1] == pytest.approx(series.asymptote, abs=1e-12)
+
+
+def test_coherence_at_exceptional_point():
+    """sigma = 0 exactly (4|g|^2 = delta'^2 in binary): the amplitude block
+    is defective and exp(B tau) = e^(-gamma tau/2) (1 + tau (B + gamma/2))."""
+    g, dp = 2.0**-27, 2.0**-26
+    r = dataclasses.replace(
+        _bare_rates(0.0), g=g + 0j, delta=dp, gamma_plus=1e-9,
+        Omega_prime=3e-6 + 1e-6j, Gamma=2e-9 + 0j,
+    )
+    ms = build_moment_system(r, GAMMA_0, 0.0)
+    assert 4.0 * abs(r.g) ** 2 == ms.delta_prime**2
+    rep = steady_state(ms)
+    tau = default_tau_grid(ms.gamma_total)
+    block = ms.drift[1:3, 1:3]
+    z_inf = solve_linear(block, -ms.inhom[1:3] * np.conj(rep.amplitude))
+    dev0 = np.array([rep.occupation, np.conj(rep.pair_amplitude)]) - z_inf
+    shifted_dev = (block + 0.5 * ms.gamma_total * np.eye(2)) @ dev0
+    want = z_inf[0] + np.exp(-0.5 * ms.gamma_total * tau) * (
+        dev0[0] + tau * shifted_dev[0]
+    )
+    got = coherence_g1(ms, rep, tau).values
+    assert np.allclose(got, want / rep.occupation, rtol=0, atol=1e-13)
 
 
 def test_steady_state_solves_balance():

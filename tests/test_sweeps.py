@@ -4,6 +4,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tlsbath.config import ConfigError, resolve
 from tlsbath.rates import low_drive_limits
@@ -196,6 +198,22 @@ def test_coherence_log_grid_skips_zero_lag_normalization():
     assert res.rows[0][0] == pytest.approx(1e4)
     # normalization is still against tau = 0, so nothing reads exactly 1
     assert all(m < 1.0 for m in res.column("g1_abs"))
+
+
+@settings(derandomize=True, max_examples=5, deadline=None)
+@given(k=st.integers(1, 10))
+def test_coherence_rows_independent_of_grid_start(k):
+    """g1 at one lag never depends on the other grid points: rows of a grid
+    starting at its k-th lag equal those of the grid starting at zero."""
+    def rows(start, count):
+        return run_scenario("coherence", _cfg(
+            bath={"Omega_B": "7.1e-5"},
+            sweep={"variable": "tau", "start": repr(start), "stop": "2e7",
+                   "count": str(count), "scale": "linear"},
+        )).rows
+
+    full = rows(0.0, 11)
+    assert rows(full[k][0], 11 - k) == full[k:]
 
 
 def test_stability_map_covers_grid():
