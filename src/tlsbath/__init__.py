@@ -40,10 +40,8 @@ from .dynamics import (
     StabilityReport,
     SteadyStateReport,
     UnstableSystemError,
-    approx_steady_state,
     build_moment_system,
     coherence_g1,
-    evolve_moments,
     stability,
     steady_state,
 )
@@ -62,7 +60,6 @@ from .oracle import (
     TruncationWarning,
     bloch_correlator_numeric,
     build_liouvillian,
-    evolve,
     mode_moments,
     steady_state_autogrow,
     steady_state_full,

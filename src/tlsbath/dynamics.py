@@ -8,10 +8,11 @@ block-triangular: the amplitude block ``B`` on ``(<s>, <s+>)`` never sees
 the second moments, and ``(B + gamma/2)^2 = sigma^2 I`` with the total
 decay rate ``gamma`` and ``sigma = sqrt(4 |g|^2 - delta'^2)``.  The
 spectrum is therefore exactly ``{-gamma/2 +- sigma, -gamma, -gamma +- 2
-sigma}``.  Stability, the steady state (two block solves) and the
-first-order coherence function (quantum regression with a closed-form
-``exp(B tau)``) follow from that block form, and quadrature covariance and
-squeezing from the steady state.
+sigma}``.  Stability, the steady state (closed-form amplitudes, and
+centred second moments that do not see the drive) and the first-order
+coherence function (quantum regression with a closed-form ``exp(B tau)``)
+follow from that block form, and quadrature covariance and squeezing from
+the steady state.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import expm_apply, solve_linear
+from .linalg import SingularMatrixError
 from .rates import SingleModeRates
 
 __all__ = [
@@ -33,9 +34,7 @@ __all__ = [
     "build_moment_system",
     "stability",
     "steady_state",
-    "approx_steady_state",
     "coherence_g1",
-    "evolve_moments",
 ]
 
 # Margin on the drift spectrum: stable means max Re(lambda) < EPS_STAB.
@@ -44,13 +43,6 @@ EPS_STAB = 1e-12
 # Tolerances for the physicality checks on a steady state.
 HEISENBERG_ATOL = 1e-9
 OCCUPATION_ATOL = 1e-9
-
-# Conjugation structure of the moment vector, checked after solves.
-CONJUGATION_RTOL = 1e-10
-
-# Second-moment entries (<s+ s>, <s^2>, <s+^2>) of the moment vector; the
-# amplitudes (<s>, <s+>) are entries 1:3.
-_SECOND = [0, 3, 4]
 
 
 class UnstableSystemError(ArithmeticError):
@@ -182,19 +174,6 @@ def stability(ms: MomentSystem) -> StabilityReport:
     )
 
 
-def _check_conjugation(v: np.ndarray) -> None:
-    scale = max(np.abs(v).max(), np.finfo(float).tiny)
-    dev = max(
-        abs(v[1] - np.conj(v[2])),
-        abs(v[3] - np.conj(v[4])),
-        abs(v[0].imag),
-    )
-    if dev > CONJUGATION_RTOL * scale:
-        raise ArithmeticError(
-            f"moment vector lost conjugation structure (deviation {dev:.3e})"
-        )
-
-
 def steady_state(ms: MomentSystem) -> SteadyStateReport:
     """Stationary moments and the quadrature covariance they imply.
 
@@ -203,31 +182,62 @@ def steady_state(ms: MomentSystem) -> SteadyStateReport:
     centered covariance matrix data, the squeezing factor
     ``xi = 1 / sqrt(2 * min eig sigma)``, and physicality flags for the
     Heisenberg determinant bound and the centered occupation.
+
+    Both blocks are eliminated in closed form.  With ``dt = i delta' -
+    gamma/2`` and the amplitude-block determinant ``D = |dt|^2 - 4 |g|^2
+    = gamma^2/4 - sigma^2``, the amplitude is ``<s> = (i conj(Omega') dt
+    + 2 conj(g) Omega') / D``.  The centred moments obey the second-moment
+    drift without the drive, so they come out directly, never as a
+    difference of the large moments::
+
+        n_c = [gamma_+ |dt|^2 + 2 gamma |g|^2 - 2 Im(g conj(Gamma) dt)]
+              / (gamma D)
+        m_c = (2i conj(g) (2 n_c + 1) + conj(Gamma)) / (2 conj(dt))
+
+    The covariance eigenvalues are ``n_c + 1/2 +- |m_c|``; their product
+    ``det sigma = (n_c + 1/2)^2 - |m_c|^2`` is expanded in the same rates,
+    so the smaller eigenvalue is ``det sigma`` over the larger one rather
+    than a difference of two large numbers.
+
+    A drift the stability margin admits with ``D <= 0`` or ``gamma <= 0``
+    has no unique fixed point and raises :class:`SingularMatrixError`.
     """
     verdict = stability(ms)
     if not verdict.stable:
         raise UnstableSystemError(
             f"drift spectrum reaches Re(lambda) = {verdict.max_real_part:.3e}"
         )
-    # Block-triangular drift: amplitudes first, then the second moments
-    # driven by them.  Solving the blocks apart keeps the pivot check on
-    # each block's own scale, not on that of the large drive entries.
-    v = np.empty(5, dtype=complex)
-    v[1:3] = solve_linear(ms.drift[1:3, 1:3], -ms.inhom[1:3])
-    source = ms.drift[_SECOND, 1:3] @ v[1:3] + ms.inhom[_SECOND]
-    v[_SECOND] = solve_linear(ms.drift[np.ix_(_SECOND, _SECOND)], -source)
-    _check_conjugation(v)
-    occupation = float(v[0].real)
-    amp = complex(v[1])
-    pair = complex(v[3])
-    n_c = occupation - abs(amp) ** 2
-    m2 = pair - amp**2
+    r, gt = ms.rates, ms.gamma_total
+    g, om, gg = complex(r.g), complex(r.Omega_prime), complex(r.Gamma)
+    dt = complex(-0.5 * gt, ms.delta_prime)
+    dt2, g2 = dt.real**2 + dt.imag**2, g.real**2 + g.imag**2
+    det = dt2 - 4.0 * g2
+    if not (gt > 0.0 and det > 0.0):
+        raise SingularMatrixError(
+            f"moment drift singular at the stability margin "
+            f"(gamma {gt:.3e}, amplitude determinant {det:.3e})"
+        )
+    amp = (1j * om.conjugate() * dt + 2.0 * g.conjugate() * om) / det
+    n_c = float(
+        r.gamma_plus * dt2 + 2.0 * gt * g2 - 2.0 * (g * gg.conjugate() * dt).imag
+    ) / (gt * det)
+    m2 = (2j * g.conjugate() * (2.0 * n_c + 1.0) + gg.conjugate()) / (
+        2.0 * dt.conjugate()
+    )
+    occupation = n_c + abs(amp) ** 2
+    pair = m2 + amp**2
+    v = np.array(
+        [occupation, amp, amp.conjugate(), pair, pair.conjugate()], dtype=complex
+    )
     var_x = 0.5 + m2.real + n_c
     var_p = 0.5 - m2.real + n_c
     cov_xp = m2.imag
-    lam_min = n_c + 0.5 - abs(m2)
-    lam_max = n_c + 0.5 + abs(m2)
-    det_sigma = lam_min * lam_max
+    n_sym = n_c + 0.5
+    lam_max = n_sym + abs(m2)
+    det_sigma = (
+        4.0 * det * n_sym**2 + 8.0 * n_sym * (g.conjugate() * gg).imag - abs(gg) ** 2
+    ) / (4.0 * dt2)
+    lam_min = det_sigma / lam_max
     xi = 1.0 / np.sqrt(2.0 * lam_min) if lam_min > 0 else np.inf
     return SteadyStateReport(
         moments=v,
@@ -245,23 +255,6 @@ def steady_state(ms: MomentSystem) -> SteadyStateReport:
         heisenberg_ok=bool(det_sigma >= 0.25 - HEISENBERG_ATOL),
         occupation_ok=bool(n_c >= -OCCUPATION_ATOL),
     )
-
-
-def approx_steady_state(
-    rates: SingleModeRates, gamma0: float
-) -> tuple[float, complex]:
-    """Weak-squeezing closed form for the stationary state.
-
-    Drops the pair amplitudes from the balance, leaving incoherent
-    up/down competition plus the coherent displacement; the denominators
-    carry the total decay rate.  Returns ``(occupation, <s+>)``.
-    """
-    gt = gamma0 + rates.gamma
-    if gt <= 0:
-        raise UnstableSystemError("total decay rate must be positive")
-    occupation = rates.gamma_plus / gt + 4.0 * abs(rates.Omega_prime) ** 2 / gt**2
-    amplitude_dag = 2j * rates.Omega_prime / gt
-    return float(occupation), complex(amplitude_dag)
 
 
 def default_tau_grid(gamma_total: float, points: int = 400) -> np.ndarray:
@@ -316,18 +309,3 @@ def coherence_g1(
     asymptote = complex(z_inf[0] / report.occupation)
     return CoherenceSeries(tau=tau_grid, values=values, asymptote=asymptote)
 
-
-def evolve_moments(ms: MomentSystem, v0, t: float) -> np.ndarray:
-    """Propagate a moment vector for time ``t``.
-
-    Uses the augmented homogeneous form so marginal and unstable drifts
-    are handled without inverting anything.
-    """
-    v0 = np.asarray(v0, dtype=complex)
-    if v0.shape != (5,):
-        raise ValueError("moment vector must have 5 components")
-    aug = np.zeros((6, 6), dtype=complex)
-    aug[:5, :5] = ms.drift
-    aug[:5, 5] = ms.inhom
-    w = np.concatenate((v0, [1.0]))
-    return expm_apply(aug, w, t)[:5]

@@ -1,4 +1,4 @@
-"""Dense linear-algebra kernel shared by every solver in the package.
+"""Dense linear-algebra kernel: bath resolvents, the oracle, spectral checks.
 
 All routines work on complex matrices of the sizes this library produces
 (3x3 Bloch blocks up to a few-thousand-dimensional vectorized Liouvillians),

@@ -32,10 +32,8 @@ __all__ = [
     "tls_liouvillian",
     "steady_state_full",
     "steady_state_autogrow",
-    "evolve",
     "expectation",
     "mode_moments",
-    "tls_marginal",
     "bloch_correlator_numeric",
     "coherence_g1_numeric",
 ]
@@ -223,13 +221,6 @@ def steady_state_full(liou: np.ndarray) -> np.ndarray:
     return rho
 
 
-def evolve(liou: np.ndarray, rho0: np.ndarray, t: float) -> np.ndarray:
-    """Propagate a density matrix for time ``t`` under the Liouvillian."""
-    dim = rho0.shape[0]
-    vec = expm_apply(liou, rho0.reshape(dim * dim), t)
-    return vec.reshape(dim, dim)
-
-
 def expectation(rho: np.ndarray, op: np.ndarray) -> complex:
     return complex(np.trace(op @ rho))
 
@@ -260,21 +251,6 @@ def mode_moments(
     s = mode_operator(spec)
     occ = expectation(rho, s.conj().T @ s).real
     return float(occ), expectation(rho, s), expectation(rho, s @ s)
-
-
-def tls_marginal(rho: np.ndarray, spec: HilbertSpec, which: int = 0) -> np.ndarray:
-    """Reduced 2x2 state of one TLS."""
-    dims = [spec.fock_dim] + [2] * spec.n_tls
-    full = rho.reshape(dims + dims)
-    keep = 1 + which
-    n_sub = len(dims)
-    out = full
-    # Trace out every subsystem except `keep`, highest axis first.
-    for axis in reversed(range(n_sub)):
-        if axis == keep:
-            continue
-        out = np.trace(out, axis1=axis, axis2=axis + out.ndim // 2)
-    return out
 
 
 def steady_state_autogrow(

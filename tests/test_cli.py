@@ -155,7 +155,8 @@ def test_library_parameter_errors_are_config_errors(capsys, argv, fragment):
 
 def test_marginally_stable_steady_state_exits_zero(capsys):
     """max Re(lambda) = -1.2e-11 here: the large drive entries of the full
-    drift once tripped the pivot check; the block solves do not."""
+    drift once tripped the pivot check, and the centred occupation lost
+    its digits to cancellation; the closed form does neither."""
     code, out, _ = _run(
         capsys, "steady-state", "--format", "json",
         "--set", "mode.gamma_0=3e-8",
@@ -167,6 +168,11 @@ def test_marginally_stable_steady_state_exits_zero(capsys):
     doc = json.loads(out)
     stable = doc["columns"].index("stable")
     assert [row[stable] for row in doc["rows"]] == [1, 1]
+    # 50-digit solve of the same drift; forming <s+ s> - |<s>|^2 at an
+    # occupation of 3e14 gave 596.56 and 596.0
+    centred = doc["columns"].index("centered_occupation")
+    for row in doc["rows"]:
+        assert row[centred] == pytest.approx(609.1496, rel=1e-6)
 
 
 def test_numerical_failure_exit_code(capsys):

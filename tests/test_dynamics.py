@@ -2,24 +2,23 @@
 
 import dataclasses
 
+import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tlsbath.bath import BathEnvironment, TlsParams
 from tlsbath.dynamics import (
     EPS_STAB,
     UnstableSystemError,
-    approx_steady_state,
     build_moment_system,
     coherence_g1,
     default_tau_grid,
-    evolve_moments,
     stability,
     steady_state,
 )
-from tlsbath.linalg import eigenvalues, expm_apply, solve_linear
+from tlsbath.linalg import SingularMatrixError, eigenvalues, expm_apply, solve_linear
 from tlsbath.rates import ModeParams, SingleModeRates, single_mode_rates
 
 N_TLS = 1e5
@@ -77,6 +76,34 @@ def _detuned_rates(draw, ratio):
         gamma_minus=draw(_log(-10, -7)),
         Gamma=draw(_log(-10, -7)) * draw(_phase),
     )
+
+
+@st.composite
+def _stable_system(draw, ratio, margin):
+    """Moment system whose decay rate clears the threshold 2 Re sigma by
+    at least ``margin``, with a positive bath: |Gamma|^2 <= gamma_+
+    (gamma_- + gamma0)."""
+    r = draw(_detuned_rates(ratio))
+    re_sigma = np.sqrt(max(4.0 * abs(r.g) ** 2 - r.delta**2, 0.0))
+    gamma0 = max(2.0 * re_sigma - r.gamma, 0.0) + draw(margin)
+    bound = np.sqrt(r.gamma_plus * (r.gamma_minus + gamma0))
+    gg = draw(st.floats(0.0, 1.0)) * bound * draw(_phase)
+    return build_moment_system(dataclasses.replace(r, Gamma=gg), gamma0, 0.0)
+
+
+def _centred_by_mpmath(ms):
+    """(n_c, m_c, det sigma, xi) from a 50-digit LU solve of the full 5x5
+    drift, centred afterwards: the cancellation costs nothing at 50 digits."""
+    with mpmath.workdps(50):
+        v = mpmath.lu_solve(
+            mpmath.matrix(ms.drift.tolist()), -mpmath.matrix(ms.inhom.tolist())
+        )
+        n_c = mpmath.re(v[0]) - abs(v[1]) ** 2
+        m_c = v[3] - v[1] ** 2
+        lam_min = n_c + 0.5 - abs(m_c)
+        det = lam_min * (n_c + 0.5 + abs(m_c))
+        xi = 1 / mpmath.sqrt(2 * lam_min)
+        return float(n_c), complex(m_c), float(det), float(xi)
 
 
 def _g1_by_expm(ms, rep, tau_grid):
@@ -217,19 +244,60 @@ def test_coherence_at_exceptional_point():
     assert np.allclose(got, want / rep.occupation, rtol=0, atol=1e-13)
 
 
-def test_steady_state_solves_balance():
-    r = _rates(s=1.0)
-    ms = build_moment_system(r, GAMMA_0, 0.0)
+@_PROPERTY
+@given(ms=_stable_system(st.floats(0.0, 3.0), _log(-10, -6)))
+@example(ms=build_moment_system(_rates(s=1.0), GAMMA_0, 0.0))
+def test_steady_state_solves_balance(ms):
+    """Fixed point of the full drift, conjugate-symmetric by construction,
+    and within the Heisenberg bound for any positive bath."""
     rep = steady_state(ms)
+    v = rep.moments
     # balance residual, scaled by the size of the cancelling products
-    residual = ms.drift @ rep.moments + ms.inhom
-    scale = np.abs(ms.drift) @ np.abs(rep.moments) + np.abs(ms.inhom)
+    residual = ms.drift @ v + ms.inhom
+    scale = np.abs(ms.drift) @ np.abs(v) + np.abs(ms.inhom)
     assert np.all(np.abs(residual) <= 1e-12 * scale)
-    # conjugation structure of the stationary vector
-    assert rep.moments[1] == pytest.approx(np.conj(rep.moments[2]), rel=1e-12)
-    assert rep.moments[3] == pytest.approx(np.conj(rep.moments[4]), rel=1e-12)
-    assert rep.occupation >= 0
+    assert v[0].imag == 0.0 and v[2] == np.conj(v[1]) and v[4] == np.conj(v[3])
+    assert rep.det_sigma >= 0.25 - 1e-9
     assert rep.heisenberg_ok and rep.occupation_ok
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(ms=_stable_system(st.floats(1.0 - 1e-3, 1.0 + 1e-3), _log(-9, -6)))
+def test_steady_state_near_exceptional_point_matches_mpmath(ms):
+    """delta' within 1e-3 of 2|g| and gamma just above threshold, where the
+    second-moment block is nearly a Jordan block: the centred moments, det
+    sigma and xi agree with 50 digits to 1e-9, and nothing raises.  xi is
+    held to 1e-12: the smaller covariance eigenvalue, det sigma over the
+    larger one, does not lose the digits that n_c + 1/2 - |m_c| would."""
+    rep = steady_state(ms)
+    n_c, m_c, det, xi = _centred_by_mpmath(ms)
+    assert rep.centered_occupation == pytest.approx(n_c, rel=1e-9)
+    assert abs(rep.centered_pair - m_c) <= 1e-9 * abs(m_c)
+    assert rep.det_sigma == pytest.approx(det, rel=1e-9)
+    assert rep.xi == pytest.approx(xi, rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "g, delta, gamma",
+    [
+        (2.0**-20, 0.0, 2.0**-18),  # sigma = 2|g|
+        (2.5 * 2.0**-20, 3.0 * 2.0**-20, 8.0 * 2.0**-20),  # sigma = 4 x 2^-20
+        (0.0, 2.0**-20, 0.0),  # sigma imaginary, undamped
+        (2.0**-20, 0.0, 2.0**-18 - 2.0**-60),  # below threshold, inside EPS_STAB
+    ],
+    ids=["resonant", "detuned", "undamped", "inside-margin"],
+)
+def test_steady_state_at_threshold_is_singular(g, delta, gamma):
+    """gamma = 2 Re sigma in exact binary: the margin calls the drift stable,
+    but it has no unique fixed point, so a typed error and no inf or NaN."""
+    r = dataclasses.replace(
+        _bare_rates(0.0), g=g + 0j, delta=delta, Omega_prime=1e-6 + 0j,
+        gamma_plus=1e-9, gamma_minus=1e-9,
+    )
+    ms = build_moment_system(r, gamma, 0.0)
+    assert 0.0 <= stability(ms).max_real_part < EPS_STAB
+    with pytest.raises(SingularMatrixError):
+        steady_state(ms)
 
 
 def test_steady_state_raises_when_unstable():
@@ -253,47 +321,6 @@ def test_covariance_identities():
     assert rep.det_sigma == pytest.approx(lam_min * lam_max, rel=1e-12)
     assert rep.xi == pytest.approx(1 / np.sqrt(2 * lam_min), rel=1e-12)
     assert rep.squeezed == (rep.xi > 1)
-
-
-def test_approx_steady_state_weak_drive_agreement():
-    """The pair-free closed form must approach the exact solve as the
-    saturation (and with it the squeezing rate) vanishes."""
-    r_weak = _rates(s=1e-3)
-    exact = steady_state(build_moment_system(r_weak, GAMMA_0, 0.0))
-    occ, amp_dag = approx_steady_state(r_weak, GAMMA_0)
-    assert occ == pytest.approx(exact.occupation, rel=1e-2)
-    assert abs(amp_dag) == pytest.approx(abs(exact.amplitude), rel=1e-2)
-
-    r_mid = _rates(s=1.0)
-    exact_mid = steady_state(build_moment_system(r_mid, GAMMA_0, 0.0))
-    occ_mid, _ = approx_steady_state(r_mid, GAMMA_0)
-    weak_err = abs(occ - exact.occupation) / exact.occupation
-    mid_err = abs(occ_mid - exact_mid.occupation) / exact_mid.occupation
-    assert mid_err > weak_err  # the shortcut degrades with saturation
-
-
-def test_approx_steady_state_requires_net_decay():
-    r = dataclasses.replace(_bare_rates(0.0), gamma_plus=1e-6)
-    with pytest.raises(UnstableSystemError):
-        approx_steady_state(r, 0.0)
-
-
-def test_evolve_moments_keeps_fixed_point():
-    r = _rates(s=0.8)
-    ms = build_moment_system(r, GAMMA_0, 0.0)
-    rep = steady_state(ms)
-    for t in (0.0, 1.0 / ms.gamma_total, 10.0 / ms.gamma_total):
-        moved = evolve_moments(ms, rep.moments, t)
-        assert np.allclose(moved, rep.moments, rtol=1e-8, atol=1e-12)
-
-
-def test_evolve_moments_relaxes_to_steady_state():
-    r = _rates(s=0.8)
-    ms = build_moment_system(r, GAMMA_0, 0.0)
-    rep = steady_state(ms)
-    v0 = np.array([5.0, 1.0 + 1.0j, 1.0 - 1.0j, 0.5j, -0.5j], dtype=complex)
-    out = evolve_moments(ms, v0, 60.0 / ms.gamma_total)
-    assert np.allclose(out, rep.moments, rtol=1e-6, atol=1e-12)
 
 
 def test_default_tau_grid_shape():
