@@ -2,8 +2,8 @@
 
 The package is organized bottom-up:
 
-- :mod:`tlsbath.linalg`: dense numerical kernel (solve, spectrum, expm
-  action, kernel vector) with explicit failure types.
+- :mod:`tlsbath.linalg`: dense numerical kernel of the oracle and the
+  checks (spectrum, expm action, kernel vector) with explicit failure types.
 - :mod:`tlsbath.bath`: driven-TLS Bloch machinery and the spectral
   densities of the dipole fluctuations.
 - :mod:`tlsbath.rates`: assembly of the induced master-equation rates and
@@ -24,7 +24,6 @@ from .bath import (
     BathEnvironment,
     BlochSteadyState,
     TlsParams,
-    bloch_matrix,
     bloch_steady_state,
     bose_occupation,
     build_psd_table,
@@ -52,7 +51,6 @@ from .linalg import (
     eigenvalues,
     expm_apply,
     null_vector,
-    solve_linear,
 )
 from .oracle import (
     DimensionCapError,

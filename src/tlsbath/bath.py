@@ -4,9 +4,10 @@ Each TLS is driven coherently near its transition and damped by its own
 electromagnetic environment.  In the frame rotating at the drive frequency
 its Bloch vector relaxes to a stationary point, and the two-time
 fluctuations around that point are what the bosonic modes feel.  This
-module provides the stationary Bloch state, the drift matrix of the
-fluctuations, their equal-time correlators, and the one-sided spectral
-densities obtained by resolvent integration of the regression dynamics.
+module provides the stationary Bloch state, the equal-time correlators of
+the fluctuations, and the one-sided spectral densities, whose regression
+integrals are the closed-form driven-TLS resolvent (Mollow, Phys. Rev.
+188, 1969 (1969)): no linear system is solved.
 
 The spectral densities of a bath coupled to M modes form one complex
 array ``table[a, b, m, n]`` of shape ``(2, 2, M, M)``: ``a`` and ``b``
@@ -24,8 +25,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import solve_linear
-
 __all__ = [
     "TlsParams",
     "BathEnvironment",
@@ -34,9 +33,9 @@ __all__ = [
     "transverse_rate",
     "saturation",
     "bloch_steady_state",
-    "bloch_matrix",
     "same_time_correlators",
     "correlator_integral",
+    "dipole_drive",
     "psd",
     "build_psd_table",
 ]
@@ -106,12 +105,6 @@ class BlochSteadyState:
 
     sigma_plus: complex
     sigma_z: float
-    saturation: float
-    kappa_t: float
-
-    @property
-    def sigma_minus(self) -> complex:
-        return np.conj(self.sigma_plus)
 
 
 def bose_occupation(omega: float, temperature: float) -> float:
@@ -143,9 +136,13 @@ def saturation(p: TlsParams, env: BathEnvironment) -> float:
 
     Zero without drive, unity at the knee where the drive starts to bleach
     the TLS response, large when the transition is fully saturated.
+    Raises :class:`OverflowError` when it exceeds the float range.
     """
     kt = transverse_rate(p, env)
-    return (kt / p.kappa1) * abs(p.Omega_B) ** 2 / (kt**2 + p.Delta_B**2)
+    s = (kt / p.kappa1) * abs(p.Omega_B) ** 2 / (kt**2 + p.Delta_B**2)
+    if not math.isfinite(s):
+        raise OverflowError(f"saturation overflows at |Omega_B| = {abs(p.Omega_B):g}")
+    return s
 
 
 def bloch_steady_state(p: TlsParams, env: BathEnvironment) -> BlochSteadyState:
@@ -156,32 +153,7 @@ def bloch_steady_state(p: TlsParams, env: BathEnvironment) -> BlochSteadyState:
     denom = 1.0 + 2.0 * nbar + s
     sigma_plus = -np.conj(p.Omega_B) / (2.0 * (p.Delta_B + 1j * kt)) / denom
     sigma_z = -1.0 / denom
-    return BlochSteadyState(
-        sigma_plus=complex(sigma_plus),
-        sigma_z=float(sigma_z),
-        saturation=s,
-        kappa_t=kt,
-    )
-
-
-def bloch_matrix(p: TlsParams, env: BathEnvironment) -> np.ndarray:
-    """Drift matrix of the centered Bloch fluctuations.
-
-    Acts on the fluctuation vector (raising, lowering, inversion); its
-    spectrum lies strictly in the left half plane for any kappa1 > 0, so
-    the regression integrals below always converge.
-    """
-    kt = transverse_rate(p, env)
-    nbar = bose_occupation(p.omega_B, env.temperature)
-    ob = complex(p.Omega_B)
-    return np.array(
-        [
-            [1j * p.Delta_B - kt, 0.0, -0.5j * np.conj(ob)],
-            [0.0, -1j * p.Delta_B - kt, 0.5j * ob],
-            [-1j * ob, 1j * np.conj(ob), -p.kappa1 * (1.0 + 2.0 * nbar)],
-        ],
-        dtype=complex,
-    )
+    return BlochSteadyState(sigma_plus=complex(sigma_plus), sigma_z=float(sigma_z))
 
 
 def same_time_correlators(state: BlochSteadyState, beta: int) -> np.ndarray:
@@ -194,44 +166,60 @@ def same_time_correlators(state: BlochSteadyState, beta: int) -> np.ndarray:
     """
     if beta not in (+1, -1):
         raise ValueError("beta must be +1 or -1")
-    sp = state.sigma_plus
-    sm = np.conj(sp)
-    sz = state.sigma_z
-    if beta == -1:
-        return np.array(
-            [
-                0.5 * (1.0 + sz) - sp * sm,  # <sigma+~ sigma-~>
-                -(sm**2),                    # <sigma-~ sigma-~>
-                -sm * (1.0 + sz),            # <sigmaz~ sigma-~>
-            ],
-            dtype=complex,
-        )
-    return np.array(
-        [
-            -(sp**2),                        # <sigma+~ sigma+~>
-            0.5 * (1.0 - sz) - sp * sm,      # <sigma-~ sigma+~>
-            sp * (1.0 - sz),                 # <sigmaz~ sigma+~>
-        ],
-        dtype=complex,
-    )
+    sp, sz = state.sigma_plus, state.sigma_z
+    mean = np.array([sp, np.conj(sp), sz], dtype=complex)
+    # <sigma_vec sigma_beta>: the squares of sigma+ and sigma- vanish,
+    # sigma+ sigma- = (1 + sz)/2, sigma- sigma+ = (1 - sz)/2, sz sigma+- = +-sigma+-
+    if beta == +1:
+        raw = np.array([0.0, 0.5 * (1.0 - sz), sp], dtype=complex)
+    else:
+        raw = np.array([0.5 * (1.0 + sz), 0.0, -mean[1]], dtype=complex)
+    return raw - mean * mean[SIGNS.index(beta)]
 
 
 def correlator_integral(
-    p: TlsParams, env: BathEnvironment, beta: int, delta_m: float
+    p: TlsParams, env: BathEnvironment, beta: int, delta_m
 ) -> np.ndarray:
     """Half-line Laplace transform of the Bloch fluctuation correlators.
 
-    Computes ``integral_0^inf dtau <sigma~_vec(tau) sigma~_beta(0)>
-    exp(beta * i * delta_m * tau)`` by resolvent inversion of the
-    regression dynamics: the result is
-    ``-(A + beta * i * delta_m)^-1 @ <sigma~_vec sigma~_beta>``.
+    ``x = integral_0^inf dtau <sigma~_vec(tau) sigma~_beta(0)> exp(s tau)``,
+    ``s = beta i delta_m``, solves ``(A + s) x = -c`` for the fluctuation
+    drift ``A`` and the equal-time correlators ``c``.  ``A`` couples each
+    transverse row only to the inversion, which eliminates in closed form:
+    with ``u, v = s - kappa_t +- i Delta_B``, ``w = s - kappa1 (1 + 2 nbar)``
+    and ``P = Omega_B c1 + Omega_B* c2``::
+
+        D  = w + |Omega_B|^2 / 2 * (1/u + 1/v)
+        x3 = -(c3 + i Omega_B c1 / u - i Omega_B* c2 / v) / D
+        x1 = -(c1 w + i Omega_B* c3 / 2 + Omega_B* P / (2 v)) / D / u
+        x2 = -(c2 w - i Omega_B c3 / 2 + Omega_B P / (2 u)) / D / v
+
+    D never vanishes: ``Re u = Re v = -kappa_t < 0`` makes ``Re(1/u)`` and
+    ``Re(1/v)`` negative, and ``Re w < 0``, so ``Re D < 0`` for any
+    ``kappa1 > 0``, which :class:`TlsParams` enforces.  Unlike the back
+    substitution ``x1 = (i Omega_B* x3 / 2 - c1) / u``, nothing cancels at
+    the TLS resonance, where ``|u|`` or ``|v|`` is only kappa_t; dividing by
+    D, u and v in turn, never by their products, keeps ``|delta_m|`` up to
+    1e300 finite.  An array ``delta_m`` gives shape ``(3,) + delta_m.shape``.
     """
     if beta not in (+1, -1):
         raise ValueError("beta must be +1 or -1")
-    a = bloch_matrix(p, env)
-    c0 = same_time_correlators(bloch_steady_state(p, env), beta)
-    shifted = a + beta * 1j * delta_m * np.eye(3)
-    return -solve_linear(shifted, c0)
+    c1, c2, c3 = same_time_correlators(bloch_steady_state(p, env), beta)
+    kt = transverse_rate(p, env)
+    nbar = bose_occupation(p.omega_B, env.temperature)
+    ob, oc = p.Omega_B, p.Omega_B.conjugate()
+    delta_m = np.asarray(delta_m, dtype=float)
+    # one array code path, so a scalar detuning rounds as its array entry
+    s = beta * 1j * delta_m.reshape(-1)
+    u = s - kt + 1j * p.Delta_B
+    v = s - kt - 1j * p.Delta_B
+    w = s - p.kappa1 * (1.0 + 2.0 * nbar)
+    d = w + 0.5 * abs(ob) ** 2 * (1.0 / u + 1.0 / v)
+    x3 = -(c3 + 1j * ob * c1 / u - 1j * oc * c2 / v) / d
+    pump = ob * c1 + oc * c2
+    x1 = -((c1 * w + 0.5j * oc * c3 + 0.5 * oc * pump / v) / d) / u
+    x2 = -((c2 * w - 0.5j * ob * c3 + 0.5 * ob * pump / u) / d) / v
+    return np.stack([x1, x2, x3]).reshape((3,) + delta_m.shape)
 
 
 def _grouped(tls_list, counts, n_modes: int):
@@ -239,8 +227,8 @@ def _grouped(tls_list, counts, n_modes: int):
 
     ``counts`` holds one positive real weight per entry of ``tls_list``
     (``None`` means 1 each); the rates are linear in it, so a fractional N
-    is honoured, not truncated.  An N-fold ensemble then costs a single
-    resolvent solve per exponent sign and mode.  Every TLS must carry
+    is honoured, not truncated.  An N-fold ensemble then costs one
+    closed-form evaluation per exponent sign.  Every TLS must carry
     exactly one coupling per mode, ``n_modes`` in all.
     """
     if counts is None:
@@ -256,6 +244,15 @@ def _grouped(tls_list, counts, n_modes: int):
     return list(groups.items())
 
 
+def dipole_drive(tls_list, env: BathEnvironment, n_modes: int, counts=None) -> np.ndarray:
+    """First-order drive of the bath on each of ``n_modes`` modes,
+    ``sum_i N_i G_im <sigma+_i>``: stationary dipoles times couplings."""
+    out = np.zeros(n_modes, dtype=complex)
+    for p, weight in _grouped(tls_list, counts, n_modes):
+        out += weight * np.array(p.couplings) * bloch_steady_state(p, env).sigma_plus
+    return out
+
+
 def psd(
     tls_list,
     env: BathEnvironment,
@@ -266,15 +263,9 @@ def psd(
     n: int,
     counts=None,
 ) -> complex:
-    """One spectral-density component of the TLS dipole fluctuations.
-
-    ``Gamma_alphabeta^mn = sum_i G_in^(alpha) G_im^(beta) * I_alpha`` where
-    ``I`` is :func:`correlator_integral` of TLS ``i`` evaluated with
-    exponent sign ``beta`` at the detuning of mode ``m``, and the coupling
-    factors conjugate with negative alpha/beta.  Independent TLS do not mix,
-    so the sum runs over the bath with one term per TLS.  This is one entry
-    of :func:`build_psd_table`.
-    """
+    """One spectral-density component ``Gamma_alphabeta^mn`` of the TLS
+    dipole fluctuations: the entry of :func:`build_psd_table` at the
+    positions of signs ``alpha``, ``beta`` and at modes ``m``, ``n``."""
     if alpha not in SIGNS or beta not in SIGNS:
         raise ValueError("alpha and beta must be +1 or -1")
     n_modes = np.atleast_1d(detunings).shape[0]
@@ -290,9 +281,9 @@ def build_psd_table(
     """All spectral-density components for a set of modes.
 
     Returns the complex array ``table[a, b, m, n]`` of shape
-    ``(2, 2, M, M)`` laid out as described in the module docstring.  For
-    each TLS group only 2 * M linear solves are needed (one per exponent
-    sign and mode detuning), from which every entry follows.
+    ``(2, 2, M, M)`` laid out as described in the module docstring.  Each
+    TLS group takes one :func:`correlator_integral` call per exponent
+    sign, over all M detunings at once, from which every entry follows.
     """
     detunings = np.atleast_1d(np.asarray(detunings, dtype=float))
     n_modes = len(detunings)
@@ -300,11 +291,11 @@ def build_psd_table(
     for p, weight in _grouped(tls_list, counts, n_modes):
         # couplings [a, n]: G for sign +1, conj(G) for sign -1
         cpl = np.array([p.couplings, [g.conjugate() for g in p.couplings]])
-        # resolvent integrals [b, m, row], kept as [a, b, m] over the
+        # correlator integrals [b, row, m], kept as [a, b, m] over the
         # raising and lowering rows
         integ = np.array(
-            [[correlator_integral(p, env, beta, d) for d in detunings] for beta in SIGNS]
-        ).transpose(2, 0, 1)[:2]
+            [correlator_integral(p, env, beta, detunings) for beta in SIGNS]
+        ).transpose(1, 0, 2)[:2]
         # product order ((N G_n) G_m) I, as in the bath sum written out
         table += (
             (weight * cpl[:, None, None, :]) * cpl[None, :, :, None]

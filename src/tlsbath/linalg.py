@@ -1,8 +1,10 @@
-"""Dense linear-algebra kernel: bath resolvents, the oracle, spectral checks.
+"""Dense linear-algebra kernel of the exact oracle and the spectral checks.
 
-All routines work on complex matrices of the sizes this library produces
-(3x3 Bloch blocks up to a few-thousand-dimensional vectorized Liouvillians),
-so a single dense code path is used throughout; there is no sparse machinery.
+The effective theory (bath spectra, rates, Gaussian dynamics) is closed form
+and calls none of this; :func:`solve_linear` is kept as the generic solve
+that tests and benchmark traces hold the closed forms against.  Matrices
+reach a few thousand dimensions (vectorized Liouvillians), and a single
+dense code path is used throughout; there is no sparse machinery.
 """
 
 from __future__ import annotations

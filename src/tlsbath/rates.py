@@ -17,13 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bath import (
-    BathEnvironment,
-    TlsParams,
-    bloch_steady_state,
-    build_psd_table,
-    _grouped,
-)
+from .bath import BathEnvironment, build_psd_table, dipole_drive
 
 __all__ = [
     "ModeParams",
@@ -114,15 +108,12 @@ def effective_driving(
 ) -> np.ndarray:
     """Coherent drive on each mode including the stationary TLS dipoles.
 
-    Each TLS contributes its stationary raising amplitude weighted by its
-    coupling; without TLS drive the bare mode drives are returned
-    unchanged.
+    The bare mode drives plus :func:`~tlsbath.bath.dipole_drive`, the
+    stationary TLS raising amplitudes weighted by their couplings; without
+    TLS drive the bare mode drives are returned unchanged.
     """
-    out = np.array([complex(m.Omega) for m in modes], dtype=complex)
-    for p, weight in _grouped(tls_list, counts, len(out)):
-        sp = bloch_steady_state(p, env).sigma_plus
-        out += [weight * g * sp for g in p.couplings]
-    return out
+    bare = np.array([complex(m.Omega) for m in modes], dtype=complex)
+    return bare + dipole_drive(tls_list, env, len(bare), counts)
 
 
 def _check_hermitian(mat: np.ndarray, name: str) -> None:
@@ -147,14 +138,20 @@ def assemble_rates(
     The spectral-density table is contracted into the rate matrices; the
     Hermiticity of the frequency-shift and incoherent-rate matrices is a
     structural consequence of the contraction and is asserted, not
-    enforced: a violation raises :class:`HermiticityError`.
+    enforced: a violation raises :class:`HermiticityError`.  A table or
+    drive that overflowed raises :class:`OverflowError`.
     """
     if omega_d <= 0:
         raise ValueError("drive frequency must be positive")
     modes = list(modes)
     detunings = tuple(m.omega - omega_d for m in modes)
+    table = build_psd_table(tls_list, env, detunings, counts=counts)
+    omega_prime = effective_driving(modes, tls_list, env, counts=counts)
+    for name, value in (("spectral-density table", table), ("effective drive", omega_prime)):
+        if not np.isfinite(value).all():
+            raise OverflowError(f"{name} is not finite")
     # pm is the (alpha, beta) = (+1, -1) block, and so on (see bath.SIGNS)
-    (pp, pm), (mp, mm) = build_psd_table(tls_list, env, detunings, counts=counts)
+    (pp, pm), (mp, mm) = table
 
     shift = pm + mp
     delta = -0.5j * shift + 0.5j * shift.conj().T
@@ -169,7 +166,7 @@ def assemble_rates(
 
     return MasterEqRates(
         detunings=detunings,
-        Omega_prime=effective_driving(modes, tls_list, env, counts=counts),
+        Omega_prime=omega_prime,
         delta=delta,
         g=g,
         gamma_plus=gamma_plus,

@@ -1,10 +1,15 @@
 """Command-line behavior: parsing, output routing, exit codes."""
 
+import contextlib
+import io
 import json
+import math
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import tlsbath.cli as cli
 import tlsbath.validation as validation
@@ -173,6 +178,87 @@ def test_marginally_stable_steady_state_exits_zero(capsys):
     centred = doc["columns"].index("centered_occupation")
     for row in doc["rows"]:
         assert row[centred] == pytest.approx(609.1496, rel=1e-6)
+
+
+def test_steady_state_inside_stability_margin_exits_zero(capsys):
+    """max Re(lambda) = +3.6e-13 < EPS_STAB at the first drive: the point
+    passes as stable, yet the drift has no unique fixed point.  The row is
+    written unstable and the sweep goes on."""
+    code, out, _ = _run(
+        capsys, "steady-state", "--format", "json",
+        "--set", "mode.gamma_0=3e-8",
+        "--set", "sweep.start=8.515588354431853e-05",
+        "--set", "sweep.stop=8.6e-05",
+        "--set", "sweep.count=2",
+        "--set", "sweep.scale=linear",
+    )
+    assert code == 0
+    doc = json.loads(out)
+    first = dict(zip(doc["columns"], doc["rows"][0]))
+    assert first["stable"] == 0
+    assert first["occupation"] == "unstable"
+
+
+def _rates_report(out):
+    return {k: float(v) for k, v in (line.split(" = ") for line in out.strip().splitlines())}
+
+
+def test_rates_far_detuned_mode_are_zero(capsys):
+    """A detuning of 1e300 would overflow the product u v, which the
+    closed form never forms."""
+    code, out, _ = _run(capsys, "rates", "--set", "mode.Delta_0=1e300")
+    assert code == 0
+    report = _rates_report(out)
+    for name in ("g_re", "g_im", "Gamma_re", "Gamma_im", "gamma_plus", "gamma_minus"):
+        assert report[name] == 0.0
+    assert abs(report["delta"]) < 1e-300
+
+
+def test_rates_strong_drive_needs_no_pivot_check(capsys):
+    """A drive of 1e149 is well posed: the spectral table needs no pivot
+    or determinant guard at any drive."""
+    code, out, _ = _run(capsys, "rates", "--set", "bath.Omega_B=1e149")
+    assert code == 0
+    assert all(math.isfinite(v) for v in _rates_report(out).values())
+
+
+@pytest.mark.parametrize(
+    "override, quantity",
+    [("bath.G=1e200", "spectral-density table"), ("bath.Omega_B=1e150", "saturation")],
+)
+def test_rates_overflow_is_numerical_failure(capsys, override, quantity):
+    code, out, err = _run(capsys, "rates", "--set", override)
+    assert code == cli.EXIT_NUMERICAL
+    assert err.startswith("numerical failure:") and quantity in err
+    assert out == "" and "Traceback" not in err
+
+
+_EXTREME_KEYS = (
+    "bath.G", "bath.Omega_B", "mode.Delta_0", "bath.kappa_1", "bath.kappa_2",
+    "environment.temperature", "bath.N", "mode.gamma_0",
+)
+
+
+@settings(max_examples=150)
+@given(
+    key=st.sampled_from(_EXTREME_KEYS),
+    exponent=st.floats(-300.0, 300.0),
+    sign=st.sampled_from((1.0, -1.0)),
+)
+def test_extreme_single_override_exits_cleanly(key, exponent, sign):
+    """One extreme --set gives exit 0, 1 or 2 without a traceback, and
+    every number `rates` prints at exit 0 is finite."""
+    value = sign * 10.0**exponent
+    for argv in (
+        ["rates"],
+        ["steady-state", "--set", "sweep.count=2"],
+    ):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(argv + ["--set", f"{key}={value!r}"])
+        assert code in (cli.EXIT_OK, cli.EXIT_CONFIG, cli.EXIT_NUMERICAL)
+        if code == cli.EXIT_OK and argv == ["rates"]:
+            assert all(math.isfinite(v) for v in _rates_report(out.getvalue()).values())
 
 
 def test_numerical_failure_exit_code(capsys):

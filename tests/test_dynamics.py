@@ -52,7 +52,7 @@ def _bare_rates(delta_0=0.0):
     )
 
 
-_PROPERTY = settings(derandomize=True, max_examples=60, deadline=None)
+_PROPERTY = settings(max_examples=60)
 
 
 def _log(lo, hi):
@@ -261,7 +261,7 @@ def test_steady_state_solves_balance(ms):
     assert rep.heisenberg_ok and rep.occupation_ok
 
 
-@settings(derandomize=True, max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(ms=_stable_system(st.floats(1.0 - 1e-3, 1.0 + 1e-3), _log(-9, -6)))
 def test_steady_state_near_exceptional_point_matches_mpmath(ms):
     """delta' within 1e-3 of 2|g| and gamma just above threshold, where the

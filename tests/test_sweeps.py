@@ -8,10 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tlsbath.config import ConfigError, resolve
+from tlsbath.dynamics import build_moment_system, stability
 from tlsbath.rates import low_drive_limits
 from tlsbath.sweeps import (
     SCENARIOS,
     UNSTABLE,
+    rates_at,
     render_csv,
     render_json,
     run_scenario,
@@ -142,6 +144,24 @@ def test_steady_state_marks_unstable_rows():
             assert body == (UNSTABLE,) * 7
 
 
+def test_rows_inside_stability_margin_are_unstable():
+    """At this drive max Re(lambda) = +3.6e-13 lies inside EPS_STAB, so the
+    spectral verdict passes while the drift has no unique fixed point.
+    Each scenario writes that row as unstable and goes on."""
+    margin = {"mode": {"gamma_0": "3e-8"}, "bath": {"Omega_B": "8.515588354431853e-05"}}
+    point = _cfg(**margin)
+    report = stability(build_moment_system(rates_at(point), point.gamma_0, point.Delta_0))
+    assert report.stable and report.max_real_part > 0
+    grid = {"start": "8.515588354431853e-05", "stop": "8.6e-05", "count": "2", "scale": "linear"}
+    steady = run_scenario("steady-state", _cfg(mode=margin["mode"], sweep=grid))
+    assert steady.rows[0][1:] == (UNSTABLE,) * 7 + (0,)
+    squeezing = run_scenario("squeezing", _cfg(mode=margin["mode"], sweep=grid))
+    assert squeezing.rows[0][1:] == (UNSTABLE,) * 5 + (0,)
+    taus = {"variable": "tau", "start": "0", "stop": "10", "count": "3", "scale": "linear"}
+    coherence = run_scenario("coherence", _cfg(**margin, sweep=taus))
+    assert all(row[1:] == (UNSTABLE,) * 3 for row in coherence.rows)
+
+
 def test_squeezing_pair_pumping_contrast():
     """Removing pair pumping from the comparison column must not win:
     xi_no_pair_pumping stays at or above the full xi for a red-detuned
@@ -200,7 +220,7 @@ def test_coherence_log_grid_skips_zero_lag_normalization():
     assert all(m < 1.0 for m in res.column("g1_abs"))
 
 
-@settings(derandomize=True, max_examples=5, deadline=None)
+@settings(max_examples=5)
 @given(k=st.integers(1, 10))
 def test_coherence_rows_independent_of_grid_start(k):
     """g1 at one lag never depends on the other grid points: rows of a grid
