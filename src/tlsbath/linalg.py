@@ -1,18 +1,24 @@
-"""Dense linear-algebra kernel of the exact oracle and the spectral checks.
+"""Linear-algebra kernel of the exact oracle and the spectral checks.
 
 The effective theory (bath spectra, rates, Gaussian dynamics) is closed form
 and calls none of this; :func:`solve_linear` is kept as the generic solve
-that tests and benchmark traces hold the closed forms against.  Matrices
-reach a few thousand dimensions (vectorized Liouvillians), and a single
-dense code path is used throughout; there is no sparse machinery.
+that tests and benchmark traces hold the closed forms against.  Vectorized
+Liouvillians reach sides of a few thousand at the default dimension cap
+and are sparse: their steady state is one sparse LU solve
+(:func:`trace_null_vector`) and their propagator acts through the
+action-only ``expm``.  The dense SVD
+:func:`null_vector` remains for the 4x4 single-TLS generator and as the
+reference the sparse kernel is tested against.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse
 import scipy.sparse.linalg
 
 __all__ = [
@@ -23,6 +29,7 @@ __all__ = [
     "eigenvalues",
     "expm_apply",
     "null_vector",
+    "trace_null_vector",
 ]
 
 # Pivot threshold for declaring a linear system singular, relative to the
@@ -30,7 +37,8 @@ __all__ = [
 PIVOT_RTOL = 1e-14
 
 # Singular values below NULL_RTOL * ||A||_inf count as zero when sizing the
-# kernel in null_vector.
+# kernel in null_vector; trace_null_vector refuses condition estimates above
+# 1 / NULL_RTOL and relative residuals above NULL_RTOL.
 NULL_RTOL = 1e-10
 
 # Dense expm is cheaper than the action-only algorithm below this order.
@@ -54,6 +62,15 @@ def _as_matrix(a) -> np.ndarray:
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
     if not np.all(np.isfinite(a.view(float))):
+        raise ValueError("matrix contains non-finite entries")
+    return a
+
+
+def _as_sparse(a) -> scipy.sparse.csr_array:
+    a = scipy.sparse.csr_array(a, dtype=complex)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {a.shape}")
+    if not np.all(np.isfinite(a.data.view(float))):
         raise ValueError("matrix contains non-finite entries")
     return a
 
@@ -97,9 +114,15 @@ def expm_apply(a, v, t: float) -> np.ndarray:
     """Apply the propagator ``exp(a * t)`` to a vector ``v``.
 
     Scaling-and-squaring for small systems, the action-only algorithm for
-    large ones; ``t`` must be nonnegative.
+    large ones; ``t`` must be nonnegative.  A sparse ``a`` is densified only
+    below the scaling-and-squaring cutoff.
     """
-    a = _as_matrix(a)
+    if scipy.sparse.issparse(a):
+        a = _as_sparse(a)
+        if a.shape[0] <= _EXPM_DENSE_MAX:
+            a = a.toarray()
+    else:
+        a = _as_matrix(a)
     v = np.asarray(v, dtype=complex)
     if v.shape[0] != a.shape[0]:
         raise ValueError(f"shape mismatch: {a.shape} vs {v.shape}")
@@ -138,3 +161,60 @@ def null_vector(a) -> np.ndarray:
             f"{sing[-2]:.3e}, {sing[-1]:.3e} both below {tol:.3e}"
         )
     return vh[-1].conj()
+
+
+def trace_null_vector(a) -> np.ndarray:
+    """Unit-trace kernel vector of a vectorized Liouvillian.
+
+    ``a`` (sparse or dense) acts on row-major vectorized ``d x d`` density
+    matrices and annihilates the trace functional from the left, so its
+    ``rho_00`` row is implied by the others.  That row is replaced by the
+    trace functional, scaled to ``||a||_1``, and the system is factored
+    once by sparse LU and solved for unit trace.  The kernel-dimension
+    contract of :func:`null_vector` is kept: an exactly singular factor, a
+    1-norm condition estimate above ``1 / NULL_RTOL`` (degenerate kernel)
+    and a relative residual ``||a x||_inf / (||a||_inf ||x||_inf)`` above
+    ``NULL_RTOL`` (no kernel) each raise :class:`KernelDimensionError`.
+    """
+    a = _as_sparse(a)
+    side = a.shape[0]
+    d = math.isqrt(side)
+    if side == 0 or d * d != side:
+        raise ValueError(f"Liouvillian side {side} is not a perfect square")
+    scale = max(scipy.sparse.linalg.norm(a, 1), np.finfo(float).tiny)
+    diagonal = np.arange(d) * (d + 1)
+    trace = scipy.sparse.csr_array(
+        (np.full(d, scale, dtype=complex), (np.zeros(d, dtype=int), diagonal)),
+        shape=(1, side),
+    )
+    m = scipy.sparse.vstack([trace, a[1:]], format="csc")
+    try:
+        lu = scipy.sparse.linalg.splu(m)
+    except RuntimeError as exc:  # SuperLU met an exactly zero pivot
+        raise KernelDimensionError(
+            f"kernel dimension >= 2: the trace-row system is exactly singular ({exc})"
+        ) from exc
+    inverse = scipy.sparse.linalg.LinearOperator(
+        m.shape,
+        matvec=lu.solve,
+        rmatvec=lambda y: lu.solve(y, trans="H"),
+        dtype=complex,
+    )
+    cond = scipy.sparse.linalg.norm(m, 1) * scipy.sparse.linalg.onenormest(inverse)
+    if not cond <= 1.0 / NULL_RTOL:
+        raise KernelDimensionError(
+            f"kernel dimension >= 2: condition estimate {cond:.3e} of the "
+            f"trace-row system exceeds {1.0 / NULL_RTOL:.3e}"
+        )
+    rhs = np.zeros(side, dtype=complex)
+    rhs[0] = scale
+    x = lu.solve(rhs)
+    residual = np.abs(a @ x).max() / (
+        scipy.sparse.linalg.norm(a, np.inf) * np.abs(x).max()
+    )
+    if not residual <= NULL_RTOL:
+        raise KernelDimensionError(
+            f"no numerical kernel: relative residual {residual:.3e} "
+            f"exceeds {NULL_RTOL:.3e}"
+        )
+    return x

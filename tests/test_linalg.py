@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse
 
 from tlsbath.linalg import (
     KernelDimensionError,
@@ -9,6 +10,7 @@ from tlsbath.linalg import (
     expm_apply,
     null_vector,
     solve_linear,
+    trace_null_vector,
 )
 
 
@@ -69,6 +71,18 @@ def test_expm_apply_large_dimension_path():
     assert np.allclose(got, np.exp(diag * 1.7), rtol=1e-9, atol=1e-12)
 
 
+def test_expm_apply_takes_sparse_input():
+    rng = np.random.default_rng(6)
+    v = _random_complex(rng, 150)
+    for n in (8, 150):  # either side of the dense cutoff
+        diag = -np.linspace(0.1, 3.0, n) + 0.4j
+        got = expm_apply(scipy.sparse.diags_array(diag).tocsr(), v[:n], 1.7)
+        assert np.allclose(got, np.exp(diag * 1.7) * v[:n], rtol=1e-9, atol=1e-12)
+    bad = scipy.sparse.csr_array(np.array([[np.inf, 0.0], [0.0, 1.0]]))
+    with pytest.raises(ValueError, match="non-finite"):
+        expm_apply(bad, np.ones(2), 1.0)
+
+
 def test_expm_apply_rejects_negative_time():
     a = np.eye(2, dtype=complex)
     with pytest.raises(ValueError):
@@ -97,3 +111,56 @@ def test_null_vector_degenerate_kernel_raises():
     a[0, 0] = 1.0
     with pytest.raises(KernelDimensionError):
         null_vector(a)
+
+
+def _random_hermitian(seed, n):
+    x = _random_complex(np.random.default_rng(seed), (n, n))
+    return x + x.conj().T
+
+
+def _hamiltonian_generator(h):
+    """Row-major -i[h, .], whose kernel holds every function of h."""
+    eye = scipy.sparse.eye_array(h.shape[0])
+    return -1j * (scipy.sparse.kron(h, eye) - scipy.sparse.kron(eye, h.T))
+
+
+def test_trace_null_vector_matches_dense_kernel():
+    # amplitude damping of a qubit plus a random Hamiltonian
+    lower = scipy.sparse.csr_array(np.array([[0.0, 1.0], [0.0, 0.0]]))
+    eye = scipy.sparse.eye_array(2)
+    n = lower.T @ lower
+    liou = _hamiltonian_generator(_random_hermitian(17, 2)) + (
+        scipy.sparse.kron(lower, lower)
+        - 0.5 * (scipy.sparse.kron(n, eye) + scipy.sparse.kron(eye, n.T))
+    )
+    got = trace_null_vector(liou)
+    assert got[0] + got[3] == pytest.approx(1.0, abs=1e-14)
+    want = null_vector(liou.toarray())
+    want /= want[0] + want[3]
+    assert np.abs(got - want).max() < 1e-13
+
+
+@pytest.mark.parametrize(
+    "liou, check",
+    [
+        # a pure Hamiltonian keeps every function of h stationary: rounding
+        # leaves tiny pivots for a generic h, exact zeros for a diagonal one
+        (_hamiltonian_generator(_random_hermitian(3, 4)), "condition estimate"),
+        (_hamiltonian_generator(scipy.sparse.diags_array([0.0, 1.0, 3.0])),
+         "exactly singular"),
+        # no kernel at all: the trace row alone is solvable, the rest is not
+        (-scipy.sparse.eye_array(16, dtype=complex, format="csr"), "relative residual"),
+    ],
+)
+def test_trace_null_vector_wrong_kernel_dimension_raises(liou, check):
+    with pytest.raises(KernelDimensionError, match=check):
+        trace_null_vector(liou)
+
+
+def test_trace_null_vector_rejects_bad_input():
+    nan = scipy.sparse.eye_array(4, dtype=complex, format="csr")
+    nan[2, 2] = np.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        trace_null_vector(nan)
+    with pytest.raises(ValueError, match="perfect square"):
+        trace_null_vector(scipy.sparse.eye_array(3, format="csr"))

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tlsbath.bath import (
     BathEnvironment,
@@ -9,8 +11,9 @@ from tlsbath.bath import (
     bloch_steady_state,
     correlator_integral,
 )
+from tlsbath.config import resolve
 from tlsbath.dynamics import build_moment_system, coherence_g1, steady_state
-from tlsbath.linalg import expm_apply
+from tlsbath.linalg import expm_apply, null_vector
 from tlsbath.oracle import (
     DimensionCapError,
     HilbertSpec,
@@ -24,6 +27,7 @@ from tlsbath.oracle import (
     steady_state_full,
 )
 from tlsbath.rates import ModeParams, single_mode_rates
+from tlsbath.sweeps import oracle_point
 
 ENV0 = BathEnvironment(temperature=0.0)
 KAPPA_1 = 1e-4
@@ -93,6 +97,74 @@ def test_steady_state_full_is_stationary_and_physical():
     assert np.linalg.eigvalsh(rho).min() > -1e-10
     flow = np.abs(liou @ rho.reshape(-1)).max()
     assert flow < 1e-12 * np.abs(liou).max()
+
+
+def _complex(scale):
+    return st.builds(
+        lambda r, phi: r * np.exp(1j * phi),
+        st.floats(0.0, scale),
+        st.floats(-np.pi, np.pi),
+    )
+
+
+@st.composite
+def _random_specs(draw):
+    """Thermal, dephased, complex-driven specs with rates within two decades
+    of kappa_1.  The side stays <= 256 so the dense SVD reference is cheap:
+    Fock 2-8 for one TLS, 2-4 for two, 2 for three."""
+    n = draw(st.integers(1, 3))
+    tls = tuple(
+        TlsParams(
+            1.0,
+            KAPPA_1,
+            draw(st.floats(0.05, 1.0)) * KAPPA_1,
+            draw(_complex(2 * KAPPA_1)),
+            draw(st.floats(-1.0, 1.0)) * KAPPA_1,
+            (draw(_complex(KAPPA_1)),),
+        )
+        for _ in range(n)
+    )
+    mode = ModeParams(
+        omega=1.0 + draw(st.floats(-1.0, 1.0)) * KAPPA_1,
+        gamma0=draw(st.floats(0.03, 1.0)) * KAPPA_1,
+        Omega=draw(_complex(KAPPA_1)),
+    )
+    return HilbertSpec(
+        fock_dim=draw(st.integers(2, 16 // 2**n)),
+        mode=mode,
+        tls=tls,
+        env=BathEnvironment(temperature=draw(st.floats(0.05, 0.5))),
+        omega_d=1.0,
+    )
+
+
+@settings(max_examples=40)
+@given(spec=_random_specs())
+def test_sparse_kernel_matches_dense_svd(spec):
+    liou = build_liouvillian(spec)
+    rho = steady_state_full(liou)
+    want = null_vector(liou.toarray()).reshape(spec.dim, spec.dim)
+    want = want / np.trace(want)
+    want = 0.5 * (want + want.conj().T)
+    assert np.abs(rho - want).max() < 1e-12
+
+
+def test_linear_in_n_against_exact_solver():
+    """The effective model scales the rates by N; the exact solver with N
+    independent TLS agrees within criterion 10's 5 % gate at ratio 0.01."""
+    drive = KAPPA_1 / np.sqrt(2.0)  # saturation parameter 1 on resonance
+    base = resolve({"oracle": {"dim_cap": "64"}}).replace(
+        Omega_B=complex(drive),
+        Delta_B=0.0,
+        Delta_0=0.0,
+        kappa_1=KAPPA_1,
+        kappa_2=0.0,
+        temperature=0.0,
+    )
+    for n in (1, 2, 3):
+        row = oracle_point(base.replace(n_tls=float(n)), 0.01)
+        assert row[1] == 8  # every N fits the cap at Fock 8
+        assert max(row[4], row[9], row[14]) < 0.05
 
 
 def test_decoupled_state_factorizes():
