@@ -2,15 +2,16 @@
 
 The package is organized bottom-up:
 
-- :mod:`tlsbath.linalg`: dense numerical kernel of the oracle and the
-  checks (spectrum, expm action, kernel vector) with explicit failure types.
+- :mod:`tlsbath.linalg`: numerical kernel of the oracle and the checks
+  (sparse trace-row kernel vector, spectrum, expm action on dense or
+  sparse operators) with explicit failure types.
 - :mod:`tlsbath.bath`: driven-TLS Bloch machinery and the spectral
   densities of the dipole fluctuations.
 - :mod:`tlsbath.rates`: assembly of the induced master-equation rates and
   the independent closed-form limits.
 - :mod:`tlsbath.dynamics`: Gaussian moment dynamics of a single mode
   (steady state, stability, squeezing, coherence).
-- :mod:`tlsbath.oracle`: exact dense-Liouvillian reference at small
+- :mod:`tlsbath.oracle`: exact sparse-Liouvillian reference at small
   Hilbert dimension.
 - :mod:`tlsbath.config` / :mod:`tlsbath.sweeps` / :mod:`tlsbath.cli`:
   scenario configuration, sweep execution, serialization, command line.
@@ -47,9 +48,7 @@ from .dynamics import (
 from .linalg import (
     KernelDimensionError,
     NoConvergenceError,
-    SingularMatrixError,
     eigenvalues,
-    expm_apply,
     null_vector,
 )
 from .oracle import (
@@ -83,7 +82,6 @@ from .config import (
     ScenarioConfig,
     SweepAxis,
     load_config,
-    loads_config,
     resolve,
     resolved_items,
 )

@@ -146,14 +146,27 @@ def saturation(p: TlsParams, env: BathEnvironment) -> float:
 
 
 def bloch_steady_state(p: TlsParams, env: BathEnvironment) -> BlochSteadyState:
-    """Stationary point of the driven, damped Bloch equations."""
+    """Stationary point of the driven, damped Bloch equations.
+
+    ``sigma+ = -Omega_B* (Delta_B - i kappa_t) / (2 [(kappa_t^2 + Delta_B^2)
+    (1 + 2 nbar) + (kappa_t / kappa1) |Omega_B|^2])``, in units of the power
+    of two that brings the largest rate or drive into ``[1, 2)`` (rounding
+    nothing), never overflows.  ``sigma_z = -1 / (1 + 2 nbar + s)`` keeps the
+    rounding that the weak-drive cancellation in ``(1 + sigma_z)/2 -
+    |sigma+|^2`` passes on to the spectra; where ``s`` overflows it is -0.
+    """
     kt = transverse_rate(p, env)
-    s = saturation(p, env)
     nbar = bose_occupation(p.omega_B, env.temperature)
-    denom = 1.0 + 2.0 * nbar + s
-    sigma_plus = -np.conj(p.Omega_B) / (2.0 * (p.Delta_B + 1j * kt)) / denom
-    sigma_z = -1.0 / denom
-    return BlochSteadyState(sigma_plus=complex(sigma_plus), sigma_z=float(sigma_z))
+    scale = math.ldexp(1.0, math.frexp(max(kt, abs(p.Delta_B), abs(p.Omega_B)))[1] - 1)
+    k, d, drive = kt / scale, p.Delta_B / scale, p.Omega_B / scale
+    lorentz = k**2 + d**2
+    pump = (kt / p.kappa1) * abs(drive) ** 2
+    sigma_plus = -drive.conjugate() * complex(d, -k) / (
+        2.0 * (lorentz * (1.0 + 2.0 * nbar) + pump)
+    )
+    # lorentz underflows to 0 only where s overflows anyway
+    s = pump / lorentz if lorentz else math.inf
+    return BlochSteadyState(sigma_plus=sigma_plus, sigma_z=-1.0 / (1.0 + 2.0 * nbar + s))
 
 
 def same_time_correlators(state: BlochSteadyState, beta: int) -> np.ndarray:
@@ -200,26 +213,32 @@ def correlator_integral(
     substitution ``x1 = (i Omega_B* x3 / 2 - c1) / u``, nothing cancels at
     the TLS resonance, where ``|u|`` or ``|v|`` is only kappa_t; dividing by
     D, u and v in turn, never by their products, keeps ``|delta_m|`` up to
-    1e300 finite.  An array ``delta_m`` gives shape ``(3,) + delta_m.shape``.
+    1e300 finite.  Frequencies are in units of the power of two that brings
+    kappa_t, ``|Delta_B|`` and ``|Omega_B|`` below 2 (rounding nothing), so
+    D overflows, raising :class:`OverflowError`, only where ``|Omega_B| /
+    kappa_t`` does.  An array ``delta_m`` gives shape ``(3,) + delta_m.shape``.
     """
     if beta not in (+1, -1):
         raise ValueError("beta must be +1 or -1")
     c1, c2, c3 = same_time_correlators(bloch_steady_state(p, env), beta)
     kt = transverse_rate(p, env)
     nbar = bose_occupation(p.omega_B, env.temperature)
-    ob, oc = p.Omega_B, p.Omega_B.conjugate()
+    scale = math.ldexp(1.0, math.frexp(max(kt, abs(p.Delta_B), abs(p.Omega_B)))[1] - 1)
+    ob, oc = p.Omega_B / scale, p.Omega_B.conjugate() / scale
     delta_m = np.asarray(delta_m, dtype=float)
     # one array code path, so a scalar detuning rounds as its array entry
-    s = beta * 1j * delta_m.reshape(-1)
-    u = s - kt + 1j * p.Delta_B
-    v = s - kt - 1j * p.Delta_B
-    w = s - p.kappa1 * (1.0 + 2.0 * nbar)
+    s = beta * 1j * delta_m.reshape(-1) / scale
+    u = s - kt / scale + 1j * p.Delta_B / scale
+    v = s - kt / scale - 1j * p.Delta_B / scale
+    w = s - p.kappa1 * (1.0 + 2.0 * nbar) / scale
     d = w + 0.5 * abs(ob) ** 2 * (1.0 / u + 1.0 / v)
+    if not np.isfinite(d).all():
+        raise OverflowError(f"resolvent overflows at |Omega_B| = {abs(p.Omega_B):g}")
     x3 = -(c3 + 1j * ob * c1 / u - 1j * oc * c2 / v) / d
     pump = ob * c1 + oc * c2
     x1 = -((c1 * w + 0.5j * oc * c3 + 0.5 * oc * pump / v) / d) / u
     x2 = -((c2 * w - 0.5j * ob * c3 + 0.5 * ob * pump / u) / d) / v
-    return np.stack([x1, x2, x3]).reshape((3,) + delta_m.shape)
+    return np.stack([x1, x2, x3]).reshape((3,) + delta_m.shape) / scale
 
 
 def _grouped(tls_list, counts, n_modes: int):
@@ -288,16 +307,18 @@ def build_psd_table(
     detunings = np.atleast_1d(np.asarray(detunings, dtype=float))
     n_modes = len(detunings)
     table = np.zeros((2, 2, n_modes, n_modes), dtype=complex)
-    for p, weight in _grouped(tls_list, counts, n_modes):
-        # couplings [a, n]: G for sign +1, conj(G) for sign -1
-        cpl = np.array([p.couplings, [g.conjugate() for g in p.couplings]])
-        # correlator integrals [b, row, m], kept as [a, b, m] over the
-        # raising and lowering rows
-        integ = np.array(
-            [correlator_integral(p, env, beta, detunings) for beta in SIGNS]
-        ).transpose(1, 0, 2)[:2]
-        # product order ((N G_n) G_m) I, as in the bath sum written out
-        table += (
-            (weight * cpl[:, None, None, :]) * cpl[None, :, :, None]
-        ) * integ[..., None]
+    # an overflow leaves inf or NaN, with no warning, for the caller to raise
+    with np.errstate(over="ignore", invalid="ignore"):
+        for p, weight in _grouped(tls_list, counts, n_modes):
+            # couplings [a, n]: G for sign +1, conj(G) for sign -1
+            cpl = np.array([p.couplings, [g.conjugate() for g in p.couplings]])
+            # correlator integrals [b, row, m], kept as [a, b, m] over the
+            # raising and lowering rows
+            integ = np.array(
+                [correlator_integral(p, env, beta, detunings) for beta in SIGNS]
+            ).transpose(1, 0, 2)[:2]
+            # product order ((N G_n) G_m) I, as in the bath sum written out
+            table += (
+                (weight * cpl[:, None, None, :]) * cpl[None, :, :, None]
+            ) * integ[..., None]
     return table

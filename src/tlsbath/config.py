@@ -374,11 +374,6 @@ def load_config(path=None, overrides=()) -> ScenarioConfig:
     return resolve(_canonical_sections(raw))
 
 
-def loads_config(text: str, overrides=()) -> ScenarioConfig:
-    raw = apply_overrides(_read_ini(text), overrides)
-    return resolve(_canonical_sections(raw))
-
-
 def resolved_items(cfg: ScenarioConfig):
     """Flat ordered (dotted key, canonical string) pairs for metadata."""
 

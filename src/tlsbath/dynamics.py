@@ -8,21 +8,22 @@ block-triangular: the amplitude block ``B`` on ``(<s>, <s+>)`` never sees
 the second moments, and ``(B + gamma/2)^2 = sigma^2 I`` with the total
 decay rate ``gamma`` and ``sigma = sqrt(4 |g|^2 - delta'^2)``.  The
 spectrum is therefore exactly ``{-gamma/2 +- sigma, -gamma, -gamma +- 2
-sigma}``.  Stability, the steady state (closed-form amplitudes, and
-centred second moments that do not see the drive) and the first-order
-coherence function (quantum regression with a closed-form ``exp(B tau)``)
-follow from that block form, and quadrature covariance and squeezing from
-the steady state.
+sigma}``: the mode is stable exactly when ``gamma/2 > Re sigma``, with
+no margin, which is when a steady state exists.  Stability, the steady
+state (closed-form amplitudes, and centred second moments that do not see
+the drive) and the first-order coherence function (quantum regression
+with a closed-form ``exp(B tau)``) follow from that block form, and
+quadrature covariance and squeezing from the steady state.
 """
 
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import SingularMatrixError
 from .rates import SingleModeRates
 
 __all__ = [
@@ -32,13 +33,11 @@ __all__ = [
     "CoherenceSeries",
     "UnstableSystemError",
     "build_moment_system",
+    "drift_matrix",
     "stability",
     "steady_state",
     "coherence_g1",
 ]
-
-# Margin on the drift spectrum: stable means max Re(lambda) < EPS_STAB.
-EPS_STAB = 1e-12
 
 # Tolerances for the physicality checks on a steady state.
 HEISENBERG_ATOL = 1e-9
@@ -49,12 +48,10 @@ class UnstableSystemError(ArithmeticError):
     """Moment drift has a nondecaying direction; no steady state exists."""
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class MomentSystem:
-    """Drift and inhomogeneity of the closed moment hierarchy."""
+    """Rates and mode parameters that fix the closed moment hierarchy."""
 
-    drift: np.ndarray
-    inhom: np.ndarray
     rates: SingleModeRates
     gamma0: float
     delta_prime: float
@@ -105,7 +102,7 @@ class CoherenceSeries:
 def build_moment_system(
     rates: SingleModeRates, gamma0: float, delta_0: float
 ) -> MomentSystem:
-    """Drift matrix and inhomogeneity for the moment vector.
+    """Moment system of one mode under the TLS-induced rates.
 
     ``delta_0`` is the bare mode detuning from the drive; the TLS-induced
     frequency shift is added on top.  The intrinsic mode bath enters only
@@ -114,16 +111,21 @@ def build_moment_system(
     """
     if gamma0 < 0:
         raise ValueError("gamma0 must be nonnegative")
-    dp = delta_0 + rates.delta
-    gt = gamma0 + rates.gamma
-    om = rates.Omega_prime
-    g = rates.g
-    gg = rates.Gamma
-    dt = 1j * dp - 0.5 * gt  # complex frequency of <s+>
+    return MomentSystem(
+        rates=rates, gamma0=float(gamma0), delta_prime=float(delta_0 + rates.delta)
+    )
+
+
+def drift_matrix(ms: MomentSystem) -> tuple[np.ndarray, np.ndarray]:
+    """Drift matrix and inhomogeneity of the moment vector, ``dv/dt =
+    drift @ v + inhom``: the generic form that numerical eigensolves and
+    linear solves check the closed forms against."""
+    om, g, gg = ms.rates.Omega_prime, ms.rates.g, ms.rates.Gamma
+    dt = 1j * ms.delta_prime - 0.5 * ms.gamma_total  # complex frequency of <s+>
     dtc = np.conj(dt)
     drift = np.array(
         [
-            [-gt, 1j * om, -1j * np.conj(om), 2j * g, -2j * np.conj(g)],
+            [-ms.gamma_total, 1j * om, -1j * np.conj(om), 2j * g, -2j * np.conj(g)],
             [0.0, dtc, -2j * np.conj(g), 0.0, 0.0],
             [0.0, 2j * g, dt, 0.0, 0.0],
             [-4j * np.conj(g), -2j * np.conj(om), 0.0, 2.0 * dtc, 0.0],
@@ -133,7 +135,7 @@ def build_moment_system(
     )
     inhom = np.array(
         [
-            rates.gamma_plus,
+            ms.rates.gamma_plus,
             -1j * np.conj(om),
             1j * om,
             -2j * np.conj(g) - np.conj(gg),
@@ -141,54 +143,64 @@ def build_moment_system(
         ],
         dtype=complex,
     )
-    return MomentSystem(
-        drift=drift,
-        inhom=inhom,
-        rates=rates,
-        gamma0=float(gamma0),
-        delta_prime=float(dp),
-    )
+    return drift, inhom
 
 
-def _sigma(ms: MomentSystem) -> complex:
-    # Principal root, so Re(sigma) >= 0: (B + gamma/2)^2 = sigma^2 I.
-    return cmath.sqrt(4.0 * abs(ms.rates.g) ** 2 - ms.delta_prime**2)
+def _amplitude_block(ms: MomentSystem) -> tuple:
+    """``(s, gamma/2, 2|g|, sigma, D = gamma^2/4 - sigma^2)``, in units of
+    the power of two ``s`` that brings the largest of ``gamma``, ``|g|``
+    and ``|delta'|`` into ``[1, 2)``: that rounds nothing, so comparisons
+    are those of the rates, and no square overflows.  Nothing cancels:
+    ``sigma^2 = (2|g| - |delta'|)(2|g| + |delta'|)``, and ``D = (gamma/2 -
+    sigma)(gamma/2 + sigma)`` for real ``sigma >= 0``, ``gamma^2/4 +
+    |sigma|^2`` for imaginary ``sigma``.
+    """
+    gt, g, dp = ms.gamma_total, abs(ms.rates.g), abs(ms.delta_prime)
+    s = math.ldexp(1.0, math.frexp(max(abs(gt), g, dp))[1] - 1)
+    half, two_g, dp = 0.5 * gt / s, 2.0 * g / s, dp / s
+    sigma_sq = (two_g - dp) * (two_g + dp)
+    if sigma_sq >= 0.0:
+        sigma = math.sqrt(sigma_sq)
+        det = (half - sigma) * (half + sigma)
+    else:
+        sigma = 1j * math.sqrt(-sigma_sq)
+        det = half * half - sigma_sq
+    return s, half, two_g, sigma, det
 
 
 def stability(ms: MomentSystem) -> StabilityReport:
-    """Evaluate both stability tests.
+    """Evaluate both stability tests, exactly and without a margin.
 
-    ``stable`` is the verdict on the drift spectrum, whose largest real
-    part is ``max(-gamma/2 + Re sigma, -gamma + 2 Re sigma)`` exactly, so
-    the mode is stable exactly when ``gamma > 2 Re sigma`` at any detuning
-    ``delta'``.  ``criterion`` is the closed-form inequality
-    ``gamma0 + gamma >= 4 |g|`` carried with the same margin; it is the
-    ``delta' = 0`` case of that condition.
+    ``stable`` is ``gamma/2 > Re sigma`` (so ``gamma > 0``): the drift
+    spectrum, whose largest real part ``max_real_part`` is ``max(-gamma/2
+    + Re sigma, -gamma + 2 Re sigma)``, is decaying at any detuning
+    ``delta'``.  ``criterion`` is the resonant inequality ``gamma0 + gamma
+    > 4 |g|``, the ``delta' = 0`` case of that condition.
     """
-    re_sigma, gt = _sigma(ms).real, ms.gamma_total
-    max_re = max(-0.5 * gt + re_sigma, -gt + 2.0 * re_sigma)
-    stable = max_re < EPS_STAB
-    criterion = gt - 4.0 * abs(ms.rates.g) > -2.0 * EPS_STAB
+    s, half, two_g, sigma, _ = _amplitude_block(ms)
+    growth = sigma.real - half
     return StabilityReport(
-        stable=stable, criterion=criterion, max_real_part=max_re
+        stable=half > sigma.real,
+        criterion=half > two_g,
+        max_real_part=s * max(growth, 2.0 * growth),
     )
 
 
 def steady_state(ms: MomentSystem) -> SteadyStateReport:
     """Stationary moments and the quadrature covariance they imply.
 
-    Requires a stable drift (checked; raises
-    :class:`UnstableSystemError` otherwise).  The report carries the
-    centered covariance matrix data, the squeezing factor
-    ``xi = 1 / sqrt(2 * min eig sigma)``, and physicality flags for the
-    Heisenberg determinant bound and the centered occupation.
+    Raises :class:`UnstableSystemError` exactly when :func:`stability`
+    calls the drift unstable.  The report carries the centered covariance
+    matrix data, the squeezing factor ``xi = 1 / sqrt(2 * min eig
+    sigma)``, and physicality flags for the Heisenberg determinant bound
+    and the centered occupation.
 
     Both blocks are eliminated in closed form.  With ``dt = i delta' -
     gamma/2`` and the amplitude-block determinant ``D = |dt|^2 - 4 |g|^2
-    = gamma^2/4 - sigma^2``, the amplitude is ``<s> = (i conj(Omega') dt
-    + 2 conj(g) Omega') / D``.  The centred moments obey the second-moment
-    drift without the drive, so they come out directly, never as a
-    difference of the large moments::
+    = gamma^2/4 - sigma^2``, positive on every stable drift, the amplitude
+    is ``<s> = (i conj(Omega') dt + 2 conj(g) Omega') / D``.  The centred
+    moments obey the second-moment drift without the drive, so they come
+    out directly, never as a difference of the large moments::
 
         n_c = [gamma_+ |dt|^2 + 2 gamma |g|^2 - 2 Im(g conj(Gamma) dt)]
               / (gamma D)
@@ -197,35 +209,31 @@ def steady_state(ms: MomentSystem) -> SteadyStateReport:
     The covariance eigenvalues are ``n_c + 1/2 +- |m_c|``; their product
     ``det sigma = (n_c + 1/2)^2 - |m_c|^2`` is expanded in the same rates,
     so the smaller eigenvalue is ``det sigma`` over the larger one rather
-    than a difference of two large numbers.
-
-    A drift the stability margin admits with ``D <= 0`` or ``gamma <= 0``
-    has no unique fixed point and raises :class:`SingularMatrixError`.
+    than a difference of two large numbers.  The frequencies are taken in
+    the units of :func:`_amplitude_block`, so only a moment beyond the
+    float range overflows, which raises :class:`OverflowError`.
     """
     verdict = stability(ms)
     if not verdict.stable:
         raise UnstableSystemError(
             f"drift spectrum reaches Re(lambda) = {verdict.max_real_part:.3e}"
         )
+    s, half, _, _, det = _amplitude_block(ms)
     r, gt = ms.rates, ms.gamma_total
-    g, om, gg = complex(r.g), complex(r.Omega_prime), complex(r.Gamma)
-    dt = complex(-0.5 * gt, ms.delta_prime)
+    g, om, gg = complex(r.g) / s, complex(r.Omega_prime) / s, complex(r.Gamma)
+    dt = complex(-half, ms.delta_prime / s)
     dt2, g2 = dt.real**2 + dt.imag**2, g.real**2 + g.imag**2
-    det = dt2 - 4.0 * g2
-    if not (gt > 0.0 and det > 0.0):
-        raise SingularMatrixError(
-            f"moment drift singular at the stability margin "
-            f"(gamma {gt:.3e}, amplitude determinant {det:.3e})"
-        )
     amp = (1j * om.conjugate() * dt + 2.0 * g.conjugate() * om) / det
     n_c = float(
         r.gamma_plus * dt2 + 2.0 * gt * g2 - 2.0 * (g * gg.conjugate() * dt).imag
     ) / (gt * det)
+    gg /= s  # in units of s from here on
     m2 = (2j * g.conjugate() * (2.0 * n_c + 1.0) + gg.conjugate()) / (
         2.0 * dt.conjugate()
     )
-    occupation = n_c + abs(amp) ** 2
-    pair = m2 + amp**2
+    # products, not ** 2, so that an overflow reaches the check below
+    occupation = n_c + abs(amp) * abs(amp)
+    pair = m2 + amp * amp
     v = np.array(
         [occupation, amp, amp.conjugate(), pair, pair.conjugate()], dtype=complex
     )
@@ -234,9 +242,13 @@ def steady_state(ms: MomentSystem) -> SteadyStateReport:
     cov_xp = m2.imag
     n_sym = n_c + 0.5
     lam_max = n_sym + abs(m2)
-    det_sigma = (
-        4.0 * det * n_sym**2 + 8.0 * n_sym * (g.conjugate() * gg).imag - abs(gg) ** 2
-    ) / (4.0 * dt2)
+    cross = 8.0 * n_sym * (g.conjugate() * gg).imag
+    det_sigma = (4.0 * det * n_sym * n_sym + cross - abs(gg) * abs(gg)) / (4.0 * dt2)
+    # a finite det sigma bounds n_c, and with it the variances
+    named = (("occupation", occupation), ("pair amplitude", pair), ("det sigma", det_sigma))
+    for name, value in named:
+        if not cmath.isfinite(value):
+            raise OverflowError(f"steady-state {name} is not finite")
     lam_min = det_sigma / lam_max
     xi = 1.0 / np.sqrt(2.0 * lam_min) if lam_min > 0 else np.inf
     return SteadyStateReport(
@@ -280,32 +292,34 @@ def coherence_g1(
     + tau phi(2 sigma tau) (B + gamma/2) d]`` with ``lam = -gamma/2 + sigma``
     and ``phi(x) = (1 - e^-x)/x``, finite at any lag and at ``sigma = 0``.
     Values are normalized to unity at zero lag; the asymptote is the
-    coherent fraction ``|<s>|^2 / <s+ s>``.
+    coherent fraction ``|<s>|^2 / <s+ s>``.  Values beyond the float range
+    raise :class:`OverflowError`.
     """
-    if report.occupation <= 0:
+    occ, amp, pair = report.occupation, report.amplitude, report.pair_amplitude
+    if occ <= 0:
         raise ValueError("coherence undefined for an unoccupied mode")
     if tau_grid is None:
         tau_grid = default_tau_grid(ms.gamma_total)
     tau_grid = np.asarray(tau_grid, dtype=float)
     if np.any(tau_grid < 0) or np.any(np.diff(tau_grid) <= 0):
         raise ValueError("tau grid must be nonnegative and increasing")
-    z0 = np.array(
-        [report.occupation, np.conj(report.pair_amplitude)], dtype=complex
-    )
-    z_inf = np.conj(report.amplitude) * report.moments[1:3]
-    dev0 = z0 - z_inf
-    # first row of B + gamma/2: the sum cancels B's real diagonal exactly
-    shifted = ms.drift[1, 1:3] + (0.5 * ms.gamma_total, 0.0)
-    sigma = _sigma(ms)
+    # the pair over the occupation, divided as Python scalars: NumPy divides
+    # a complex array by the reciprocal, which overflows at a subnormal one
+    z_inf = ((amp.conjugate() * amp).real / occ, amp.conjugate() ** 2 / occ)
+    dev0 = (1.0 - z_inf[0], pair.conjugate() / occ - z_inf[1])
+    # first row of B + gamma/2, (-i delta', -2i conj(g)), applied to it
+    shifted = -1j * ms.delta_prime * dev0[0] - 2j * np.conj(ms.rates.g) * dev0[1]
+    s, _, _, sigma, _ = _amplitude_block(ms)
+    sigma *= s
     x = 2.0 * sigma * tau_grid
-    # tau phi(2 sigma tau); the block is defective at sigma = 0
-    tau_phi = tau_grid if sigma == 0 else -np.expm1(-x) / (2.0 * sigma)
+    # tau phi(2 sigma tau) is tau to rounding while |x| < 2^-53, as at the
+    # defective sigma = 0 and at a subnormal sigma, whose reciprocal overflows
+    tau_phi = tau_grid if np.all(np.abs(x) < 2.0**-53) else -np.expm1(-x) / (2.0 * sigma)
     decay = np.exp((sigma - 0.5 * ms.gamma_total) * tau_grid)
     values = z_inf[0] + decay * (
-        0.5 * (1.0 + np.exp(-x)) * dev0[0] + tau_phi * (shifted @ dev0)
+        0.5 * (1.0 + np.exp(-x)) * dev0[0] + tau_phi * shifted
     )
-    values /= report.occupation
     values[tau_grid == 0.0] = 1.0
-    asymptote = complex(z_inf[0] / report.occupation)
-    return CoherenceSeries(tau=tau_grid, values=values, asymptote=asymptote)
-
+    if not np.all(np.isfinite(values)):
+        raise OverflowError("g1 is not finite on this tau grid")
+    return CoherenceSeries(tau=tau_grid, values=values, asymptote=complex(z_inf[0]))

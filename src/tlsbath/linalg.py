@@ -1,12 +1,12 @@
 """Linear-algebra kernel of the exact oracle and the spectral checks.
 
 The effective theory (bath spectra, rates, Gaussian dynamics) is closed form
-and calls none of this; :func:`solve_linear` is kept as the generic solve
-that tests and benchmark traces hold the closed forms against.  Vectorized
-Liouvillians reach sides of a few thousand at the default dimension cap
-and are sparse: their steady state is one sparse LU solve
-(:func:`trace_null_vector`) and their propagator acts through the
-action-only ``expm``.  The dense SVD
+and calls none of this; :func:`solve_linear` and :func:`expm_apply` are
+kept as the generic solve and propagator (dense or sparse) that tests and
+benchmark traces hold the closed forms against.  Vectorized Liouvillians
+reach sides of a few thousand at the default dimension cap and are
+sparse: their steady state is one sparse LU solve
+(:func:`trace_null_vector`).  The dense SVD
 :func:`null_vector` remains for the 4x4 single-TLS generator and as the
 reference the sparse kernel is tested against.
 """

@@ -24,7 +24,7 @@ import scipy.linalg
 import scipy.sparse
 
 from .bath import BathEnvironment, TlsParams, bose_occupation
-from .linalg import expm_apply, null_vector, trace_null_vector
+from .linalg import null_vector, trace_null_vector
 from .rates import ModeParams
 
 __all__ = [
@@ -38,7 +38,6 @@ __all__ = [
     "expectation",
     "mode_moments",
     "bloch_correlator_numeric",
-    "coherence_g1_numeric",
 ]
 
 # Population allowed in the top two Fock levels before a truncation warning.
@@ -364,26 +363,3 @@ def bloch_correlator_numeric(
         n *= 2
     return complex(result)
 
-
-def coherence_g1_numeric(
-    liou,
-    rho_ss: np.ndarray,
-    spec: HilbertSpec,
-    tau_grid,
-) -> np.ndarray:
-    """Normalized lagged amplitude correlator from the full Liouvillian.
-
-    Quantum regression with the stationary state seeded from the right:
-    ``<s+(0) s(tau)> = tr[s exp(L tau)(rho_ss s+)]``, normalized by the
-    stationary occupation.
-    """
-    s = mode_operator(spec)
-    occ = expectation(rho_ss, s.conj().T @ s).real
-    if occ <= 0:
-        raise ValueError("coherence undefined for an unoccupied mode")
-    seed = (rho_ss @ s.conj().T).reshape(-1)
-    trace_row = s.T.reshape(-1)
-    out = np.empty(len(tau_grid), dtype=complex)
-    for k, tau in enumerate(tau_grid):
-        out[k] = trace_row @ expm_apply(liou, seed, float(tau))
-    return out / occ

@@ -45,7 +45,6 @@ from .dynamics import (
     stability,
     steady_state,
 )
-from .linalg import SingularMatrixError
 from .oracle import steady_state_autogrow, mode_moments
 from .rates import single_mode_rates
 
@@ -63,9 +62,6 @@ SCENARIOS = (
 )
 
 UNSTABLE = "unstable"
-
-# No unique fixed point: unstable, or stable only within the margin EPS_STAB
-_NO_STEADY_STATE = (UnstableSystemError, SingularMatrixError)
 
 
 def _timestamp() -> str:
@@ -111,7 +107,7 @@ def _steady_state_cols(point: ScenarioConfig, r) -> tuple:
     ms = build_moment_system(r, point.gamma_0, point.Delta_0)
     try:
         rep = steady_state(ms)
-    except _NO_STEADY_STATE:
+    except UnstableSystemError:
         return (UNSTABLE,) * 7 + (0,)
     return (
         rep.occupation,
@@ -129,14 +125,11 @@ def _squeezing_cols(point: ScenarioConfig, r) -> tuple:
     ms = build_moment_system(r, point.gamma_0, point.Delta_0)
     try:
         rep = steady_state(ms)
-    except _NO_STEADY_STATE:
+    except UnstableSystemError:
         return (UNSTABLE,) * 5 + (0,)
-    # variant with the pair-pumping rate switched off
+    # pair pumping switched off: stable too, as gamma > 0 and Re sigma = 0 without g
     ms0 = build_moment_system(dataclasses.replace(r, g=0j), point.gamma_0, point.Delta_0)
-    try:
-        xi0 = steady_state(ms0).xi
-    except _NO_STEADY_STATE:
-        xi0 = UNSTABLE
+    xi0 = steady_state(ms0).xi
     return (rep.xi, xi0, rep.var_x, rep.var_p, rep.det_sigma, int(rep.squeezed))
 
 
@@ -279,7 +272,7 @@ def _coherence_rows(cfg: ScenarioConfig) -> list:
     ms = build_moment_system(rates, cfg.gamma_0, cfg.Delta_0)
     try:
         rep = steady_state(ms)
-    except _NO_STEADY_STATE:
+    except UnstableSystemError:
         return [(float(t),) + (UNSTABLE,) * 3 for t in cfg.sweep.grid()]
     series = coherence_g1(ms, rep, cfg.sweep.grid())
     return [

@@ -20,9 +20,9 @@ import scipy.optimize
 from .bath import BathEnvironment, TlsParams, build_psd_table, transverse_rate
 from .config import ScenarioConfig, resolve
 from .dynamics import (
-    EPS_STAB,
     UnstableSystemError,
     build_moment_system,
+    drift_matrix,
     stability,
     steady_state,
 )
@@ -316,7 +316,7 @@ def criterion_08_stability_map() -> CriterionResult:
         nonlocal eig_disagreements
         ms = build_moment_system(_pipeline(complex(ob), Delta_0=d0, gamma0=g0), g0, d0)
         rep = stability(ms)
-        eig_disagreements += rep.stable != (eigenvalues(ms.drift).real.max() < EPS_STAB)
+        eig_disagreements += rep.stable != (eigenvalues(drift_matrix(ms)[0]).real.max() < 0)
         return rep
 
     for g0 in gammas:

@@ -181,9 +181,8 @@ def test_marginally_stable_steady_state_exits_zero(capsys):
 
 
 def test_steady_state_inside_stability_margin_exits_zero(capsys):
-    """max Re(lambda) = +3.6e-13 < EPS_STAB at the first drive: the point
-    passes as stable, yet the drift has no unique fixed point.  The row is
-    written unstable and the sweep goes on."""
+    """max Re(lambda) = +3.6e-13 at the first drive: the drift is unstable
+    by a hair.  The row is written unstable and the sweep goes on."""
     code, out, _ = _run(
         capsys, "steady-state", "--format", "json",
         "--set", "mode.gamma_0=3e-8",
@@ -197,6 +196,85 @@ def test_steady_state_inside_stability_margin_exits_zero(capsys):
     first = dict(zip(doc["columns"], doc["rows"][0]))
     assert first["stable"] == 0
     assert first["occupation"] == "unstable"
+
+
+def test_margin_point_is_unstable_in_every_scenario(capsys):
+    """One predicate decides stability: at max Re(lambda) = +3.6e-13 the
+    map cell, the steady-state and squeezing rows and the g1 trace all
+    read unstable."""
+    point = ["--set", "mode.gamma_0=3e-8", "--format", "json"]
+    drive = ["--set", "sweep.start=8.515588354431853e-05", "--set", "sweep.stop=8.6e-05",
+             "--set", "sweep.count=2", "--set", "sweep.scale=linear"]
+    grid2 = ["--set", "sweep2.variable=Delta_0", "--set", "sweep2.start=0",
+             "--set", "sweep2.stop=1e-6", "--set", "sweep2.scale=linear"]
+    runs = (
+        ("stability-map", [*drive, *grid2, "--set", "sweep2.count=2"], "stable", 0),
+        ("steady-state", drive, "stable", 0),
+        ("squeezing", drive, "xi", "unstable"),
+        ("coherence", [*_TAU, "--set", "bath.Omega_B=8.515588354431853e-05"], "g1_abs",
+         "unstable"),
+    )
+    for scenario, argv, column, verdict in runs:
+        code, out, _ = _run(capsys, scenario, *point, *argv)
+        assert code == 0
+        doc = json.loads(out)
+        assert dict(zip(doc["columns"], doc["rows"][0]))[column] == verdict
+
+
+def _cells(out):
+    """(column, text) of every value printed: `rates` prints `name = value`
+    lines, the scenarios a CSV table under '#' metadata lines."""
+    lines = [line for line in out.strip().splitlines() if not line.startswith("#")]
+    if " = " in lines[0]:
+        return [tuple(line.split(" = ")) for line in lines]
+    header = lines[0].split(",")
+    return [cell for line in lines[1:] for cell in zip(header, line.split(","))]
+
+
+def _assert_clean_exit(code, out, err):
+    """Exit 0, 1 or 2 without a traceback.  At exit 0 stderr is empty and no
+    value is NaN, and only xi may be infinite; otherwise stderr holds one
+    `numerical failure:` or `config error:` line."""
+    assert code in (cli.EXIT_OK, cli.EXIT_CONFIG, cli.EXIT_NUMERICAL)
+    if code != cli.EXIT_OK:
+        lines = err.splitlines()
+        assert len(lines) == 1, err
+        assert lines[0].startswith(("numerical failure:", "config error:")), err
+        return
+    assert err == ""
+    for column, text in _cells(out):
+        if text == "unstable":
+            continue
+        value = float(text)
+        assert not math.isnan(value), (column, out)
+        assert math.isfinite(value) or column.startswith("xi"), (column, out)
+
+
+_TAU_DRIVEN = [*_TAU, "--set", "bath.Omega_B=7e-5"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["steady-state", "--set", "bath.G=1e60"],
+        ["squeezing", "--set", "bath.G=-1e50"],
+        ["coherence", *_TAU_DRIVEN, "--set", "bath.G=1e70"],
+        ["steady-state", "--set", "bath.N=1e160"],
+        ["squeezing", "--set", "bath.N=1e120"],
+        ["coherence", *_TAU_DRIVEN, "--set", "bath.N=1e140"],
+        ["coherence", *_TAU_DRIVEN, "--set", "bath.G=1e-170"],
+        ["steady-state", "--set", "sweep.variable=gamma_0", "--set", "bath.Omega_B=1e151"],
+    ],
+    ids=["steady-G", "squeezing-G", "coherence-G", "steady-N", "squeezing-N", "coherence-N",
+         "coherence-subnormal-occupation", "steady-strong-drive"],
+)
+def test_extreme_rates_give_finite_rows(capsys, argv):
+    """Rates up to about 1e150, a subnormal occupation, and a drive whose
+    saturation parameter overflows: every row is finite at exit 0."""
+    code, out, err = _run(capsys, *argv, "--set", "sweep.count=3")
+    assert code == cli.EXIT_OK
+    _assert_clean_exit(code, out, err)
+    assert all(math.isfinite(float(text)) for _, text in _cells(out) if text != "unstable")
 
 
 def _rates_report(out):
@@ -235,7 +313,19 @@ def test_rates_overflow_is_numerical_failure(capsys, override, quantity):
 
 _EXTREME_KEYS = (
     "bath.G", "bath.Omega_B", "mode.Delta_0", "bath.kappa_1", "bath.kappa_2",
-    "environment.temperature", "bath.N", "mode.gamma_0",
+    "environment.temperature", "bath.N", "mode.gamma_0", "mode.Omega_0",
+)
+
+# Every scenario but oracle-validate, which an exact solve per draw would
+# make too slow, on a small grid.
+_EXTREME_RUNS = (
+    ["rates"],
+    *(["sweep", name, "--set", "sweep.count=2"]
+      for name in ("driving", "gamma-rate", "squeeze-rate", "decay-rate", "freq-shift")),
+    ["steady-state", "--set", "sweep.count=2"],
+    ["squeezing", "--set", "sweep.count=2"],
+    ["stability-map", "--set", "sweep.count=2", "--set", "sweep2.count=2"],
+    _TAU_DRIVEN,
 )
 
 
@@ -246,19 +336,14 @@ _EXTREME_KEYS = (
     sign=st.sampled_from((1.0, -1.0)),
 )
 def test_extreme_single_override_exits_cleanly(key, exponent, sign):
-    """One extreme --set gives exit 0, 1 or 2 without a traceback, and
-    every number `rates` prints at exit 0 is finite."""
+    """One extreme --set gives exit 0, 1 or 2 without a traceback in every
+    scenario, with the stderr and output contract of `_assert_clean_exit`."""
     value = sign * 10.0**exponent
-    for argv in (
-        ["rates"],
-        ["steady-state", "--set", "sweep.count=2"],
-    ):
+    for argv in _EXTREME_RUNS:
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = cli.main(argv + ["--set", f"{key}={value!r}"])
-        assert code in (cli.EXIT_OK, cli.EXIT_CONFIG, cli.EXIT_NUMERICAL)
-        if code == cli.EXIT_OK and argv == ["rates"]:
-            assert all(math.isfinite(v) for v in _rates_report(out.getvalue()).values())
+        _assert_clean_exit(code, out.getvalue(), err.getvalue())
 
 
 def test_numerical_failure_exit_code(capsys):

@@ -7,7 +7,6 @@ from tlsbath.config import (
     ConfigError,
     SWEEP_VARIABLES,
     load_config,
-    loads_config,
     resolve,
     resolved_items,
 )
@@ -39,8 +38,9 @@ def test_drive_frame_properties():
     assert m.omega == cfg.omega_0
 
 
-def test_ini_parsing_and_case_insensitive_keys():
-    cfg = loads_config(
+def test_ini_parsing_and_case_insensitive_keys(tmp_path):
+    ini = tmp_path / "run.ini"
+    ini.write_text(
         """
         [Bath]
         omega_b = 3e-5+1e-5j
@@ -51,8 +51,10 @@ def test_ini_parsing_and_case_insensitive_keys():
         start = -1e-4
         stop = 1e-4
         scale = linear
-        """
+        """,
+        encoding="utf-8",
     )
+    cfg = load_config(ini)
     assert cfg.Omega_B == 3e-5 + 1e-5j
     assert cfg.n_tls == 2e4
     assert cfg.sweep.variable == "Delta_B"

@@ -10,15 +10,15 @@ from hypothesis import strategies as st
 
 from tlsbath.bath import BathEnvironment, TlsParams
 from tlsbath.dynamics import (
-    EPS_STAB,
     UnstableSystemError,
     build_moment_system,
     coherence_g1,
     default_tau_grid,
+    drift_matrix,
     stability,
     steady_state,
 )
-from tlsbath.linalg import SingularMatrixError, eigenvalues, expm_apply, solve_linear
+from tlsbath.linalg import eigenvalues, expm_apply, solve_linear
 from tlsbath.rates import ModeParams, SingleModeRates, single_mode_rates
 
 N_TLS = 1e5
@@ -94,10 +94,9 @@ def _stable_system(draw, ratio, margin):
 def _centred_by_mpmath(ms):
     """(n_c, m_c, det sigma, xi) from a 50-digit LU solve of the full 5x5
     drift, centred afterwards: the cancellation costs nothing at 50 digits."""
+    drift, inhom = drift_matrix(ms)
     with mpmath.workdps(50):
-        v = mpmath.lu_solve(
-            mpmath.matrix(ms.drift.tolist()), -mpmath.matrix(ms.inhom.tolist())
-        )
+        v = mpmath.lu_solve(mpmath.matrix(drift.tolist()), -mpmath.matrix(inhom.tolist()))
         n_c = mpmath.re(v[0]) - abs(v[1]) ** 2
         m_c = v[3] - v[1] ** 2
         lam_min = n_c + 0.5 - abs(m_c)
@@ -108,8 +107,9 @@ def _centred_by_mpmath(ms):
 
 def _g1_by_expm(ms, rep, tau_grid):
     """Quantum-regression g1 with one matrix exponential per lag."""
-    block = ms.drift[1:3, 1:3]
-    z_inf = solve_linear(block, -ms.inhom[1:3] * np.conj(rep.amplitude))
+    drift, inhom = drift_matrix(ms)
+    block = drift[1:3, 1:3]
+    z_inf = solve_linear(block, -inhom[1:3] * np.conj(rep.amplitude))
     dev0 = np.array([rep.occupation, np.conj(rep.pair_amplitude)]) - z_inf
     vals = [z_inf[0] + expm_apply(block, dev0, t)[0] for t in tau_grid]
     return np.array(vals) / rep.occupation
@@ -121,7 +121,7 @@ def test_bare_oscillator_spectrum():
     at +-2i Delta - gamma_0."""
     d0 = 3e-5
     ms = build_moment_system(_bare_rates(d0), GAMMA_0, d0)
-    got = np.sort_complex(eigenvalues(ms.drift))
+    got = np.sort_complex(eigenvalues(drift_matrix(ms)[0]))
     want = np.sort_complex(
         np.array(
             [
@@ -184,14 +184,14 @@ def test_stability_max_real_part_closed_form():
 def test_stability_closed_form_matches_drift_spectrum(r, gamma0):
     """max Re(lambda) = max(-gamma/2 + Re sigma, -gamma + 2 Re sigma) on
     both sides of delta' = 2|g|, with the verdict of the numerical
-    spectrum wherever the margin resolves it."""
+    spectrum wherever its sign is resolved."""
     ms = build_moment_system(r, gamma0, 0.0)
     rep = stability(ms)
-    numeric = eigenvalues(ms.drift).real.max()
+    numeric = eigenvalues(drift_matrix(ms)[0]).real.max()
     tol = 1e-9 * (abs(ms.gamma_total) + 2.0 * abs(r.g) + abs(ms.delta_prime))
     assert rep.max_real_part == pytest.approx(numeric, abs=tol)
-    if abs(numeric - EPS_STAB) > tol:
-        assert rep.stable == (numeric < EPS_STAB)
+    if abs(numeric) > tol:
+        assert rep.stable == (numeric < 0)
 
 
 @_PROPERTY
@@ -233,8 +233,9 @@ def test_coherence_at_exceptional_point():
     assert 4.0 * abs(r.g) ** 2 == ms.delta_prime**2
     rep = steady_state(ms)
     tau = default_tau_grid(ms.gamma_total)
-    block = ms.drift[1:3, 1:3]
-    z_inf = solve_linear(block, -ms.inhom[1:3] * np.conj(rep.amplitude))
+    drift, inhom = drift_matrix(ms)
+    block = drift[1:3, 1:3]
+    z_inf = solve_linear(block, -inhom[1:3] * np.conj(rep.amplitude))
     dev0 = np.array([rep.occupation, np.conj(rep.pair_amplitude)]) - z_inf
     shifted_dev = (block + 0.5 * ms.gamma_total * np.eye(2)) @ dev0
     want = z_inf[0] + np.exp(-0.5 * ms.gamma_total * tau) * (
@@ -253,8 +254,9 @@ def test_steady_state_solves_balance(ms):
     rep = steady_state(ms)
     v = rep.moments
     # balance residual, scaled by the size of the cancelling products
-    residual = ms.drift @ v + ms.inhom
-    scale = np.abs(ms.drift) @ np.abs(v) + np.abs(ms.inhom)
+    drift, inhom = drift_matrix(ms)
+    residual = drift @ v + inhom
+    scale = np.abs(drift) @ np.abs(v) + np.abs(inhom)
     assert np.all(np.abs(residual) <= 1e-12 * scale)
     assert v[0].imag == 0.0 and v[2] == np.conj(v[1]) and v[4] == np.conj(v[3])
     assert rep.det_sigma >= 0.25 - 1e-9
@@ -283,21 +285,68 @@ def test_steady_state_near_exceptional_point_matches_mpmath(ms):
         (2.0**-20, 0.0, 2.0**-18),  # sigma = 2|g|
         (2.5 * 2.0**-20, 3.0 * 2.0**-20, 8.0 * 2.0**-20),  # sigma = 4 x 2^-20
         (0.0, 2.0**-20, 0.0),  # sigma imaginary, undamped
-        (2.0**-20, 0.0, 2.0**-18 - 2.0**-60),  # below threshold, inside EPS_STAB
+        (2.0**-20, 0.0, 2.0**-18 - 2.0**-60),  # just below threshold
     ],
     ids=["resonant", "detuned", "undamped", "inside-margin"],
 )
 def test_steady_state_at_threshold_is_singular(g, delta, gamma):
-    """gamma = 2 Re sigma in exact binary: the margin calls the drift stable,
-    but it has no unique fixed point, so a typed error and no inf or NaN."""
+    """gamma = 2 Re sigma in exact binary, or one part in 2^42 below it: the
+    drift has no unique fixed point, the exact predicate calls it unstable,
+    and steady_state raises the matching typed error, with no inf or NaN."""
     r = dataclasses.replace(
         _bare_rates(0.0), g=g + 0j, delta=delta, Omega_prime=1e-6 + 0j,
         gamma_plus=1e-9, gamma_minus=1e-9,
     )
     ms = build_moment_system(r, gamma, 0.0)
-    assert 0.0 <= stability(ms).max_real_part < EPS_STAB
-    with pytest.raises(SingularMatrixError):
+    report = stability(ms)
+    assert not report.stable and report.max_real_part >= 0.0
+    with pytest.raises(UnstableSystemError):
         steady_state(ms)
+
+
+# (2|g|, |delta'|, Re sigma) in units of a power of two, each exact in
+# binary: Pythagorean triples, the resonant and exceptional points, and an
+# imaginary sigma whose threshold is gamma = 0.
+_EXACT_SIGMA = ((1, 0, 1), (5, 3, 4), (5, 4, 3), (13, 5, 12), (1, 1, 0), (0, 1, 0), (3, 5, 0))
+
+
+@st.composite
+def _threshold_system(draw):
+    """Moment system on the threshold gamma = 2 Re sigma in exact binary (g
+    on an axis keeps |g| exact), a few units of 2^-46 of the frequency unit
+    to either side of it, or a random offset, with a positive bath:
+    |Gamma|^2 <= gamma_+ (gamma_- + gamma0)."""
+    two_g, dp, re_sigma = draw(st.sampled_from(_EXACT_SIGMA))
+    unit = 2.0 ** draw(st.integers(-40, -10))
+    step = draw(st.one_of(st.integers(-3, 3), st.integers(-2**40, 2**40)))
+    gamma0 = max(2 * re_sigma * unit + step * 2.0**-46 * unit, 0.0)
+    q = draw(_log(-10, -6))  # gamma_+ = gamma_-, so gamma0 is the total rate
+    r = dataclasses.replace(
+        _bare_rates(0.0),
+        g=0.5 * two_g * unit * draw(st.sampled_from((1, -1, 1j, -1j))),
+        delta=dp * unit * draw(st.sampled_from((-1.0, 1.0))),
+        Omega_prime=draw(_log(-7, -3)) * draw(_phase),
+        gamma_plus=q,
+        gamma_minus=q,
+        Gamma=draw(st.floats(0.0, 1.0)) * np.sqrt(q * (q + gamma0)) * draw(_phase),
+    )
+    return build_moment_system(r, gamma0, 0.0)
+
+
+@settings(max_examples=300)
+@given(ms=st.one_of(_threshold_system(), _stable_system(st.floats(0.0, 3.0), _log(-10, -6))))
+def test_steady_state_exists_exactly_when_stable(ms):
+    """Stable drifts have finite moments within the Heisenberg bound; every
+    other drift, threshold cases in exact binary included, raises the
+    typed error, never an inf or NaN."""
+    if stability(ms).stable:
+        rep = steady_state(ms)
+        assert np.all(np.isfinite(rep.moments))
+        assert np.isfinite([rep.det_sigma, rep.var_x, rep.var_p]).all()
+        assert rep.det_sigma >= 0.25 - 1e-9
+    else:
+        with pytest.raises(UnstableSystemError):
+            steady_state(ms)
 
 
 def test_steady_state_raises_when_unstable():

@@ -20,7 +20,7 @@ from tlsbath.oracle import (
     TruncationWarning,
     bloch_correlator_numeric,
     build_liouvillian,
-    coherence_g1_numeric,
+    expectation,
     mode_moments,
     mode_operator,
     steady_state_autogrow,
@@ -32,6 +32,25 @@ from tlsbath.sweeps import oracle_point
 ENV0 = BathEnvironment(temperature=0.0)
 KAPPA_1 = 1e-4
 KAPPA_T = 5e-5  # T=0, kappa_2=0
+
+
+def coherence_g1_numeric(liou, rho_ss, spec, tau_grid):
+    """Normalized lagged amplitude correlator from the full Liouvillian.
+
+    Quantum regression with the stationary state seeded from the right:
+    ``<s+(0) s(tau)> = tr[s exp(L tau)(rho_ss s+)]``, normalized by the
+    stationary occupation.
+    """
+    s = mode_operator(spec)
+    occ = expectation(rho_ss, s.conj().T @ s).real
+    if occ <= 0:
+        raise ValueError("coherence undefined for an unoccupied mode")
+    seed = (rho_ss @ s.conj().T).reshape(-1)
+    trace_row = s.T.reshape(-1)
+    out = np.empty(len(tau_grid), dtype=complex)
+    for k, tau in enumerate(tau_grid):
+        out[k] = trace_row @ expm_apply(liou, seed, float(tau))
+    return out / occ
 
 
 def _tls(Omega_B, G, Delta_B=0.0, kappa2=0.0):

@@ -145,13 +145,13 @@ def test_steady_state_marks_unstable_rows():
 
 
 def test_rows_inside_stability_margin_are_unstable():
-    """At this drive max Re(lambda) = +3.6e-13 lies inside EPS_STAB, so the
-    spectral verdict passes while the drift has no unique fixed point.
-    Each scenario writes that row as unstable and goes on."""
+    """At this drive max Re(lambda) = +3.6e-13: the drift is unstable by a
+    hair, and has no fixed point.  Each scenario writes that row as
+    unstable and goes on."""
     margin = {"mode": {"gamma_0": "3e-8"}, "bath": {"Omega_B": "8.515588354431853e-05"}}
     point = _cfg(**margin)
     report = stability(build_moment_system(rates_at(point), point.gamma_0, point.Delta_0))
-    assert report.stable and report.max_real_part > 0
+    assert not report.stable and report.max_real_part > 0
     grid = {"start": "8.515588354431853e-05", "stop": "8.6e-05", "count": "2", "scale": "linear"}
     steady = run_scenario("steady-state", _cfg(mode=margin["mode"], sweep=grid))
     assert steady.rows[0][1:] == (UNSTABLE,) * 7 + (0,)
