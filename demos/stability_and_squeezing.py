@@ -31,7 +31,7 @@ def main():
             },
         }
     )
-    res = run_scenario("stability-map", grid, jobs=os.cpu_count() or 1)
+    res = run_scenario("stability-map", grid)
     write_result(res, os.path.join(OUT, "stability_map.csv"))
     verdicts = np.array(res.column("stable"))
     print(f"stability map: {int((1 - verdicts).sum())} unstable cells of {verdicts.size}")

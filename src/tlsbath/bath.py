@@ -118,7 +118,12 @@ def bose_occupation(omega: float, temperature: float) -> float:
         raise ValueError("temperature must be nonnegative")
     if temperature == 0.0:
         return 0.0
-    return 1.0 / math.expm1(omega / temperature)
+    x = omega / temperature
+    # 1/expm1(x) overflows past x = 709.78; from 700 on it equals exp(-x)
+    # to rounding, which underflows gradually to 0
+    if x >= 700.0:
+        return math.exp(-x)
+    return 1.0 / math.expm1(x)
 
 
 def transverse_rate(p: TlsParams, env: BathEnvironment) -> float:
@@ -131,15 +136,26 @@ def transverse_rate(p: TlsParams, env: BathEnvironment) -> float:
     return 0.5 * p.kappa1 * (1.0 + 2.0 * nbar) + 2.0 * p.kappa2
 
 
+def _rate_unit(kt: float, p: TlsParams) -> float:
+    # the power of two that brings the largest of kappa_t, |Delta_B| and
+    # |Omega_B| into [1, 2); dividing by it rounds nothing
+    return math.ldexp(1.0, math.frexp(max(kt, abs(p.Delta_B), abs(p.Omega_B)))[1] - 1)
+
+
 def saturation(p: TlsParams, env: BathEnvironment) -> float:
     """Dimensionless saturation parameter of the driven transition.
 
     Zero without drive, unity at the knee where the drive starts to bleach
     the TLS response, large when the transition is fully saturated.
-    Raises :class:`OverflowError` when it exceeds the float range.
+    Formed in the power-of-two unit of :func:`bloch_steady_state`, so
+    it raises :class:`OverflowError` only when it exceeds the float range.
     """
     kt = transverse_rate(p, env)
-    s = (kt / p.kappa1) * abs(p.Omega_B) ** 2 / (kt**2 + p.Delta_B**2)
+    scale = _rate_unit(kt, p)
+    k, d = kt / scale, p.Delta_B / scale
+    lorentz = k**2 + d**2
+    # lorentz underflows to 0 only where s overflows anyway
+    s = (kt / p.kappa1) * (abs(p.Omega_B) / scale) ** 2 / lorentz if lorentz else math.inf
     if not math.isfinite(s):
         raise OverflowError(f"saturation overflows at |Omega_B| = {abs(p.Omega_B):g}")
     return s
@@ -157,7 +173,7 @@ def bloch_steady_state(p: TlsParams, env: BathEnvironment) -> BlochSteadyState:
     """
     kt = transverse_rate(p, env)
     nbar = bose_occupation(p.omega_B, env.temperature)
-    scale = math.ldexp(1.0, math.frexp(max(kt, abs(p.Delta_B), abs(p.Omega_B)))[1] - 1)
+    scale = _rate_unit(kt, p)
     k, d, drive = kt / scale, p.Delta_B / scale, p.Omega_B / scale
     lorentz = k**2 + d**2
     pump = (kt / p.kappa1) * abs(drive) ** 2
@@ -223,7 +239,7 @@ def correlator_integral(
     c1, c2, c3 = same_time_correlators(bloch_steady_state(p, env), beta)
     kt = transverse_rate(p, env)
     nbar = bose_occupation(p.omega_B, env.temperature)
-    scale = math.ldexp(1.0, math.frexp(max(kt, abs(p.Delta_B), abs(p.Omega_B)))[1] - 1)
+    scale = _rate_unit(kt, p)
     ob, oc = p.Omega_B / scale, p.Omega_B.conjugate() / scale
     delta_m = np.asarray(delta_m, dtype=float)
     # one array code path, so a scalar detuning rounds as its array entry

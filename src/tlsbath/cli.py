@@ -45,7 +45,6 @@ def _add_common(sub):
         help="override one config value (repeatable)",
     )
     sub.add_argument("--out", metavar="PATH", help="output file (default: config/stdout)")
-    sub.add_argument("--jobs", type=int, default=1, metavar="N", help="worker processes")
     sub.add_argument("--format", choices=("csv", "json"), help="output format")
 
 
@@ -99,51 +98,37 @@ def _cmd_rates(args) -> int:
     r = rates_at(cfg)
     tls = cfg.tls_params()
     env = cfg.environment()
-    columns = (
-        "kappa_t",
-        "saturation",
-        "Omega_prime_re",
-        "Omega_prime_im",
-        "delta",
-        "g_re",
-        "g_im",
-        "Gamma_re",
-        "Gamma_im",
-        "gamma_plus",
-        "gamma_minus",
-        "gamma",
-    )
-    row = (
-        transverse_rate(tls, env),
-        saturation(tls, env),
-        r.Omega_prime.real,
-        r.Omega_prime.imag,
-        r.delta,
-        r.g.real,
-        r.g.imag,
-        r.Gamma.real,
-        r.Gamma.imag,
-        r.gamma_plus,
-        r.gamma_minus,
-        r.gamma,
-    )
+    report = {
+        "kappa_t": transverse_rate(tls, env),
+        "saturation": saturation(tls, env),
+        "Omega_prime_re": r.Omega_prime.real,
+        "Omega_prime_im": r.Omega_prime.imag,
+        "delta": r.delta,
+        "g_re": r.g.real,
+        "g_im": r.g.imag,
+        "Gamma_re": r.Gamma.real,
+        "Gamma_im": r.Gamma.imag,
+        "gamma_plus": r.gamma_plus,
+        "gamma_minus": r.gamma_minus,
+        "gamma": r.gamma,
+    }
     result = SweepResult(
         scenario="rates",
-        columns=columns,
-        rows=(tuple(float(v) for v in row),),
+        columns=tuple(report),
+        rows=(tuple(float(v) for v in report.values()),),
         meta=tuple(resolved_items(cfg)),
     )
     if args.out or cfg.out_path or args.format == "json":
         _emit(result, cfg, args)
     else:
-        for name, value in zip(columns, result.rows[0]):
+        for name, value in zip(result.columns, result.rows[0]):
             print(f"{name} = {value!r}")
     return EXIT_OK
 
 
 def _cmd_sweep(args) -> int:
     cfg = load_config(args.config, args.overrides)
-    result = run_scenario(args.scenario, cfg, jobs=args.jobs)
+    result = run_scenario(args.scenario, cfg)
     _emit(result, cfg, args)
     return EXIT_OK
 
@@ -169,8 +154,6 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.jobs < 1:
-            raise ConfigError(f"--jobs: must be >= 1, got {args.jobs}")
         return args.func(args)
     except (
         DimensionCapError,

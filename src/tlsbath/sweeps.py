@@ -7,6 +7,12 @@ Complex columns are split into `_re`/`_im` pairs; grid points whose
 steady state does not exist carry the string sentinel ``unstable``
 instead of numbers.
 
+Every scenario runs in one serial loop over its grid.  The mode decay
+rate gamma_0 never enters the rates, so a grid's rates are assembled
+once per combination of its other swept values: once per drive on the
+default (Omega_B x gamma_0) stability map, once in all for a sweep of
+gamma_0.
+
 Scenario semantics:
 
 - ``driving``        sweep of the effective drive on the mode.
@@ -26,10 +32,9 @@ Scenario semantics:
 from __future__ import annotations
 
 import dataclasses
-import functools
+import itertools
 import json
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from datetime import datetime, timezone
 
@@ -84,10 +89,6 @@ class SweepResult:
         return [row[idx] for row in self.rows]
 
 
-def _apply_value(cfg: ScenarioConfig, variable: str, value: float) -> ScenarioConfig:
-    return cfg.replace(**{variable: complex(value) if variable == "Omega_B" else float(value)})
-
-
 def rates_at(cfg: ScenarioConfig):
     """Single-mode rates of the bath and mode a resolved config describes."""
     return single_mode_rates(
@@ -103,8 +104,8 @@ def _split(z: complex) -> tuple:
     return (z.real, z.imag, abs(z))
 
 
-def _steady_state_cols(point: ScenarioConfig, r) -> tuple:
-    ms = build_moment_system(r, point.gamma_0, point.Delta_0)
+def _steady_state_cols(r, gamma_0: float, delta_0: float) -> tuple:
+    ms = build_moment_system(r, gamma_0, delta_0)
     try:
         rep = steady_state(ms)
     except UnstableSystemError:
@@ -121,32 +122,37 @@ def _steady_state_cols(point: ScenarioConfig, r) -> tuple:
     )
 
 
-def _squeezing_cols(point: ScenarioConfig, r) -> tuple:
-    ms = build_moment_system(r, point.gamma_0, point.Delta_0)
+def _squeezing_cols(r, gamma_0: float, delta_0: float) -> tuple:
+    ms = build_moment_system(r, gamma_0, delta_0)
     try:
         rep = steady_state(ms)
     except UnstableSystemError:
         return (UNSTABLE,) * 5 + (0,)
     # pair pumping switched off: stable too, as gamma > 0 and Re sigma = 0 without g
-    ms0 = build_moment_system(dataclasses.replace(r, g=0j), point.gamma_0, point.Delta_0)
+    ms0 = build_moment_system(dataclasses.replace(r, g=0j), gamma_0, delta_0)
     xi0 = steady_state(ms0).xi
     return (rep.xi, xi0, rep.var_x, rep.var_p, rep.det_sigma, int(rep.squeezed))
 
 
-# One-axis scenarios: their columns after the swept value, and how a row
-# reads them off the point's config and rates.
-_SWEEP_SCENARIOS = {
+def _stability_cols(r, gamma_0: float, delta_0: float) -> tuple:
+    rep = stability(build_moment_system(r, gamma_0, delta_0))
+    return (int(rep.stable), int(rep.criterion), rep.max_real_part)
+
+
+# Grid scenarios: their columns after the swept values, and how a row
+# reads them off the point's rates, mode decay rate and mode detuning.
+_GRID_SCENARIOS = {
     "driving": (
         ("Omega_prime_re", "Omega_prime_im", "Omega_prime_abs"),
-        lambda point, r: _split(r.Omega_prime),
+        lambda r, *_: _split(r.Omega_prime),
     ),
-    "gamma-rate": (("Gamma_re", "Gamma_im", "Gamma_abs"), lambda point, r: _split(r.Gamma)),
-    "squeeze-rate": (("g_re", "g_im", "g_abs"), lambda point, r: _split(r.g)),
+    "gamma-rate": (("Gamma_re", "Gamma_im", "Gamma_abs"), lambda r, *_: _split(r.Gamma)),
+    "squeeze-rate": (("g_re", "g_im", "g_abs"), lambda r, *_: _split(r.g)),
     "decay-rate": (
         ("gamma", "gamma_plus", "gamma_minus"),
-        lambda point, r: (r.gamma, r.gamma_plus, r.gamma_minus),
+        lambda r, *_: (r.gamma, r.gamma_plus, r.gamma_minus),
     ),
-    "freq-shift": (("delta",), lambda point, r: (r.delta,)),
+    "freq-shift": (("delta",), lambda r, *_: (r.delta,)),
     "steady-state": (
         (
             "occupation",
@@ -164,33 +170,30 @@ _SWEEP_SCENARIOS = {
         ("xi", "xi_no_pair_pumping", "var_x", "var_p", "det_sigma", "squeezed"),
         _squeezing_cols,
     ),
+    "stability-map": (("stable", "stable_criterion", "max_real_part"), _stability_cols),
 }
 
 
-def _sweep_row(name: str, cfg: ScenarioConfig, value: float) -> tuple:
-    # looked up by name, so worker processes receive a picklable partial
-    _, read = _SWEEP_SCENARIOS[name]
-    point = _apply_value(cfg, cfg.sweep.variable, value)
-    return (value,) + read(point, rates_at(point))
+def _grid_rows(cfg: ScenarioConfig, axes, read) -> list:
+    """One row per point of the product grid of ``axes``: the swept values,
+    then ``read(rates, gamma_0, Delta_0)`` at that point.
 
-
-def _row_stability(cfg: ScenarioConfig, values: tuple) -> tuple:
-    v1, v2 = values
-    point = _apply_value(cfg, cfg.sweep.variable, v1)
-    point = _apply_value(point, cfg.sweep2.variable, v2)
-    ms = build_moment_system(rates_at(point), point.gamma_0, point.Delta_0)
-    rep = stability(ms)
-    return (v1, v2, int(rep.stable), int(rep.criterion), rep.max_real_part)
-
-
-def _map_points(func, points, jobs: int) -> list:
-    if jobs <= 1 or len(points) < 2:
-        rows = [func(p) for p in points]
-    else:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            chunk = max(1, len(points) // (4 * jobs))
-            rows = list(pool.map(func, points, chunksize=chunk))
-    return [_normalize_row(row) for row in rows]
+    gamma_0 enters only the moment system, so the rates are keyed by the
+    other swept values and assembled once per key.
+    """
+    variables = [axis.variable for axis in axes]
+    rates = {}
+    rows = []
+    for values in itertools.product(*(axis.grid() for axis in axes)):
+        at = dict(zip(variables, values))
+        key = tuple(v for var, v in at.items() if var != "gamma_0")
+        if key not in rates:
+            point = {var: complex(v) if var == "Omega_B" else float(v) for var, v in at.items()}
+            rates[key] = rates_at(cfg.replace(**point))
+        gamma_0 = float(at.get("gamma_0", cfg.gamma_0))
+        delta_0 = float(at.get("Delta_0", cfg.Delta_0))
+        rows.append(_normalize_row(values + read(rates[key], gamma_0, delta_0)))
+    return rows
 
 
 def _normalize_row(row) -> tuple:
@@ -206,7 +209,7 @@ def _normalize_row(row) -> tuple:
     return tuple(out)
 
 
-def run_scenario(name: str, cfg: ScenarioConfig, jobs: int = 1) -> SweepResult:
+def run_scenario(name: str, cfg: ScenarioConfig) -> SweepResult:
     """Evaluate one scenario on its sweep grid."""
     if name not in SCENARIOS:
         raise ConfigError(f"scenario: unknown scenario {name!r}; choose from {SCENARIOS}")
@@ -220,7 +223,7 @@ def run_scenario(name: str, cfg: ScenarioConfig, jobs: int = 1) -> SweepResult:
         return SweepResult(name, cols, tuple(rows), meta)
 
     if name == "oracle-validate":
-        rows = _oracle_rows(cfg, jobs)
+        rows = _oracle_rows(cfg)
         cols = (
             "coupling_ratio",
             "fock_dim",
@@ -240,31 +243,18 @@ def run_scenario(name: str, cfg: ScenarioConfig, jobs: int = 1) -> SweepResult:
         )
         return SweepResult(name, cols, tuple(rows), meta)
 
+    axes = (cfg.sweep,)
     if name == "stability-map":
         if cfg.sweep.variable == cfg.sweep2.variable:
             raise ConfigError("sweep2.variable: must differ from sweep.variable")
         if "tau" in (cfg.sweep.variable, cfg.sweep2.variable):
             raise ConfigError("sweep.variable: tau is not a stability-map axis")
-        points = [
-            (v1, v2) for v1 in cfg.sweep.grid() for v2 in cfg.sweep2.grid()
-        ]
-        func = functools.partial(_row_stability, cfg)
-        rows = _map_points(func, points, jobs)
-        cols = (
-            cfg.sweep.variable,
-            cfg.sweep2.variable,
-            "stable",
-            "stable_criterion",
-            "max_real_part",
-        )
-        return SweepResult(name, cols, tuple(rows), meta)
-
-    if cfg.sweep.variable == "tau":
+        axes = (cfg.sweep, cfg.sweep2)
+    elif cfg.sweep.variable == "tau":
         raise ConfigError("sweep.variable: tau only applies to the coherence scenario")
-    func = functools.partial(_sweep_row, name, cfg)
-    rows = _map_points(func, list(cfg.sweep.grid()), jobs)
-    cols = (cfg.sweep.variable,) + _SWEEP_SCENARIOS[name][0]
-    return SweepResult(name, cols, tuple(rows), meta)
+    cols, read = _GRID_SCENARIOS[name]
+    rows = _grid_rows(cfg, axes, read)
+    return SweepResult(name, tuple(a.variable for a in axes) + cols, tuple(rows), meta)
 
 
 def _coherence_rows(cfg: ScenarioConfig) -> list:
@@ -327,7 +317,7 @@ def oracle_point(cfg: ScenarioConfig, ratio: float) -> tuple:
     )
 
 
-def _oracle_rows(cfg: ScenarioConfig, jobs: int) -> list:
+def _oracle_rows(cfg: ScenarioConfig) -> list:
     n = cfg.n_tls
     if n != int(n) or not 1 <= int(n) <= 3:
         raise ConfigError(
@@ -336,8 +326,7 @@ def _oracle_rows(cfg: ScenarioConfig, jobs: int) -> list:
         )
     if cfg.Omega_B == 0:
         raise ConfigError("bath.Omega_B: the oracle comparison needs a driven bath")
-    func = functools.partial(oracle_point, cfg)
-    return _map_points(func, list(cfg.oracle_ratios), jobs)
+    return [_normalize_row(oracle_point(cfg, ratio)) for ratio in cfg.oracle_ratios]
 
 
 def _fmt(value) -> str:

@@ -1,6 +1,8 @@
 """Driven-TLS Bloch machinery against the exact 4x4 Liouvillian, and the
 closed-form spectral densities against a 50-digit solve of the 3x3 drift."""
 
+import math
+
 import mpmath
 import numpy as np
 import pytest
@@ -68,6 +70,18 @@ def test_bose_occupation_known_value():
     assert bose_occupation(0.2, 0.2) == pytest.approx(1.0 / (np.e - 1.0), rel=1e-14)
 
 
+def test_bose_occupation_underflows_gradually():
+    """Past omega/T = 709.78 the quotient 1/expm1 overflows; from 700 on
+    exp(-omega/T) equals it to rounding and falls through the subnormals
+    to 0, and below 700 the quotient is kept as it was."""
+    for x in (700.0, 705.0, 709.7):
+        assert bose_occupation(x, 1.0) == pytest.approx(1.0 / math.expm1(x), rel=1e-15)
+    assert bose_occupation(699.9, 1.0) == 1.0 / math.expm1(699.9)
+    assert 0.0 < bose_occupation(720.0, 1.0) == math.exp(-720.0) < np.finfo(float).tiny
+    assert bose_occupation(1.0, 1e-3) == 0.0
+    assert bose_occupation(1.0, 1e-320) == 0.0
+
+
 def test_bose_occupation_rejects_bad_arguments():
     with pytest.raises(ValueError):
         bose_occupation(0.0, 0.1)
@@ -89,6 +103,41 @@ def test_saturation_reference_point():
     # baseline parameters, drive amplitude 1e-4: s = 2 exactly
     p = TlsParams(1.0, 1e-4, 0.0, 1e-4 + 0j, 0.0, (1e-8,))
     assert saturation(p, ENV0) == pytest.approx(2.0, rel=1e-14)
+
+
+@given(
+    drive=st.floats(-50.0, 50.0),
+    detuning=st.floats(-50.0, 50.0),
+    kappa1=st.floats(-50.0, 50.0),
+    kappa2=st.floats(-50.0, 50.0),
+)
+def test_saturation_power_of_two_unit_rounds_nothing(drive, detuning, kappa1, kappa2):
+    """Away from the float range's ends the scaled form keeps every bit of
+    (kappa_t / kappa1) |Omega_B|^2 / (kappa_t^2 + Delta_B^2)."""
+    p = TlsParams(1.0, 10.0**kappa1, 10.0**kappa2, 10.0**drive * (0.6 + 0.8j), 10.0**detuning,
+                  (0j,))
+    kt = transverse_rate(p, ENV0)
+    assert saturation(p, ENV0) == (kt / p.kappa1) * abs(p.Omega_B) ** 2 / (kt**2 + p.Delta_B**2)
+
+
+@pytest.mark.parametrize(
+    "params, env",
+    [
+        ((1e-4, 0.0, 0j), BathEnvironment(temperature=1e160)),
+        ((1e-4, 1e160, 0j), ENV0),
+        ((1e-300, 0.0, 0j), ENV0),
+        ((1e-300, 0.0, 1e-300 + 0j), ENV0),
+    ],
+    ids=["hot", "dephased", "slow-relaxation", "slow-relaxation-driven"],
+)
+def test_saturation_finite_where_its_squares_are_not(params, env):
+    """kappa_t = 1e156 or 2e160 overflows kappa_t^2, and kappa_t = 5e-301
+    underflows it to 0, yet s is finite: 0 undriven, 2 driven at
+    |Omega_B|^2 = kappa1 kappa_t."""
+    kappa1, kappa2, drive = params
+    p = TlsParams(1.0, kappa1, kappa2, drive, 0.0, (1e-8,))
+    expected = 0.0 if drive == 0 else 2.0
+    assert saturation(p, env) == pytest.approx(expected, rel=1e-14)
 
 
 def test_saturation_detuning_dependence():

@@ -153,6 +153,7 @@ _TAU = ["--set", "sweep.variable=tau", "--set", "sweep.start=0", "--set", "sweep
 def test_library_parameter_errors_are_config_errors(capsys, argv, fragment):
     code, _, err = _run(capsys, *argv)
     assert code == cli.EXIT_CONFIG
+    assert len(err.splitlines()) == 1
     assert err.startswith("config error:")
     assert fragment in err
     assert "Traceback" not in err
@@ -302,13 +303,48 @@ def test_rates_strong_drive_needs_no_pivot_check(capsys):
 
 @pytest.mark.parametrize(
     "override, quantity",
-    [("bath.G=1e200", "spectral-density table"), ("bath.Omega_B=1e150", "saturation")],
+    [
+        ("bath.G=1e200", "spectral-density table"),
+        ("bath.Omega_B=1e150", "saturation"),
+        ("bath.Omega_B=1e160", "saturation"),
+    ],
 )
 def test_rates_overflow_is_numerical_failure(capsys, override, quantity):
     code, out, err = _run(capsys, "rates", "--set", override)
     assert code == cli.EXIT_NUMERICAL
     assert err.startswith("numerical failure:") and quantity in err
     assert out == "" and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "override", ["bath.kappa_2=1e160", "environment.temperature=1e160", "bath.kappa_1=1e-300"]
+)
+def test_rates_report_finite_where_squared_rates_are_not(capsys, override):
+    """kappa_t^2 overflows at kappa_t = 1e156 or 2e160 and underflows to 0
+    at 5e-301, which once gave an unnamed range error or a division by
+    zero; in the power-of-two unit the saturation parameter is 0."""
+    code, out, err = _run(capsys, "rates", "--set", override)
+    assert code == cli.EXIT_OK
+    _assert_clean_exit(code, out, err)
+    assert _rates_report(out)["saturation"] == 0.0
+
+
+@pytest.mark.parametrize("temperature", ["1e-3", "1e-5", "1e-300"])
+def test_low_temperature_exits_zero(capsys, temperature):
+    """Below T = omega_B / 709.78 the thermal occupation underflows to 0
+    instead of overflowing 1/expm1: every scenario runs."""
+    runs = (
+        ["rates"],
+        ["steady-state", "--set", "sweep.count=3"],
+        ["squeezing", "--set", "sweep.count=3"],
+        ["stability-map", "--set", "sweep.count=3", "--set", "sweep2.count=3"],
+        ["oracle-validate", "--set", "bath.N=1", "--set", "bath.Omega_B=7.1e-5",
+         "--set", "oracle.ratios=0.03"],
+    )
+    for argv in runs:
+        code, out, err = _run(capsys, *argv, "--set", f"environment.temperature={temperature}")
+        assert code == cli.EXIT_OK, (argv, err)
+        _assert_clean_exit(code, out, err)
 
 
 _EXTREME_KEYS = (

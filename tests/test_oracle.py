@@ -261,6 +261,21 @@ def test_bloch_correlator_matches_resolvent():
                 assert got == pytest.approx(want, rel=1e-7, abs=1e-16)
 
 
+@pytest.mark.parametrize("delta_m", [0.0, 3e-5])
+def test_bloch_correlator_at_mollow_exceptional_point(delta_m):
+    """At |Omega_B| = kappa1 / 4, resonant, T = 0 and kappa2 = 0 two
+    eigenvalues of the TLS Liouvillian coalesce, so a recipe that
+    diagonalizes it loses digits there (cond(V) ~ 1e8).  The propagated
+    quadrature must still meet the closed-form resolvent."""
+    p = _tls(KAPPA_1 / 4, 0.0)
+    row = {+1: 0, -1: 1}
+    for beta in (+1, -1):
+        ref = correlator_integral(p, ENV0, beta, delta_m)
+        for alpha in (+1, -1):
+            got = bloch_correlator_numeric(p, ENV0, alpha, beta, delta_m)
+            assert got == pytest.approx(complex(ref[row[alpha]]), rel=1e-10)
+
+
 def test_coherence_matches_effective_theory():
     """g1 from the exact Liouvillian vs the moment-hierarchy form.
 

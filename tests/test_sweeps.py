@@ -1,4 +1,4 @@
-"""Scenario sweeps: rows, rendering, determinism, parallel dispatch."""
+"""Scenario sweeps: rows, rendering, determinism, rates shared across gamma_0."""
 
 import json
 
@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import tlsbath.sweeps as sweeps
 from tlsbath.config import ConfigError, resolve
 from tlsbath.dynamics import build_moment_system, stability
 from tlsbath.rates import low_drive_limits
@@ -300,12 +301,56 @@ def test_oracle_scenario_single_tls_agreement():
     assert row["occupation_exact"] > 0
 
 
-def test_parallel_rows_match_serial():
-    cfg = _small_sweep(sweep={"start": "1e-6", "stop": "1e-4", "count": "6"})
-    serial = run_scenario("steady-state", cfg, jobs=1)
-    parallel = run_scenario("steady-state", cfg, jobs=2)
-    assert serial.rows == parallel.rows
-    assert serial.columns == parallel.columns
+_OMEGA_AXIS = {"variable": "Omega_B", "start": "1e-6", "stop": "1e-3", "count": "3"}
+_GAMMA_AXIS = {"variable": "gamma_0", "start": "1e-9", "stop": "1e-5", "count": "4"}
+
+
+@pytest.mark.parametrize(
+    "scenario, axes, assemblies, rows",
+    [
+        ("stability-map", {"sweep": _OMEGA_AXIS, "sweep2": _GAMMA_AXIS}, 3, 12),
+        ("stability-map", {"sweep": _GAMMA_AXIS, "sweep2": _OMEGA_AXIS}, 3, 12),
+        ("steady-state", {"sweep": _GAMMA_AXIS, "bath": {"Omega_B": "7e-5"}}, 1, 4),
+    ],
+    ids=["omega-by-gamma", "gamma-by-omega", "steady-state-over-gamma"],
+)
+def test_rates_assembled_once_per_rate_point(monkeypatch, scenario, axes, assemblies, rows):
+    """gamma_0 never enters the rates: a grid assembles them once per
+    value of its other axis, whichever axis order it has."""
+    calls = []
+
+    def counting(cfg):
+        calls.append(cfg)
+        return rates_at(cfg)
+
+    monkeypatch.setattr(sweeps, "rates_at", counting)
+    res = run_scenario(scenario, _cfg(**axes))
+    assert len(calls) == assemblies
+    assert len(res.rows) == rows
+
+
+@pytest.mark.parametrize(
+    "axes",
+    [(_OMEGA_AXIS, _GAMMA_AXIS), (_GAMMA_AXIS, _OMEGA_AXIS)],
+    ids=["omega-by-gamma", "gamma-by-omega"],
+)
+def test_stability_map_rows_match_per_cell_evaluation(axes):
+    """Rows from rates shared across gamma_0 equal those of a cell-by-cell
+    evaluation that assembles the rates at every point."""
+    first, second = axes
+    cfg = _cfg(sweep=first, sweep2=second)
+    expected = []
+    for v1 in cfg.sweep.grid():
+        for v2 in cfg.sweep2.grid():
+            point = cfg.replace(**{
+                var: complex(v) if var == "Omega_B" else float(v)
+                for var, v in ((first["variable"], v1), (second["variable"], v2))
+            })
+            rep = stability(build_moment_system(rates_at(point), point.gamma_0, point.Delta_0))
+            expected.append(
+                (float(v1), float(v2), int(rep.stable), int(rep.criterion), rep.max_real_part)
+            )
+    assert run_scenario("stability-map", cfg).rows == tuple(expected)
 
 
 def test_csv_deterministic_up_to_timestamp():
