@@ -7,7 +7,10 @@ fluctuations around that point are what the bosonic modes feel.  This
 module provides the stationary Bloch state, the equal-time correlators of
 the fluctuations, and the one-sided spectral densities, whose regression
 integrals are the closed-form driven-TLS resolvent (Mollow, Phys. Rev.
-188, 1969 (1969)): no linear system is solved.
+188, 1969 (1969)): no linear system is solved.  One stationary state
+fixes both fluctuation signs, so the correlators and the resolvent carry
+the sign as their leading array axis, and each TLS costs one evaluation
+of its Bloch statics and one of the resolvent.
 
 The spectral densities of a bath coupled to M modes form one complex
 array ``table[a, b, m, n]`` of shape ``(2, 2, M, M)``: ``a`` and ``b``
@@ -136,10 +139,25 @@ def transverse_rate(p: TlsParams, env: BathEnvironment) -> float:
     return 0.5 * p.kappa1 * (1.0 + 2.0 * nbar) + 2.0 * p.kappa2
 
 
-def _rate_unit(kt: float, p: TlsParams) -> float:
-    # the power of two that brings the largest of kappa_t, |Delta_B| and
-    # |Omega_B| into [1, 2); dividing by it rounds nothing
-    return math.ldexp(1.0, math.frexp(max(kt, abs(p.Delta_B), abs(p.Omega_B)))[1] - 1)
+def _statics(p: TlsParams, env: BathEnvironment):
+    """``(kappa_t, nbar, unit, BlochSteadyState, s)`` of one TLS, read by
+    :func:`bloch_steady_state`, :func:`saturation` and the resolvent.
+    ``unit`` is the power of two that brings the largest of kappa_t,
+    ``|Delta_B|`` and ``|Omega_B|`` into ``[1, 2)``: dividing by it rounds
+    nothing."""
+    kt = transverse_rate(p, env)
+    nbar = bose_occupation(p.omega_B, env.temperature)
+    scale = math.ldexp(1.0, math.frexp(max(kt, abs(p.Delta_B), abs(p.Omega_B)))[1] - 1)
+    k, d, drive = kt / scale, p.Delta_B / scale, p.Omega_B / scale
+    lorentz = k**2 + d**2
+    pump = (kt / p.kappa1) * abs(drive) ** 2
+    sigma_plus = -drive.conjugate() * complex(d, -k) / (
+        2.0 * (lorentz * (1.0 + 2.0 * nbar) + pump)
+    )
+    # lorentz underflows to 0 only where s overflows anyway
+    s = pump / lorentz if lorentz else math.inf
+    state = BlochSteadyState(sigma_plus=sigma_plus, sigma_z=-1.0 / (1.0 + 2.0 * nbar + s))
+    return kt, nbar, scale, state, s
 
 
 def saturation(p: TlsParams, env: BathEnvironment) -> float:
@@ -150,12 +168,7 @@ def saturation(p: TlsParams, env: BathEnvironment) -> float:
     Formed in the power-of-two unit of :func:`bloch_steady_state`, so
     it raises :class:`OverflowError` only when it exceeds the float range.
     """
-    kt = transverse_rate(p, env)
-    scale = _rate_unit(kt, p)
-    k, d = kt / scale, p.Delta_B / scale
-    lorentz = k**2 + d**2
-    # lorentz underflows to 0 only where s overflows anyway
-    s = (kt / p.kappa1) * (abs(p.Omega_B) / scale) ** 2 / lorentz if lorentz else math.inf
+    s = _statics(p, env)[4]
     if not math.isfinite(s):
         raise OverflowError(f"saturation overflows at |Omega_B| = {abs(p.Omega_B):g}")
     return s
@@ -171,49 +184,35 @@ def bloch_steady_state(p: TlsParams, env: BathEnvironment) -> BlochSteadyState:
     rounding that the weak-drive cancellation in ``(1 + sigma_z)/2 -
     |sigma+|^2`` passes on to the spectra; where ``s`` overflows it is -0.
     """
-    kt = transverse_rate(p, env)
-    nbar = bose_occupation(p.omega_B, env.temperature)
-    scale = _rate_unit(kt, p)
-    k, d, drive = kt / scale, p.Delta_B / scale, p.Omega_B / scale
-    lorentz = k**2 + d**2
-    pump = (kt / p.kappa1) * abs(drive) ** 2
-    sigma_plus = -drive.conjugate() * complex(d, -k) / (
-        2.0 * (lorentz * (1.0 + 2.0 * nbar) + pump)
-    )
-    # lorentz underflows to 0 only where s overflows anyway
-    s = pump / lorentz if lorentz else math.inf
-    return BlochSteadyState(sigma_plus=sigma_plus, sigma_z=-1.0 / (1.0 + 2.0 * nbar + s))
+    return _statics(p, env)[3]
 
 
-def same_time_correlators(state: BlochSteadyState, beta: int) -> np.ndarray:
+def same_time_correlators(state: BlochSteadyState) -> np.ndarray:
     """Equal-time correlators of the centered Bloch operators.
 
-    Returns the vector ``<sigma~_vec sigma~_beta>`` in the row order
-    (raising, lowering, inversion), where ``beta`` is +1 for the raising
-    and -1 for the lowering fluctuation on the right.  Obtained from the
-    Pauli algebra with the stationary single-operator averages subtracted.
+    Returns ``c[b, row] = <sigma~_row sigma~_beta>`` of shape ``(2, 3)``,
+    sign first: ``b`` is the position in ``SIGNS`` of the fluctuation beta
+    on the right (0 raising, 1 lowering) and ``row`` runs over (raising,
+    lowering, inversion).  Obtained from the Pauli algebra with the
+    stationary single-operator averages subtracted.
     """
-    if beta not in (+1, -1):
-        raise ValueError("beta must be +1 or -1")
     sp, sz = state.sigma_plus, state.sigma_z
     mean = np.array([sp, np.conj(sp), sz], dtype=complex)
     # <sigma_vec sigma_beta>: the squares of sigma+ and sigma- vanish,
     # sigma+ sigma- = (1 + sz)/2, sigma- sigma+ = (1 - sz)/2, sz sigma+- = +-sigma+-
-    if beta == +1:
-        raw = np.array([0.0, 0.5 * (1.0 - sz), sp], dtype=complex)
-    else:
-        raw = np.array([0.5 * (1.0 + sz), 0.0, -mean[1]], dtype=complex)
-    return raw - mean * mean[SIGNS.index(beta)]
+    raw = np.array(
+        [[0.0, 0.5 * (1.0 - sz), sp], [0.5 * (1.0 + sz), 0.0, -mean[1]]], dtype=complex
+    )
+    return raw - mean * mean[:2, None]
 
 
-def correlator_integral(
-    p: TlsParams, env: BathEnvironment, beta: int, delta_m
-) -> np.ndarray:
+def correlator_integral(p: TlsParams, env: BathEnvironment, delta_m) -> np.ndarray:
     """Half-line Laplace transform of the Bloch fluctuation correlators.
 
-    ``x = integral_0^inf dtau <sigma~_vec(tau) sigma~_beta(0)> exp(s tau)``,
+    ``x[b] = integral_0^inf dtau <sigma~_vec(tau) sigma~_beta(0)> exp(s tau)``,
     ``s = beta i delta_m``, solves ``(A + s) x = -c`` for the fluctuation
-    drift ``A`` and the equal-time correlators ``c``.  ``A`` couples each
+    drift ``A`` and the equal-time correlators ``c``, for both signs beta
+    at once (``b`` its position in ``SIGNS``).  ``A`` couples each
     transverse row only to the inversion, which eliminates in closed form:
     with ``u, v = s - kappa_t +- i Delta_B``, ``w = s - kappa1 (1 + 2 nbar)``
     and ``P = Omega_B c1 + Omega_B* c2``::
@@ -232,18 +231,16 @@ def correlator_integral(
     1e300 finite.  Frequencies are in units of the power of two that brings
     kappa_t, ``|Delta_B|`` and ``|Omega_B|`` below 2 (rounding nothing), so
     D overflows, raising :class:`OverflowError`, only where ``|Omega_B| /
-    kappa_t`` does.  An array ``delta_m`` gives shape ``(3,) + delta_m.shape``.
+    kappa_t`` does.  Returns ``x[b, row]`` of shape ``(2, 3) +
+    delta_m.shape``, sign first, rows as in :func:`same_time_correlators`.
     """
-    if beta not in (+1, -1):
-        raise ValueError("beta must be +1 or -1")
-    c1, c2, c3 = same_time_correlators(bloch_steady_state(p, env), beta)
-    kt = transverse_rate(p, env)
-    nbar = bose_occupation(p.omega_B, env.temperature)
-    scale = _rate_unit(kt, p)
+    kt, nbar, scale, state, _ = _statics(p, env)
+    # each correlator a (sign, 1) column against the detunings along axis 1
+    c1, c2, c3 = same_time_correlators(state).T[..., None]
     ob, oc = p.Omega_B / scale, p.Omega_B.conjugate() / scale
     delta_m = np.asarray(delta_m, dtype=float)
     # one array code path, so a scalar detuning rounds as its array entry
-    s = beta * 1j * delta_m.reshape(-1) / scale
+    s = np.array(SIGNS)[:, None] * 1j * delta_m.reshape(-1) / scale
     u = s - kt / scale + 1j * p.Delta_B / scale
     v = s - kt / scale - 1j * p.Delta_B / scale
     w = s - p.kappa1 * (1.0 + 2.0 * nbar) / scale
@@ -254,7 +251,7 @@ def correlator_integral(
     pump = ob * c1 + oc * c2
     x1 = -((c1 * w + 0.5j * oc * c3 + 0.5 * oc * pump / v) / d) / u
     x2 = -((c2 * w - 0.5j * ob * c3 + 0.5 * ob * pump / u) / d) / v
-    return np.stack([x1, x2, x3]).reshape((3,) + delta_m.shape) / scale
+    return np.stack([x1, x2, x3], axis=1).reshape((2, 3) + delta_m.shape) / scale
 
 
 def _grouped(tls_list, counts, n_modes: int):
@@ -263,7 +260,7 @@ def _grouped(tls_list, counts, n_modes: int):
     ``counts`` holds one positive real weight per entry of ``tls_list``
     (``None`` means 1 each); the rates are linear in it, so a fractional N
     is honoured, not truncated.  An N-fold ensemble then costs one
-    closed-form evaluation per exponent sign.  Every TLS must carry
+    closed-form evaluation.  Every TLS must carry
     exactly one coupling per mode, ``n_modes`` in all.
     """
     if counts is None:
@@ -283,8 +280,10 @@ def dipole_drive(tls_list, env: BathEnvironment, n_modes: int, counts=None) -> n
     """First-order drive of the bath on each of ``n_modes`` modes,
     ``sum_i N_i G_im <sigma+_i>``: stationary dipoles times couplings."""
     out = np.zeros(n_modes, dtype=complex)
-    for p, weight in _grouped(tls_list, counts, n_modes):
-        out += weight * np.array(p.couplings) * bloch_steady_state(p, env).sigma_plus
+    # an overflow leaves inf or NaN, with no warning, for the caller to raise
+    with np.errstate(over="ignore", invalid="ignore"):
+        for p, weight in _grouped(tls_list, counts, n_modes):
+            out += weight * np.array(p.couplings) * bloch_steady_state(p, env).sigma_plus
     return out
 
 
@@ -317,8 +316,9 @@ def build_psd_table(
 
     Returns the complex array ``table[a, b, m, n]`` of shape
     ``(2, 2, M, M)`` laid out as described in the module docstring.  Each
-    TLS group takes one :func:`correlator_integral` call per exponent
-    sign, over all M detunings at once, from which every entry follows.
+    TLS group takes one :func:`correlator_integral` call, over both
+    exponent signs and all M detunings at once, from which every entry
+    follows.
     """
     detunings = np.atleast_1d(np.asarray(detunings, dtype=float))
     n_modes = len(detunings)
@@ -330,9 +330,7 @@ def build_psd_table(
             cpl = np.array([p.couplings, [g.conjugate() for g in p.couplings]])
             # correlator integrals [b, row, m], kept as [a, b, m] over the
             # raising and lowering rows
-            integ = np.array(
-                [correlator_integral(p, env, beta, detunings) for beta in SIGNS]
-            ).transpose(1, 0, 2)[:2]
+            integ = correlator_integral(p, env, detunings).transpose(1, 0, 2)[:2]
             # product order ((N G_n) G_m) I, as in the bath sum written out
             table += (
                 (weight * cpl[:, None, None, :]) * cpl[None, :, :, None]

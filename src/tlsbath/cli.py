@@ -118,7 +118,7 @@ def _cmd_rates(args) -> int:
         rows=(tuple(float(v) for v in report.values()),),
         meta=tuple(resolved_items(cfg)),
     )
-    if args.out or cfg.out_path or args.format == "json":
+    if args.out or cfg.out_path or args.format:
         _emit(result, cfg, args)
     else:
         for name, value in zip(result.columns, result.rows[0]):

@@ -9,7 +9,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import tlsbath.bath as bath
 from tlsbath.bath import (
+    SIGNS,
     BathEnvironment,
     TlsParams,
     bloch_steady_state,
@@ -210,7 +212,7 @@ def test_same_time_correlators_against_exact_state():
             "z": sz_op - st.sigma_z * np.eye(2),
         }
         for beta in (+1, -1):
-            got = same_time_correlators(st, beta)
+            got = same_time_correlators(st)[SIGNS.index(beta)]
             # row order (raising, lowering, inversion), beta on the right
             want = np.array(
                 [
@@ -227,16 +229,37 @@ def test_correlator_integral_solves_shifted_system():
     p, env = _random_tls(rng)
     for beta in (+1, -1):
         delta = 3.7 * p.kappa1
-        integ = correlator_integral(p, env, beta, delta)
+        integ = correlator_integral(p, env, delta)[SIGNS.index(beta)]
         a = bloch_matrix(p, env) + beta * 1j * delta * np.eye(3)
-        c0 = same_time_correlators(bloch_steady_state(p, env), beta)
+        c0 = same_time_correlators(bloch_steady_state(p, env))[SIGNS.index(beta)]
         assert np.allclose(a @ integ, -c0, atol=1e-13)
 
 
-def test_correlator_integral_rejects_bad_beta():
-    p, env = _random_tls(np.random.default_rng(1))
-    with pytest.raises(ValueError):
-        correlator_integral(p, env, 0, 0.0)
+@pytest.mark.parametrize("delta_m", [0.0, np.zeros(4), np.zeros((2, 3))], ids=["scalar", "1d", "2d"])
+def test_correlator_integral_carries_the_sign_axis_first(delta_m):
+    """Both signs come from one call: shape (2, 3) + delta_m.shape, and
+    the equal-time correlators likewise (2, 3), sign first."""
+    p, env = _random_tls(np.random.default_rng(6))
+    assert correlator_integral(p, env, delta_m).shape == (2, 3) + np.shape(delta_m)
+    assert same_time_correlators(bloch_steady_state(p, env)).shape == (2, 3)
+
+
+@pytest.mark.parametrize("species", [1, 2])
+def test_psd_table_takes_one_resolvent_call_per_tls_group(monkeypatch, species):
+    """One Bloch evaluation serves both exponent signs: a bath of one or
+    two TLS species costs one resolvent call per species, however many
+    TLS of each there are, and a single psd entry costs one call."""
+    p1 = TlsParams(1.0, 1e-4, 0.0, 5e-5 + 2e-5j, 1e-5, (1e-8 + 3e-9j, 2e-8j))
+    p2 = TlsParams(1.0, 2e-4, 1e-5, 8e-5, -2e-5, (3e-8, 1e-8 - 4e-9j))
+    tls = [p1, p2][:species] * 3
+    detunings = np.array([2e-5, -1e-5])
+    calls, original = [], bath.correlator_integral
+    monkeypatch.setattr(bath, "correlator_integral", lambda *a: calls.append(a) or original(*a))
+    build_psd_table(tls, ENV0, detunings)
+    assert len(calls) == species
+    calls.clear()
+    psd(tls, ENV0, detunings, +1, -1, 0, 1)
+    assert len(calls) == species
 
 
 def _log(lo, hi):
@@ -282,7 +305,7 @@ def _integral_by_mpmath(p, env, beta, delta_m):
     about eps times it, and it is large only on a Mollow sideband or at
     the TLS resonance under a drive far above the linewidth."""
     a = bloch_matrix(p, env)
-    c = same_time_correlators(bloch_steady_state(p, env), beta)
+    c = same_time_correlators(bloch_steady_state(p, env))[SIGNS.index(beta)]
     with mpmath.workdps(50):
         shifted = mpmath.matrix([[mpmath.mpc(z.real, z.imag) for z in row] for row in a])
         for k in range(3):
@@ -311,7 +334,7 @@ def test_correlator_integral_matches_50_digit_solve(case, beta):
     plus 8 eps times the condition number where the inputs themselves
     allow no better (up to about 3e-9 at |Omega_B| / kappa1 = 1e7)."""
     p, env, delta_m = case
-    got = correlator_integral(p, env, beta, delta_m)[:2]
+    got = correlator_integral(p, env, delta_m)[SIGNS.index(beta), :2]
     want, cond = _integral_by_mpmath(p, env, beta, delta_m)
     rtol = 1e-11 + 8 * np.finfo(float).eps * cond
     assert np.max(np.abs(got - want[:2])) <= rtol * np.max(np.abs(want[:2]))
@@ -326,10 +349,10 @@ def test_correlator_integral_matches_50_digit_solve(case, beta):
 def test_correlator_integral_broadcasts_over_detunings(case, beta, more):
     p, env, delta_m = case
     grid = np.array([delta_m] + more)
-    columns = correlator_integral(p, env, beta, grid)
+    columns = correlator_integral(p, env, grid)[SIGNS.index(beta)]
     assert columns.shape == (3, len(grid))
     for k, d in enumerate(grid):
-        assert np.array_equal(columns[:, k], correlator_integral(p, env, beta, d))
+        assert np.array_equal(columns[:, k], correlator_integral(p, env, d)[SIGNS.index(beta)])
 
 
 def test_correlator_integral_finite_at_extreme_detuning():
@@ -338,9 +361,9 @@ def test_correlator_integral_finite_at_extreme_detuning():
     p, env = _random_tls(np.random.default_rng(5), with_temp=True)
     grid = np.array([1e300, -1e300])
     for beta in (+1, -1):
-        x = correlator_integral(p, env, beta, grid)
+        x = correlator_integral(p, env, grid)[SIGNS.index(beta)]
         assert np.isfinite(x).all()
-        c = same_time_correlators(bloch_steady_state(p, env), beta)
+        c = same_time_correlators(bloch_steady_state(p, env))[SIGNS.index(beta)]
         assert np.allclose(x * (beta * 1j * grid), -c[:, None], rtol=1e-12, atol=0.0)
 
 
@@ -376,7 +399,7 @@ def test_psd_table_matches_single_entries():
                     for p, weight in zip((p1, p2), counts):
                         g_n = p.couplings[n] if alpha == +1 else np.conj(p.couplings[n])
                         g_m = p.couplings[m] if beta == +1 else np.conj(p.couplings[m])
-                        integ = correlator_integral(p, env, beta, detunings[m])
+                        integ = correlator_integral(p, env, detunings[m])[b]
                         direct += weight * g_n * g_m * integ[a]
                     assert table[a, b, m, n] == pytest.approx(direct, rel=1e-12, abs=1e-30)
                     single = psd([p1, p2], env, detunings, alpha, beta, m, n, counts=counts)

@@ -8,7 +8,7 @@ import subprocess
 import sys
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import tlsbath.cli as cli
@@ -57,6 +57,17 @@ def test_rates_json_to_stdout(capsys):
     doc = json.loads(out)
     assert doc["scenario"] == "rates"
     assert len(doc["rows"]) == 1
+
+
+def test_rates_csv_to_stdout(capsys):
+    """An explicit --format csv writes the one-row CSV table, not the
+    `name = value` report that a run without --format prints."""
+    code, out, _ = _run(capsys, "rates", "--format", "csv", "--set", "bath.Omega_B=1e-4")
+    assert code == 0
+    lines = [line for line in out.splitlines() if not line.startswith("#")]
+    assert len(lines) == 2 and lines[0].startswith("kappa_t,saturation,")
+    row = dict(zip(lines[0].split(","), lines[1].split(",")))
+    assert float(row["saturation"]) == pytest.approx(2.0, rel=1e-12)
 
 
 def test_sweep_csv_file_output(tmp_path, capsys):
@@ -316,6 +327,16 @@ def test_rates_overflow_is_numerical_failure(capsys, override, quantity):
     assert out == "" and "Traceback" not in err
 
 
+def test_overflowing_dipole_drive_prints_one_line(capsys):
+    """G = N = 1e200 overflows the stationary dipole drive as well as the
+    table; the drive is evaluated without floating-point warnings, so the
+    finiteness check reports alone."""
+    code, out, err = _run(capsys, "rates", "--set", "bath.G=1e200", "--set", "bath.N=1e200")
+    assert code == cli.EXIT_NUMERICAL
+    assert err == "numerical failure: spectral-density table is not finite\n"
+    assert out == ""
+
+
 @pytest.mark.parametrize(
     "override", ["bath.kappa_2=1e160", "environment.temperature=1e160", "bath.kappa_1=1e-300"]
 )
@@ -379,6 +400,25 @@ def test_extreme_single_override_exits_cleanly(key, exponent, sign):
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = cli.main(argv + ["--set", f"{key}={value!r}"])
+        _assert_clean_exit(code, out.getvalue(), err.getvalue())
+
+
+@settings(max_examples=100)
+@given(
+    keys=st.lists(st.sampled_from(_EXTREME_KEYS), min_size=2, max_size=2, unique=True),
+    exponents=st.tuples(st.floats(-300.0, 300.0), st.floats(-300.0, 300.0)),
+    signs=st.tuples(st.sampled_from((1.0, -1.0)), st.sampled_from((1.0, -1.0))),
+)
+@example(keys=["bath.G", "bath.N"], exponents=(200.0, 200.0), signs=(1.0, 1.0))
+def test_extreme_override_pairs_exit_cleanly(keys, exponents, signs):
+    """Two extreme --set keys at once keep the contract of one."""
+    sets = []
+    for key, exponent, sign in zip(keys, exponents, signs):
+        sets += ["--set", f"{key}={sign * 10.0**exponent!r}"]
+    for argv in _EXTREME_RUNS:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(argv + sets)
         _assert_clean_exit(code, out.getvalue(), err.getvalue())
 
 

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tlsbath.bath import (
+    SIGNS,
     BathEnvironment,
     TlsParams,
     bloch_steady_state,
@@ -254,7 +255,7 @@ def test_bloch_correlator_matches_resolvent():
     row = {+1: 0, -1: 1}
     for beta in (+1, -1):
         for delta_m in (-2e-5, 4e-5):
-            ref = correlator_integral(p, env, beta, delta_m)
+            ref = correlator_integral(p, env, delta_m)[SIGNS.index(beta)]
             for alpha in (+1, -1):
                 got = bloch_correlator_numeric(p, env, alpha, beta, delta_m)
                 want = ref[row[alpha]]
@@ -270,7 +271,7 @@ def test_bloch_correlator_at_mollow_exceptional_point(delta_m):
     p = _tls(KAPPA_1 / 4, 0.0)
     row = {+1: 0, -1: 1}
     for beta in (+1, -1):
-        ref = correlator_integral(p, ENV0, beta, delta_m)
+        ref = correlator_integral(p, ENV0, delta_m)[SIGNS.index(beta)]
         for alpha in (+1, -1):
             got = bloch_correlator_numeric(p, ENV0, alpha, beta, delta_m)
             assert got == pytest.approx(complex(ref[row[alpha]]), rel=1e-10)
