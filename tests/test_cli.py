@@ -488,3 +488,20 @@ def test_console_script_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout.strip().startswith("tlsbath ")
+
+
+def test_import_leaves_optimize_and_integrate_unloaded():
+    """Only criterion 5 uses scipy.optimize, and it imports it itself."""
+    proc = subprocess.run(
+        [
+            sys.executable,
+            "-c",
+            "import sys, tlsbath; print(sorted(m for m in sys.modules"
+            " if m.startswith(('scipy.optimize', 'scipy.integrate'))))",
+        ],
+        capture_output=True,
+        text=True,
+        check=False,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

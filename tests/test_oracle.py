@@ -5,12 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import tlsbath.oracle as oracle
 from tlsbath.bath import (
     SIGNS,
     BathEnvironment,
     TlsParams,
     bloch_steady_state,
     correlator_integral,
+    transverse_rate,
 )
 from tlsbath.config import resolve
 from tlsbath.dynamics import build_moment_system, coherence_g1, steady_state
@@ -117,6 +119,22 @@ def test_steady_state_full_is_stationary_and_physical():
     assert np.linalg.eigvalsh(rho).min() > -1e-10
     flow = np.abs(liou @ rho.reshape(-1)).max()
     assert flow < 1e-12 * np.abs(liou).max()
+
+
+@pytest.mark.parametrize(
+    "raw",
+    [
+        [[0.5, 0.1], [0.3, 0.5]],  # unit trace, not Hermitian
+        [[0.6, 0.0], [0.0, 0.6]],  # Hermitian, trace 1.2
+    ],
+    ids=["non-hermitian", "non-unit-trace"],
+)
+def test_steady_state_full_checks_the_raw_kernel_vector(monkeypatch, raw):
+    """Hermitizing or renormalizing first would hide both defects."""
+    vec = np.array(raw, dtype=complex).reshape(-1)
+    monkeypatch.setattr(oracle, "trace_null_vector", lambda liou: vec)
+    with pytest.raises(ArithmeticError):
+        steady_state_full(np.zeros((4, 4), dtype=complex))
 
 
 def _complex(scale):
@@ -266,8 +284,9 @@ def test_bloch_correlator_matches_resolvent():
 def test_bloch_correlator_at_mollow_exceptional_point(delta_m):
     """At |Omega_B| = kappa1 / 4, resonant, T = 0 and kappa2 = 0 two
     eigenvalues of the TLS Liouvillian coalesce, so a recipe that
-    diagonalizes it loses digits there (cond(V) ~ 1e8).  The propagated
-    quadrature must still meet the closed-form resolvent."""
+    diagonalizes it loses digits there (cond(V) ~ 1e8).  The augmented
+    matrix exponential inverts no eigenvector matrix and must still meet
+    the closed-form resolvent."""
     p = _tls(KAPPA_1 / 4, 0.0)
     row = {+1: 0, -1: 1}
     for beta in (+1, -1):
@@ -275,6 +294,57 @@ def test_bloch_correlator_at_mollow_exceptional_point(delta_m):
         for alpha in (+1, -1):
             got = bloch_correlator_numeric(p, ENV0, alpha, beta, delta_m)
             assert got == pytest.approx(complex(ref[row[alpha]]), rel=1e-10)
+
+
+def test_bloch_correlator_when_inversion_decays_slowest():
+    """With kappa2 >> kappa1 the inversion, at rate kappa1, outlives the
+    coherences, at kappa_t ~ 2 kappa2: a horizon of 40 / kappa_t would
+    leave exp(-2) of the longitudinal tail."""
+    p = TlsParams(1.0, 1e-5, 1e-4, 3e-5 * np.exp(0.7j), 2e-5, (1e-8,))
+    row = {+1: 0, -1: 1}
+    for beta in (+1, -1):
+        for delta_m in (0.0, 1e-5):
+            ref = correlator_integral(p, ENV0, delta_m)[SIGNS.index(beta)]
+            for alpha in (+1, -1):
+                got = bloch_correlator_numeric(p, ENV0, alpha, beta, delta_m)
+                assert got == pytest.approx(complex(ref[row[alpha]]), rel=1e-10)
+
+
+@st.composite
+def _criterion_11_points(draw):
+    """TLS and detuning drawn as acceptance criterion 11 draws them."""
+    kappa1 = 10.0 ** draw(st.floats(-5.0, -3.0))
+    p = TlsParams(
+        1.0,
+        kappa1,
+        draw(st.sampled_from([0.0, 10.0 ** draw(st.floats(-6.0, -4.0))])),
+        10.0 ** draw(st.floats(-5.0, -3.0)) * np.exp(1j * draw(st.floats(0.0, 6.3))),
+        draw(st.floats(-3.0, 3.0)) * kappa1,
+        (1e-8,),
+    )
+    env = BathEnvironment(
+        temperature=draw(st.sampled_from([0.0, 10.0 ** draw(st.floats(-2.0, -0.5))]))
+    )
+    return p, env, draw(st.floats(-5.0, 5.0)) * transverse_rate(p, env)
+
+
+@settings(max_examples=100)
+@given(point=_criterion_11_points())
+def test_bloch_correlator_matches_resolvent_property(point):
+    p, env, delta_m = point
+    ref = correlator_integral(p, env, delta_m)
+    for b, beta in enumerate(SIGNS):
+        want = ref[b, :2]
+        got = [bloch_correlator_numeric(p, env, alpha, beta, delta_m) for alpha in SIGNS]
+        assert np.abs(got - want).max() <= 1e-9 * np.abs(want).max()
+
+
+def test_bloch_correlator_rejects_bad_sign():
+    p = _tls(1e-5, 0.0)
+    with pytest.raises(ValueError):
+        bloch_correlator_numeric(p, ENV0, 0, +1, 0.0)
+    with pytest.raises(ValueError):
+        bloch_correlator_numeric(p, ENV0, +1, 2, 0.0)
 
 
 def test_coherence_matches_effective_theory():
