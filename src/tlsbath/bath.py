@@ -93,7 +93,10 @@ class TlsParams:
 
 @dataclass(frozen=True)
 class BathEnvironment:
-    """Shared thermal environment of the TLS and the modes."""
+    """Thermal environment of the TLS, which sets their thermal occupation.
+
+    The modes' own baths are at zero temperature.
+    """
 
     temperature: float = 0.0
 

@@ -138,11 +138,11 @@ def _cmd_validate(args) -> int:
     report = validate_all(cfg)
     for line in report.lines():
         print(line)
-    if args.out:
+    # the table goes only to a file, never after the report on stdout
+    if args.out or cfg.out_path:
         columns, rows = report_rows(report)
         result = SweepResult("validate-all", columns, rows, tuple(resolved_items(cfg)))
-        write_result(result, args.out, args.format or cfg.out_format)
-        print(f"wrote {args.out}")
+        _emit(result, cfg, args)
     if report.all_passed:
         print("all criteria passed")
         return EXIT_OK

@@ -166,8 +166,11 @@ class SweepAxis:
 class ScenarioConfig:
     """Fully resolved parameter set for any scenario run.
 
-    Detunings are relative to the drive frame: Delta_B = omega_B -
-    omega_d and Delta_0 = omega_0 - omega_d, with omega_B = 1.
+    Everything is in the frame rotating at the drive frequency omega_d:
+    Delta_B = omega_B - omega_d and Delta_0 = omega_0 - omega_d, with
+    omega_B = 1.  The mode and the rates see only these detunings; the
+    absolute frequencies enter only the input checks that both are
+    positive.
     """
 
     Delta_0: float
@@ -189,14 +192,6 @@ class ScenarioConfig:
     oracle_gamma_0: float
     oracle_ratios: tuple
 
-    @property
-    def omega_d(self) -> float:
-        return 1.0 - self.Delta_B
-
-    @property
-    def omega_0(self) -> float:
-        return self.omega_d + self.Delta_0
-
     def tls_params(self) -> TlsParams:
         return TlsParams(
             omega_B=1.0,
@@ -208,7 +203,15 @@ class ScenarioConfig:
         )
 
     def mode_params(self) -> ModeParams:
-        return ModeParams(omega=self.omega_0, gamma0=self.gamma_0, Omega=self.Omega_0)
+        # resolve checks the configured frame; a swept Delta_B or Delta_0
+        # reaches the physics through replace, so every point is checked here
+        if 1.0 - self.Delta_B + self.Delta_0 <= 0:
+            raise ValueError("mode frequency must be positive")
+        if 1.0 - self.Delta_B <= 0:
+            raise ValueError("drive frequency must be positive")
+        return ModeParams(
+            detuning=self.Delta_0, gamma0=self.gamma_0, Omega=self.Omega_0
+        )
 
     def environment(self) -> BathEnvironment:
         return BathEnvironment(temperature=self.temperature)

@@ -99,20 +99,20 @@ class CoherenceSeries:
     asymptote: complex
 
 
-def build_moment_system(
-    rates: SingleModeRates, gamma0: float, delta_0: float
-) -> MomentSystem:
+def build_moment_system(rates: SingleModeRates, gamma0: float) -> MomentSystem:
     """Moment system of one mode under the TLS-induced rates.
 
-    ``delta_0`` is the bare mode detuning from the drive; the TLS-induced
-    frequency shift is added on top.  The intrinsic mode bath enters only
-    through its linewidth (zero-temperature form; the TLS-side thermal
-    physics is already inside the rates).
+    The mode's detuning from the drive, ``rates.detuning``, plus the
+    TLS-induced frequency shift is the total detuning ``delta'``.  The
+    intrinsic mode bath enters only through its linewidth (zero-temperature
+    form; the TLS-side thermal physics is already inside the rates).
     """
     if gamma0 < 0:
         raise ValueError("gamma0 must be nonnegative")
     return MomentSystem(
-        rates=rates, gamma0=float(gamma0), delta_prime=float(delta_0 + rates.delta)
+        rates=rates,
+        gamma0=float(gamma0),
+        delta_prime=float(rates.detuning + rates.delta),
     )
 
 

@@ -14,6 +14,7 @@ kron(A, B.T) @ vec(rho)``.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import warnings
 from dataclasses import dataclass
@@ -61,7 +62,6 @@ class HilbertSpec:
     mode: ModeParams
     tls: tuple[TlsParams, ...]
     env: BathEnvironment
-    omega_d: float
     dim_cap: int = DEFAULT_DIM_CAP
 
     def __post_init__(self):
@@ -69,8 +69,6 @@ class HilbertSpec:
             raise ValueError("need at least two Fock levels")
         if not 1 <= len(self.tls) <= 3:
             raise ValueError("oracle supports 1 to 3 TLS")
-        if self.omega_d <= 0:
-            raise ValueError("drive frequency must be positive")
         if self.dim > self.dim_cap:
             raise DimensionCapError(
                 f"total dimension {self.dim} exceeds cap {self.dim_cap}"
@@ -160,20 +158,18 @@ def build_liouvillian(spec: HilbertSpec) -> scipy.sparse.csr_array:
     """Sparse rotating-frame Liouvillian of the coupled system.
 
     Hamiltonian: detuned mode with direct drive, detuned driven TLS,
-    excitation-conserving mode-TLS exchange.  Dissipators: thermal decay
-    of the mode at its own frequency, thermal TLS relaxation plus pure
-    dephasing.  The returned matrix acts on row-major vectorized density
-    matrices and annihilates the trace functional from the left.
+    excitation-conserving mode-TLS exchange.  Dissipators: zero-temperature
+    decay of the mode, which the effective theory assumes too (only its
+    detuning from the drive is known, not its absolute frequency), and
+    thermal TLS relaxation plus pure dephasing.  The returned matrix acts
+    on row-major vectorized density matrices and annihilates the trace
+    functional from the left.
     """
     s = _mode(spec)
     sd = s.conj().T
-    delta0 = spec.mode.omega - spec.omega_d
     om0 = complex(spec.mode.Omega)
-    h = delta0 * (sd @ s) + om0 * s + np.conj(om0) * sd
-    nbar0 = bose_occupation(spec.mode.omega, spec.env.temperature)
-    jumps = [(spec.mode.gamma0 * (1.0 + nbar0), s, sd)]
-    if nbar0 > 0:
-        jumps.append((spec.mode.gamma0 * nbar0, sd, s))
+    h = spec.mode.detuning * (sd @ s) + om0 * s + np.conj(om0) * sd
+    jumps = [(spec.mode.gamma0, s, sd)]
     for i, p in enumerate(spec.tls):
         sp, sm, sz = (tls_operator(spec, i, op) for op in (_SP, _SM, _SZ))
         h_tls, jumps_tls = _tls_terms(p, spec.env, sp, sm, sz)
@@ -256,36 +252,31 @@ def steady_state_autogrow(
     mode: ModeParams,
     tls: tuple[TlsParams, ...],
     env: BathEnvironment,
-    omega_d: float,
     fock_start: int = 8,
     dim_cap: int = DEFAULT_DIM_CAP,
 ) -> tuple[np.ndarray, HilbertSpec]:
     """Steady state with the Fock truncation grown until it is clean.
 
     Doubles the Fock dimension until the top-level leak is below
-    tolerance; raises :class:`DimensionCapError` when even the cap cannot
-    accommodate a clean truncation.
+    tolerance.  Raises :class:`DimensionCapError` when the starting size
+    exceeds the cap (from :class:`HilbertSpec`), or when a measured leak
+    calls for a doubling that the cap forbids.
     """
-    fock = fock_start
+    spec = HilbertSpec(
+        fock_dim=fock_start, mode=mode, tls=tuple(tls), env=env, dim_cap=dim_cap
+    )
     while True:
-        if fock * 2 ** len(tls) > dim_cap:
-            raise DimensionCapError(
-                f"leak tolerance needs fock_dim > {fock // 2}, but "
-                f"dimension cap {dim_cap} forbids it"
-            )
-        spec = HilbertSpec(
-            fock_dim=fock,
-            mode=mode,
-            tls=tuple(tls),
-            env=env,
-            omega_d=omega_d,
-            dim_cap=dim_cap,
-        )
         rho = steady_state_full(build_liouvillian(spec))
         leak = _fock_populations(rho, spec)[-2:].sum()
         if leak < LEAK_TOL:
             return rho, spec
-        fock *= 2
+        if 2 * spec.dim > dim_cap:
+            raise DimensionCapError(
+                f"top Fock levels hold population {leak:.2e} at fock_dim "
+                f"{spec.fock_dim}, above the leak tolerance {LEAK_TOL:g}, but "
+                f"doubling it exceeds dimension cap {dim_cap}"
+            )
+        spec = dataclasses.replace(spec, fock_dim=2 * spec.fock_dim)
 
 
 def _sigma_ops_centered(

@@ -7,7 +7,9 @@ pair-creation (squeezing) amplitude, upward/downward incoherent rates, and
 a dissipative pair amplitude.  This module assembles those rates for an
 arbitrary set of modes, specializes them to one mode, and provides the
 closed-form limiting expressions that serve as independent cross-checks
-(they never call the assembly pipeline).
+(they never call the assembly pipeline).  Everything is written in the
+frame rotating at the TLS drive, so a mode enters only through its
+detuning from that drive.
 """
 
 from __future__ import annotations
@@ -52,15 +54,14 @@ class HermiticityError(ArithmeticError):
 
 @dataclass(frozen=True)
 class ModeParams:
-    """One bosonic mode: frequency, intrinsic linewidth, direct drive."""
+    """One bosonic mode: detuning from the drive, intrinsic linewidth,
+    direct drive."""
 
-    omega: float
+    detuning: float
     gamma0: float
     Omega: complex = 0.0
 
     def __post_init__(self):
-        if self.omega <= 0:
-            raise ValueError("mode frequency must be positive")
         if self.gamma0 < 0:
             raise ValueError("intrinsic mode linewidth must be nonnegative")
         object.__setattr__(self, "Omega", complex(self.Omega))
@@ -72,8 +73,8 @@ class MasterEqRates:
 
     Matrix entries are indexed ``[m, n]`` over modes; ``delta`` and the
     incoherent rate matrices are Hermitian, ``Omega_prime`` holds the
-    TLS-corrected coherent drives, ``detunings`` the mode detunings from
-    the drive frequency.
+    TLS-corrected coherent drives, ``detunings`` the modes' own detunings
+    from the drive.
     """
 
     detunings: tuple
@@ -130,7 +131,6 @@ def assemble_rates(
     modes,
     tls_list,
     env: BathEnvironment,
-    omega_d: float,
     counts=None,
 ) -> MasterEqRates:
     """Assemble all second-order rates from the bath spectral densities.
@@ -141,10 +141,8 @@ def assemble_rates(
     enforced: a violation raises :class:`HermiticityError`.  A table or
     drive that overflowed raises :class:`OverflowError`.
     """
-    if omega_d <= 0:
-        raise ValueError("drive frequency must be positive")
     modes = list(modes)
-    detunings = tuple(m.omega - omega_d for m in modes)
+    detunings = tuple(m.detuning for m in modes)
     table = build_psd_table(tls_list, env, detunings, counts=counts)
     omega_prime = effective_driving(modes, tls_list, env, counts=counts)
     for name, value in (("spectral-density table", table), ("effective drive", omega_prime)):
@@ -187,7 +185,6 @@ def single_mode_rates(
     mode: ModeParams,
     tls_list,
     env: BathEnvironment,
-    omega_d: float,
     counts=None,
 ) -> SingleModeRates:
     """Scalar rate set for a single mode.
@@ -197,7 +194,7 @@ def single_mode_rates(
     The incoherent rates must come out nonnegative (they are diagonal
     dissipator weights).
     """
-    rates = assemble_rates([mode], tls_list, env, omega_d, counts=counts)
+    rates = assemble_rates([mode], tls_list, env, counts=counts)
     gp = _real_part(complex(rates.gamma_plus[0, 0]), "upward rate")
     gm = _real_part(complex(rates.gamma_minus[0, 0]), "downward rate")
     tol = 1e-12 * max(abs(gp), abs(gm), 1e-30)

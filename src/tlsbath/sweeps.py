@@ -95,7 +95,6 @@ def rates_at(cfg: ScenarioConfig):
         cfg.mode_params(),
         [cfg.tls_params()],
         cfg.environment(),
-        cfg.omega_d,
         counts=[cfg.n_tls],
     )
 
@@ -104,8 +103,8 @@ def _split(z: complex) -> tuple:
     return (z.real, z.imag, abs(z))
 
 
-def _steady_state_cols(r, gamma_0: float, delta_0: float) -> tuple:
-    ms = build_moment_system(r, gamma_0, delta_0)
+def _steady_state_cols(r, gamma_0: float) -> tuple:
+    ms = build_moment_system(r, gamma_0)
     try:
         rep = steady_state(ms)
     except UnstableSystemError:
@@ -122,37 +121,37 @@ def _steady_state_cols(r, gamma_0: float, delta_0: float) -> tuple:
     )
 
 
-def _squeezing_cols(r, gamma_0: float, delta_0: float) -> tuple:
-    ms = build_moment_system(r, gamma_0, delta_0)
+def _squeezing_cols(r, gamma_0: float) -> tuple:
+    ms = build_moment_system(r, gamma_0)
     try:
         rep = steady_state(ms)
     except UnstableSystemError:
         return (UNSTABLE,) * 5 + (0,)
     # pair pumping switched off: stable too, as gamma > 0 and Re sigma = 0 without g
-    ms0 = build_moment_system(dataclasses.replace(r, g=0j), gamma_0, delta_0)
+    ms0 = build_moment_system(dataclasses.replace(r, g=0j), gamma_0)
     xi0 = steady_state(ms0).xi
     return (rep.xi, xi0, rep.var_x, rep.var_p, rep.det_sigma, int(rep.squeezed))
 
 
-def _stability_cols(r, gamma_0: float, delta_0: float) -> tuple:
-    rep = stability(build_moment_system(r, gamma_0, delta_0))
+def _stability_cols(r, gamma_0: float) -> tuple:
+    rep = stability(build_moment_system(r, gamma_0))
     return (int(rep.stable), int(rep.criterion), rep.max_real_part)
 
 
 # Grid scenarios: their columns after the swept values, and how a row
-# reads them off the point's rates, mode decay rate and mode detuning.
+# reads them off the point's rates and mode decay rate.
 _GRID_SCENARIOS = {
     "driving": (
         ("Omega_prime_re", "Omega_prime_im", "Omega_prime_abs"),
-        lambda r, *_: _split(r.Omega_prime),
+        lambda r, _: _split(r.Omega_prime),
     ),
-    "gamma-rate": (("Gamma_re", "Gamma_im", "Gamma_abs"), lambda r, *_: _split(r.Gamma)),
-    "squeeze-rate": (("g_re", "g_im", "g_abs"), lambda r, *_: _split(r.g)),
+    "gamma-rate": (("Gamma_re", "Gamma_im", "Gamma_abs"), lambda r, _: _split(r.Gamma)),
+    "squeeze-rate": (("g_re", "g_im", "g_abs"), lambda r, _: _split(r.g)),
     "decay-rate": (
         ("gamma", "gamma_plus", "gamma_minus"),
-        lambda r, *_: (r.gamma, r.gamma_plus, r.gamma_minus),
+        lambda r, _: (r.gamma, r.gamma_plus, r.gamma_minus),
     ),
-    "freq-shift": (("delta",), lambda r, *_: (r.delta,)),
+    "freq-shift": (("delta",), lambda r, _: (r.delta,)),
     "steady-state": (
         (
             "occupation",
@@ -176,7 +175,7 @@ _GRID_SCENARIOS = {
 
 def _grid_rows(cfg: ScenarioConfig, axes, read) -> list:
     """One row per point of the product grid of ``axes``: the swept values,
-    then ``read(rates, gamma_0, Delta_0)`` at that point.
+    then ``read(rates, gamma_0)`` at that point.
 
     gamma_0 enters only the moment system, so the rates are keyed by the
     other swept values and assembled once per key.
@@ -191,8 +190,7 @@ def _grid_rows(cfg: ScenarioConfig, axes, read) -> list:
             point = {var: complex(v) if var == "Omega_B" else float(v) for var, v in at.items()}
             rates[key] = rates_at(cfg.replace(**point))
         gamma_0 = float(at.get("gamma_0", cfg.gamma_0))
-        delta_0 = float(at.get("Delta_0", cfg.Delta_0))
-        rows.append(_normalize_row(values + read(rates[key], gamma_0, delta_0)))
+        rows.append(_normalize_row(values + read(rates[key], gamma_0)))
     return rows
 
 
@@ -259,7 +257,7 @@ def run_scenario(name: str, cfg: ScenarioConfig) -> SweepResult:
 
 def _coherence_rows(cfg: ScenarioConfig) -> list:
     rates = rates_at(cfg)
-    ms = build_moment_system(rates, cfg.gamma_0, cfg.Delta_0)
+    ms = build_moment_system(rates, cfg.gamma_0)
     try:
         rep = steady_state(ms)
     except UnstableSystemError:
@@ -281,15 +279,13 @@ def oracle_point(cfg: ScenarioConfig, ratio: float) -> tuple:
     tls = dataclasses.replace(tls, couplings=(coupling,))
     mode = dataclasses.replace(cfg.mode_params(), gamma0=cfg.oracle_gamma_0)
 
-    rates = single_mode_rates(mode, [tls], env, cfg.omega_d, counts=[n])
-    ms = build_moment_system(rates, mode.gamma0, cfg.Delta_0)
-    rep = steady_state(ms)
+    rates = single_mode_rates(mode, [tls], env, counts=[n])
+    rep = steady_state(build_moment_system(rates, mode.gamma0))
 
     rho, spec = steady_state_autogrow(
         mode,
         (tls,) * n,
         env,
-        cfg.omega_d,
         fock_start=cfg.oracle_fock_start,
         dim_cap=cfg.oracle_dim_cap,
     )

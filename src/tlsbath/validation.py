@@ -27,14 +27,13 @@ from .dynamics import (
 )
 from .linalg import eigenvalues
 from .oracle import DimensionCapError, bloch_correlator_numeric
-from .rates import ModeParams, mollow_sideband, optimal_detuning, single_mode_rates
-from .sweeps import oracle_point
+from .rates import mollow_sideband, optimal_detuning
+from .sweeps import oracle_point, rates_at
 
 N_TLS = 1e5
 COUPLING = 1e-8
 KAPPA_1 = 1e-4
 GAMMA_0 = 1e-7
-ENV = BathEnvironment(temperature=0.0)
 KAPPA_T = 0.5 * KAPPA_1  # zero-temperature, no dephasing
 
 
@@ -73,31 +72,17 @@ class ValidationReport:
         return [r.line() for r in self.results]
 
 
-def _tls(Omega_B, Delta_B=0.0, kappa1=KAPPA_1, kappa2=0.0, G=COUPLING) -> TlsParams:
-    return TlsParams(
-        omega_B=1.0,
-        kappa1=kappa1,
-        kappa2=kappa2,
-        Omega_B=Omega_B,
-        Delta_B=Delta_B,
-        couplings=(G,),
-    )
-
-
-def _pipeline(
-    Omega_B,
-    Delta_0=0.0,
-    Delta_B=0.0,
-    gamma0=GAMMA_0,
-    Omega_0=0j,
+# The pinned operating point.  The criteria move away from it with
+# ``BASELINE.replace(...)`` and take its rates from ``rates_at``, the
+# CLI's own path.
+BASELINE = resolve({}).replace(
     n_tls=N_TLS,
-    env=ENV,
-    **tls_kw,
-):
-    omega_d = 1.0 - Delta_B
-    mode = ModeParams(omega=omega_d + Delta_0, gamma0=gamma0, Omega=Omega_0)
-    tls = _tls(Omega_B, Delta_B=Delta_B, **tls_kw)
-    return single_mode_rates(mode, [tls], env, omega_d, counts=[n_tls])
+    G=complex(COUPLING),
+    kappa_1=KAPPA_1,
+    kappa_2=0.0,
+    gamma_0=GAMMA_0,
+    temperature=0.0,
+)
 
 
 def _drive_for_saturation(s: float) -> float:
@@ -125,7 +110,7 @@ def criterion_01_zero_drive() -> CriterionResult:
     t0 = time.perf_counter()
     worst = 0.0
     for delta_0 in (0.0, 1e-3, -2.5e-2):
-        r = _pipeline(0j, Delta_0=delta_0, Omega_0=1e-6 + 0j)
+        r = rates_at(BASELINE.replace(Omega_B=0j, Delta_0=delta_0, Omega_0=1e-6 + 0j))
         worst = max(worst, abs(r.g), abs(r.Gamma), abs(r.Omega_prime - 1e-6))
     return _verdict(
         1,
@@ -141,7 +126,7 @@ def criterion_01_zero_drive() -> CriterionResult:
 def criterion_02_low_drive_decay() -> CriterionResult:
     t0 = time.perf_counter()
     target = 2.0 * N_TLS * COUPLING**2 / KAPPA_T  # 4e-7
-    r = _pipeline(_drive_for_saturation(1e-6))
+    r = rates_at(BASELINE.replace(Omega_B=_drive_for_saturation(1e-6)))
     rel = abs(r.gamma - target) / target
     return _verdict(
         2,
@@ -156,7 +141,7 @@ def criterion_02_low_drive_decay() -> CriterionResult:
 
 def criterion_03_saturation() -> CriterionResult:
     t0 = time.perf_counter()
-    r = _pipeline(_drive_for_saturation(1e6))
+    r = rates_at(BASELINE.replace(Omega_B=_drive_for_saturation(1e6)))
     target = N_TLS * COUPLING**2 / (2.0 * KAPPA_T)  # 1e-7
     rel = abs(r.Gamma - target) / target
     # reference scales of the weak-drive limits: gamma at resonance,
@@ -187,7 +172,7 @@ def criterion_04_closed_form() -> CriterionResult:
     for s in (1e-2, 1.0, 1e2):
         drive = _drive_for_saturation(s)
         for d0 in detunings:
-            r = _pipeline(drive, Delta_0=float(d0))
+            r = rates_at(BASELINE.replace(Omega_B=drive, Delta_0=float(d0)))
             g_ref, gam_ref = resonant_closed_form(N_TLS, COUPLING, KAPPA_1, s, float(d0))
             worst = max(
                 worst,
@@ -211,7 +196,8 @@ def criterion_05_driving_structure() -> CriterionResult:
     t0 = time.perf_counter()
 
     def neg_drive(s):
-        return -abs(_pipeline(_drive_for_saturation(s)).Omega_prime)
+        point = BASELINE.replace(Omega_B=_drive_for_saturation(s))
+        return -abs(rates_at(point).Omega_prime)
 
     res = scipy.optimize.minimize_scalar(
         neg_drive, bracket=(0.2, 0.8, 5.0), method="golden", options={"xtol": 1e-10}
@@ -225,8 +211,9 @@ def criterion_05_driving_structure() -> CriterionResult:
         pred = optimal_detuning(drive, KAPPA_T)
         grid = np.linspace(-4.0 * KAPPA_T, 4.0 * KAPPA_T, 1601)
         step = grid[1] - grid[0]
+        line = BASELINE.replace(Omega_B=drive)
         vals = np.array(
-            [abs(_pipeline(drive, Delta_B=float(db)).Omega_prime) for db in grid]
+            [abs(rates_at(line.replace(Delta_B=float(db))).Omega_prime) for db in grid]
         )
         interior = (vals[1:-1] > vals[:-2]) & (vals[1:-1] > vals[2:])
         peaks = grid[1:-1][interior]
@@ -256,8 +243,9 @@ def criterion_06_mollow_sidebands() -> CriterionResult:
         drive = mult * KAPPA_T
         pred = mollow_sideband(drive, KAPPA_T)
         grid = pred + np.linspace(-2.0, 2.0, 11) * KAPPA_T
+        line = BASELINE.replace(Omega_B=drive)
         vals = np.array(
-            [abs(_pipeline(drive, Delta_0=float(d0)).Gamma) for d0 in grid]
+            [abs(rates_at(line.replace(Delta_0=float(d0))).Gamma) for d0 in grid]
         )
         located = float(grid[np.argmax(vals)])
         dev = abs(located - pred)
@@ -277,7 +265,8 @@ def criterion_07_amplification_window() -> CriterionResult:
     t0 = time.perf_counter()
     drive = 10.0 * KAPPA_T
     grid = np.geomspace(1e-2 * KAPPA_T, 100.0 * drive, 1000)
-    gam = np.array([_pipeline(drive, Delta_0=float(d0)).gamma for d0 in grid])
+    line = BASELINE.replace(Omega_B=drive)
+    gam = np.array([rates_at(line.replace(Delta_0=float(d0))).gamma for d0 in grid])
     neg = gam < 0
     runs = int(np.sum(np.diff(neg.astype(int)) != 0))
     single_window = runs == 2 and not neg[0] and not neg[-1]
@@ -312,17 +301,19 @@ def criterion_08_stability_map() -> CriterionResult:
     unstable_low = 0
     unstable_high = 0
 
-    def verdict(r, g0, d0=0.0):
+    def verdict(r, g0):
         # closed-form verdict, checked against the numerical drift spectrum
         nonlocal eig_disagreements
-        ms = build_moment_system(r, g0, d0)
+        ms = build_moment_system(r, g0)
         rep = stability(ms)
         eig_disagreements += rep.stable != (eigenvalues(drift_matrix(ms)[0]).real.max() < 0)
         return rep
 
     # gamma_0 never enters the rates: assemble them once per drive and detuning
-    resonant = [_pipeline(complex(ob)) for ob in drives]
-    off_resonant = [_pipeline(complex(ob), Delta_0=1e-8) for ob in drives]
+    resonant = [rates_at(BASELINE.replace(Omega_B=complex(ob))) for ob in drives]
+    off_resonant = [
+        rates_at(BASELINE.replace(Omega_B=complex(ob), Delta_0=1e-8)) for ob in drives
+    ]
     for g0 in gammas:
         for r in resonant:
             rep = verdict(r, float(g0))
@@ -333,7 +324,7 @@ def criterion_08_stability_map() -> CriterionResult:
     for r in resonant:
         if not verdict(r, 3e-8).stable:
             unstable_low += 1
-    detuned = sum(verdict(r, 3e-8, 1e-8).stable for r in off_resonant)
+    detuned = sum(verdict(r, 3e-8).stable for r in off_resonant)
     ok = (
         disagreements == 0
         and eig_disagreements == 0
@@ -367,14 +358,14 @@ def criterion_09_squeezing() -> CriterionResult:
     xi_full = np.full(s_grid.size, np.nan)
     xi_nog = np.full(s_grid.size, np.nan)
     for k, s in enumerate(s_grid):
-        r = _pipeline(_drive_for_saturation(float(s)))
+        r = rates_at(BASELINE.replace(Omega_B=_drive_for_saturation(float(s))))
         try:
-            xi_full[k] = steady_state(build_moment_system(r, GAMMA_0, 0.0)).xi
+            xi_full[k] = steady_state(build_moment_system(r, GAMMA_0)).xi
         except UnstableSystemError:
             pass
         try:
             r0 = dataclasses.replace(r, g=0j)
-            xi_nog[k] = steady_state(build_moment_system(r0, GAMMA_0, 0.0)).xi
+            xi_nog[k] = steady_state(build_moment_system(r0, GAMMA_0)).xi
         except UnstableSystemError:
             pass
     near = (s_grid > 0.05) & (s_grid < 0.2)
@@ -489,26 +480,18 @@ def criterion_12_physicality() -> CriterionResult:
         attempts += 1
         kappa1 = 10.0 ** rng.uniform(-5.0, -3.0)
         s = 10.0 ** rng.uniform(-3.0, 3.0)
-        p_env = BathEnvironment(temperature=float(rng.choice([0.0, 0.05, 0.2])))
-        phase = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
-        kt_guess = transverse_rate(
-            TlsParams(1.0, kappa1, 0.0, 0j, 0.0, (COUPLING,)), p_env
+        point = BASELINE.replace(
+            kappa_1=kappa1, temperature=float(rng.choice([0.0, 0.05, 0.2]))
         )
+        phase = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
+        kt_guess = transverse_rate(point.tls_params(), point.environment())
         drive = np.sqrt(s * kappa1 * kt_guess) * phase
         delta_b = float(rng.uniform(-2.0, 2.0)) * kappa1
         delta_0 = float(rng.uniform(-10.0, 10.0)) * kappa1
         gamma0 = 10.0 ** rng.uniform(-9.0, -5.0)
         try:
-            r = _pipeline(
-                drive,
-                Delta_0=delta_0,
-                Delta_B=delta_b,
-                gamma0=gamma0,
-                env=p_env,
-                kappa1=kappa1,
-            )
-            ms = build_moment_system(r, gamma0, delta_0)
-            rep = steady_state(ms)
+            point = point.replace(Omega_B=drive, Delta_B=delta_b, Delta_0=delta_0)
+            rep = steady_state(build_moment_system(rates_at(point), gamma0))
         except UnstableSystemError:
             continue
         checked += 1

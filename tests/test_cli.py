@@ -370,7 +370,7 @@ def test_low_temperature_exits_zero(capsys, temperature):
 
 _EXTREME_KEYS = (
     "bath.G", "bath.Omega_B", "mode.Delta_0", "bath.kappa_1", "bath.kappa_2",
-    "environment.temperature", "bath.N", "mode.gamma_0", "mode.Omega_0",
+    "environment.temperature", "bath.N", "mode.gamma_0", "mode.Omega_0", "bath.Delta_B",
 )
 
 # Every scenario but oracle-validate, which an exact solve per draw would
@@ -439,6 +439,18 @@ def test_numerical_failure_exit_code(capsys):
     assert "numerical failure" in err
 
 
+def test_starting_size_over_dimension_cap_is_reported_as_such(capsys):
+    """Fock 8 with three TLS never fits a cap of 32, so no leak was
+    measured and none is claimed."""
+    code, _, err = _run(
+        capsys, "oracle-validate", "--set", "bath.N=3", "--set", "bath.Omega_B=7e-5",
+        "--set", "oracle.dim_cap=32",
+    )
+    assert code == cli.EXIT_NUMERICAL
+    assert "total dimension 64 exceeds cap 32" in err
+    assert "leak" not in err
+
+
 def test_validate_all_reports_failure_exit(monkeypatch, capsys):
     fail = CriterionResult(
         number=1,
@@ -477,6 +489,32 @@ def test_validate_all_success_path(monkeypatch, tmp_path, capsys):
     assert "all criteria passed" in text
     body = out.read_text(encoding="utf-8")
     assert "weak-drive-rates" in body
+
+
+def test_validate_all_honours_output_path(monkeypatch, tmp_path, capsys):
+    """`output.path` writes the table as `--out` does; without a path no
+    table follows the report on stdout."""
+    ok = CriterionResult(
+        number=2,
+        name="weak-drive-rates",
+        status="pass",
+        measured="max rel dev 1e-7",
+        tolerance="rel < 1e-4",
+        runtime=0.02,
+    )
+    monkeypatch.setattr(cli, "validate_all", lambda cfg=None: ValidationReport((ok,)))
+    out = tmp_path / "report.json"
+    code, text, _ = _run(
+        capsys, "validate-all", "--set", f"output.path={out}", "--set", "output.format=json"
+    )
+    assert code == 0
+    assert f"wrote {out}" in text
+    payload = json.loads(out.read_text(encoding="utf-8"))
+    assert payload["scenario"] == "validate-all"
+    assert payload["rows"][0][:3] == [2, "weak-drive-rates", "pass"]
+    code, text, _ = _run(capsys, "validate-all")
+    assert code == 0
+    assert "number,name,status" not in text and "wrote" not in text
 
 
 def test_console_script_entry_point():

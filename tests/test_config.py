@@ -29,13 +29,13 @@ def test_empty_config_resolves_to_baseline():
 
 
 def test_drive_frame_properties():
+    """Both detunings reach the physics unchanged: no absolute frequency
+    is rebuilt from them."""
     cfg = resolve({"bath": {"Delta_B": "2e-5"}, "mode": {"Delta_0": "-1e-5"}})
-    assert cfg.omega_d == 1.0 - 2e-5
-    assert cfg.omega_0 == cfg.omega_d - 1e-5
     p = cfg.tls_params()
     assert p.omega_B == 1.0 and p.Delta_B == 2e-5
-    m = cfg.mode_params()
-    assert m.omega == cfg.omega_0
+    assert cfg.mode_params().detuning == -1e-5
+    assert not hasattr(cfg, "omega_d") and not hasattr(cfg, "omega_0")
 
 
 def test_ini_parsing_and_case_insensitive_keys(tmp_path):
@@ -164,4 +164,4 @@ def test_replace_produces_new_validated_view():
     cfg2 = cfg.replace(Omega_B=1e-4 + 0j, Delta_B=1e-5)
     assert cfg2.Omega_B == 1e-4 + 0j
     assert cfg.Omega_B == 0j  # original untouched
-    assert cfg2.omega_d == 1.0 - 1e-5
+    assert cfg2.tls_params().Delta_B == 1e-5

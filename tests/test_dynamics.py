@@ -34,9 +34,9 @@ def _drive(s):
 
 
 def _rates(s=1.0, Delta_0=0.0, Omega_0=0j):
-    mode = ModeParams(omega=1.0 + Delta_0, gamma0=GAMMA_0, Omega=Omega_0)
+    mode = ModeParams(detuning=Delta_0, gamma0=GAMMA_0, Omega=Omega_0)
     tls = TlsParams(1.0, KAPPA_1, 0.0, _drive(s), 0.0, (G,))
-    return single_mode_rates(mode, [tls], ENV0, 1.0, counts=[N_TLS])
+    return single_mode_rates(mode, [tls], ENV0, counts=[N_TLS])
 
 
 def _bare_rates(delta_0=0.0):
@@ -88,7 +88,7 @@ def _stable_system(draw, ratio, margin):
     gamma0 = max(2.0 * re_sigma - r.gamma, 0.0) + draw(margin)
     bound = np.sqrt(r.gamma_plus * (r.gamma_minus + gamma0))
     gg = draw(st.floats(0.0, 1.0)) * bound * draw(_phase)
-    return build_moment_system(dataclasses.replace(r, Gamma=gg), gamma0, 0.0)
+    return build_moment_system(dataclasses.replace(r, Gamma=gg), gamma0)
 
 
 def _centred_by_mpmath(ms):
@@ -120,7 +120,7 @@ def test_bare_oscillator_spectrum():
     occupation at -gamma_0, amplitudes at +-i Delta - gamma_0/2, pairs
     at +-2i Delta - gamma_0."""
     d0 = 3e-5
-    ms = build_moment_system(_bare_rates(d0), GAMMA_0, d0)
+    ms = build_moment_system(_bare_rates(d0), GAMMA_0)
     got = np.sort_complex(eigenvalues(drift_matrix(ms)[0]))
     want = np.sort_complex(
         np.array(
@@ -138,14 +138,14 @@ def test_bare_oscillator_spectrum():
 
 def test_moment_system_gamma_total():
     r = _rates(s=0.5)
-    ms = build_moment_system(r, GAMMA_0, 0.0)
+    ms = build_moment_system(r, GAMMA_0)
     assert ms.gamma_total == pytest.approx(GAMMA_0 + r.gamma, rel=1e-14)
     assert ms.delta_prime == pytest.approx(r.delta, abs=1e-20)
 
 
 def test_moment_system_rejects_negative_gamma0():
     with pytest.raises(ValueError):
-        build_moment_system(_bare_rates(), -1e-9, 0.0)
+        build_moment_system(_bare_rates(), -1e-9)
 
 
 def test_stability_verdicts_agree_on_random_rates():
@@ -161,7 +161,7 @@ def test_stability_verdicts_agree_on_random_rates():
             gamma_minus=10.0 ** rng.uniform(-9, -6),
         )
         gamma0 = 10.0 ** rng.uniform(-9, -6)
-        rep = stability(build_moment_system(r, gamma0, 0.0))
+        rep = stability(build_moment_system(r, gamma0))
         assert rep.stable == rep.criterion
         seen_unstable += not rep.stable
     assert seen_unstable > 10  # the draw must actually exercise both sides
@@ -173,7 +173,7 @@ def test_stability_max_real_part_closed_form():
     gamma0 = 1e-7
     for mag in (2e-8, 3e-8):
         r = dataclasses.replace(_bare_rates(0.0), g=mag * np.exp(0.4j))
-        rep = stability(build_moment_system(r, gamma0, 0.0))
+        rep = stability(build_moment_system(r, gamma0))
         amp = 2 * mag - gamma0 / 2
         want = max(amp, 2 * amp)
         assert rep.max_real_part == pytest.approx(want, rel=1e-9)
@@ -185,7 +185,7 @@ def test_stability_closed_form_matches_drift_spectrum(r, gamma0):
     """max Re(lambda) = max(-gamma/2 + Re sigma, -gamma + 2 Re sigma) on
     both sides of delta' = 2|g|, with the verdict of the numerical
     spectrum wherever its sign is resolved."""
-    ms = build_moment_system(r, gamma0, 0.0)
+    ms = build_moment_system(r, gamma0)
     rep = stability(ms)
     numeric = eigenvalues(drift_matrix(ms)[0]).real.max()
     tol = 1e-9 * (abs(ms.gamma_total) + 2.0 * abs(r.g) + abs(ms.delta_prime))
@@ -211,7 +211,7 @@ def test_coherence_closed_form_matches_expm(near, offset, ratio, data):
     margin = data.draw(_log(-1.5, 1.0)) * 2.0 * abs(r.g)
     re_sigma = np.sqrt(max(4.0 * abs(r.g) ** 2 - r.delta**2, 0.0))
     gamma0 = max(2.0 * re_sigma - r.gamma, 0.0) + margin
-    ms = build_moment_system(r, gamma0, 0.0)
+    ms = build_moment_system(r, gamma0)
     rep = steady_state(ms)
     tau = np.append(default_tau_grid(ms.gamma_total), 1e4 / ms.gamma_total)
     series = coherence_g1(ms, rep, tau)
@@ -229,7 +229,7 @@ def test_coherence_at_exceptional_point():
         _bare_rates(0.0), g=g + 0j, delta=dp, gamma_plus=1e-9,
         Omega_prime=3e-6 + 1e-6j, Gamma=2e-9 + 0j,
     )
-    ms = build_moment_system(r, GAMMA_0, 0.0)
+    ms = build_moment_system(r, GAMMA_0)
     assert 4.0 * abs(r.g) ** 2 == ms.delta_prime**2
     rep = steady_state(ms)
     tau = default_tau_grid(ms.gamma_total)
@@ -247,7 +247,7 @@ def test_coherence_at_exceptional_point():
 
 @_PROPERTY
 @given(ms=_stable_system(st.floats(0.0, 3.0), _log(-10, -6)))
-@example(ms=build_moment_system(_rates(s=1.0), GAMMA_0, 0.0))
+@example(ms=build_moment_system(_rates(s=1.0), GAMMA_0))
 def test_steady_state_solves_balance(ms):
     """Fixed point of the full drift, conjugate-symmetric by construction,
     and within the Heisenberg bound for any positive bath."""
@@ -297,7 +297,7 @@ def test_steady_state_at_threshold_is_singular(g, delta, gamma):
         _bare_rates(0.0), g=g + 0j, delta=delta, Omega_prime=1e-6 + 0j,
         gamma_plus=1e-9, gamma_minus=1e-9,
     )
-    ms = build_moment_system(r, gamma, 0.0)
+    ms = build_moment_system(r, gamma)
     report = stability(ms)
     assert not report.stable and report.max_real_part >= 0.0
     with pytest.raises(UnstableSystemError):
@@ -330,7 +330,7 @@ def _threshold_system(draw):
         gamma_minus=q,
         Gamma=draw(st.floats(0.0, 1.0)) * np.sqrt(q * (q + gamma0)) * draw(_phase),
     )
-    return build_moment_system(r, gamma0, 0.0)
+    return build_moment_system(r, gamma0)
 
 
 @settings(max_examples=300)
@@ -351,7 +351,7 @@ def test_steady_state_exists_exactly_when_stable(ms):
 
 def test_steady_state_raises_when_unstable():
     r = dataclasses.replace(_bare_rates(0.0), g=1e-6 + 0j)
-    ms = build_moment_system(r, 1e-9, 0.0)
+    ms = build_moment_system(r, 1e-9)
     assert not stability(ms).stable
     with pytest.raises(UnstableSystemError):
         steady_state(ms)
@@ -359,7 +359,7 @@ def test_steady_state_raises_when_unstable():
 
 def test_covariance_identities():
     r = _rates(s=0.3)
-    rep = steady_state(build_moment_system(r, GAMMA_0, 0.0))
+    rep = steady_state(build_moment_system(r, GAMMA_0))
     m2 = rep.centered_pair
     nc = rep.centered_occupation
     assert rep.var_x == pytest.approx(0.5 + m2.real + nc, rel=1e-12)
@@ -383,7 +383,7 @@ def test_default_tau_grid_shape():
 
 def test_coherence_unit_at_zero_lag_and_asymptote():
     r = _rates(s=1.0)
-    ms = build_moment_system(r, GAMMA_0, 0.0)
+    ms = build_moment_system(r, GAMMA_0)
     rep = steady_state(ms)
     series = coherence_g1(ms, rep)
     assert series.values[0] == 1.0 + 0.0j
@@ -396,7 +396,7 @@ def test_coherence_unit_at_zero_lag_and_asymptote():
 
 def test_coherence_rejects_bad_grids():
     r = _rates(s=1.0)
-    ms = build_moment_system(r, GAMMA_0, 0.0)
+    ms = build_moment_system(r, GAMMA_0)
     rep = steady_state(ms)
     with pytest.raises(ValueError):
         coherence_g1(ms, rep, np.array([0.0, -1.0]))
@@ -405,7 +405,7 @@ def test_coherence_rejects_bad_grids():
 
 
 def test_coherence_undefined_without_occupation():
-    ms = build_moment_system(_bare_rates(0.0), GAMMA_0, 0.0)
+    ms = build_moment_system(_bare_rates(0.0), GAMMA_0)
     rep = steady_state(ms)  # vacuum: zero occupation
     with pytest.raises(ValueError):
         coherence_g1(ms, rep)

@@ -65,30 +65,27 @@ def _drive(s):
 
 
 def _small_spec(fock=6, G=5e-7, s=1.0, gamma0=3e-6, Omega_0=0j, **kw):
-    mode = ModeParams(omega=1.0, gamma0=gamma0, Omega=Omega_0)
+    mode = ModeParams(detuning=0.0, gamma0=gamma0, Omega=Omega_0)
     return HilbertSpec(
         fock_dim=fock,
         mode=mode,
         tls=(_tls(_drive(s), G),),
         env=ENV0,
-        omega_d=1.0,
         **kw,
     )
 
 
 def test_spec_validation():
-    mode = ModeParams(omega=1.0, gamma0=1e-6, Omega=0j)
+    mode = ModeParams(detuning=0.0, gamma0=1e-6, Omega=0j)
     tls = (_tls(1e-5, 1e-7),)
     with pytest.raises(ValueError):
-        HilbertSpec(fock_dim=1, mode=mode, tls=tls, env=ENV0, omega_d=1.0)
+        HilbertSpec(fock_dim=1, mode=mode, tls=tls, env=ENV0)
     with pytest.raises(ValueError):
-        HilbertSpec(fock_dim=4, mode=mode, tls=(), env=ENV0, omega_d=1.0)
+        HilbertSpec(fock_dim=4, mode=mode, tls=(), env=ENV0)
     with pytest.raises(ValueError):
-        HilbertSpec(fock_dim=4, mode=mode, tls=tls * 4, env=ENV0, omega_d=1.0)
-    with pytest.raises(ValueError):
-        HilbertSpec(fock_dim=4, mode=mode, tls=tls, env=ENV0, omega_d=0.0)
+        HilbertSpec(fock_dim=4, mode=mode, tls=tls * 4, env=ENV0)
     with pytest.raises(DimensionCapError):
-        HilbertSpec(fock_dim=40, mode=mode, tls=tls, env=ENV0, omega_d=1.0)
+        HilbertSpec(fock_dim=40, mode=mode, tls=tls, env=ENV0)
 
 
 def test_mode_operator_commutator():
@@ -163,7 +160,7 @@ def _random_specs(draw):
         for _ in range(n)
     )
     mode = ModeParams(
-        omega=1.0 + draw(st.floats(-1.0, 1.0)) * KAPPA_1,
+        detuning=draw(st.floats(-1.0, 1.0)) * KAPPA_1,
         gamma0=draw(st.floats(0.03, 1.0)) * KAPPA_1,
         Omega=draw(_complex(KAPPA_1)),
     )
@@ -172,7 +169,6 @@ def _random_specs(draw):
         mode=mode,
         tls=tls,
         env=BathEnvironment(temperature=draw(st.floats(0.05, 0.5))),
-        omega_d=1.0,
     )
 
 
@@ -248,9 +244,9 @@ def test_mode_moments_warns_on_leak():
 
 
 def test_autogrow_expands_until_clean():
-    mode = ModeParams(omega=1.0, gamma0=3e-6, Omega=1.8e-6 + 0j)
+    mode = ModeParams(detuning=0.0, gamma0=3e-6, Omega=1.8e-6 + 0j)
     tls = (_tls(0.0, 0.0),)
-    rho, spec = steady_state_autogrow(mode, tls, ENV0, 1.0, fock_start=4)
+    rho, spec = steady_state_autogrow(mode, tls, ENV0, fock_start=4)
     assert spec.fock_dim >= 16
     occ, amp, _ = mode_moments(rho, spec)
     # decoupled coherently driven mode: displaced vacuum
@@ -260,10 +256,11 @@ def test_autogrow_expands_until_clean():
 
 
 def test_autogrow_respects_dimension_cap():
-    mode = ModeParams(omega=1.0, gamma0=3e-6, Omega=1.8e-6 + 0j)
+    mode = ModeParams(detuning=0.0, gamma0=3e-6, Omega=1.8e-6 + 0j)
     tls = (_tls(0.0, 0.0),)
-    with pytest.raises(DimensionCapError):
-        steady_state_autogrow(mode, tls, ENV0, 1.0, fock_start=4, dim_cap=16)
+    # the leak that called for the forbidden doubling is named
+    with pytest.raises(DimensionCapError, match=r"population \S+ at fock_dim 8"):
+        steady_state_autogrow(mode, tls, ENV0, fock_start=4, dim_cap=16)
 
 
 def test_bloch_correlator_matches_resolvent():
@@ -356,16 +353,16 @@ def test_coherence_matches_effective_theory():
     """
     G = 0.01 * KAPPA_T
     gamma0 = 3e-6
-    mode = ModeParams(omega=1.0, gamma0=gamma0, Omega=0j)
+    mode = ModeParams(detuning=0.0, gamma0=gamma0, Omega=0j)
     tls = _tls(_drive(1.0), G)
 
-    rates = single_mode_rates(mode, [tls], ENV0, 1.0, counts=[1.0])
-    ms = build_moment_system(rates, gamma0, 0.0)
+    rates = single_mode_rates(mode, [tls], ENV0, counts=[1.0])
+    ms = build_moment_system(rates, gamma0)
     rep = steady_state(ms)
     tau = np.linspace(0.0, 10.0 / ms.gamma_total, 21)
     eff = coherence_g1(ms, rep, tau)
 
-    rho, spec = steady_state_autogrow(mode, (tls,), ENV0, 1.0)
+    rho, spec = steady_state_autogrow(mode, (tls,), ENV0)
     liou = build_liouvillian(spec)
     exact = coherence_g1_numeric(liou, rho, spec, tau)
 

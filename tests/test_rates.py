@@ -1,7 +1,12 @@
 """Induced master-equation rates: assembly, limits, closed forms."""
 
+import cmath
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from tlsbath.bath import (
     BathEnvironment,
@@ -36,10 +41,9 @@ def _drive(s):
 
 
 def _pipeline(Omega_B, Delta_0=0.0, Delta_B=0.0, Omega_0=0j, env=ENV0, n=N_TLS):
-    omega_d = 1.0 - Delta_B
-    mode = ModeParams(omega=omega_d + Delta_0, gamma0=1e-7, Omega=Omega_0)
+    mode = ModeParams(detuning=Delta_0, gamma0=1e-7, Omega=Omega_0)
     tls = TlsParams(1.0, KAPPA_1, 0.0, Omega_B, Delta_B, (G,))
-    return single_mode_rates(mode, [tls], env, omega_d, counts=[n])
+    return single_mode_rates(mode, [tls], env, counts=[n])
 
 
 def test_zero_drive_collapse_is_exact():
@@ -66,11 +70,11 @@ def test_effective_driving_reference_magnitude():
 
 
 def test_effective_driving_keeps_bare_drive_additive():
-    mode = ModeParams(omega=1.0, gamma0=1e-7, Omega=3e-6 + 0j)
+    mode = ModeParams(detuning=0.0, gamma0=1e-7, Omega=3e-6 + 0j)
     tls = TlsParams(1.0, KAPPA_1, 0.0, _drive(1.0) + 0j, 0.0, (G,))
     out = effective_driving([mode], [tls], ENV0, counts=[N_TLS])
     out0 = effective_driving(
-        [ModeParams(omega=1.0, gamma0=1e-7, Omega=0j)], [tls], ENV0, counts=[N_TLS]
+        [ModeParams(detuning=0.0, gamma0=1e-7, Omega=0j)], [tls], ENV0, counts=[N_TLS]
     )
     assert out[0] - out0[0] == pytest.approx(3e-6, rel=1e-12)
 
@@ -91,48 +95,90 @@ def test_pipeline_matches_resonant_closed_form():
     assert worst < 1e-10
 
 
-def test_hermiticity_of_rate_matrices_random_configs():
+def _log_uniform(lo, hi):
+    return st.floats(lo, hi).map(lambda e: 10.0**e)
+
+
+def _complex(lo, hi):
+    return st.builds(
+        lambda r, phi: r * cmath.exp(1j * phi), _log_uniform(lo, hi), st.floats(0.0, 6.283)
+    )
+
+
+@st.composite
+def _multimode(draw):
+    """Modes, TLS species, counts and environment: complex drives and
+    couplings, detunings, dephasing and temperature."""
+    n_modes = draw(st.integers(1, 3))
+    modes = [
+        ModeParams(
+            detuning=draw(st.floats(-1e-3, 1e-3)),
+            gamma0=1e-7,
+            Omega=draw(_complex(-8.0, -5.0)),
+        )
+        for _ in range(n_modes)
+    ]
+    tls_list = []
+    for _ in range(draw(st.integers(1, 3))):
+        kappa1 = draw(_log_uniform(-5.0, -3.0))
+        tls_list.append(
+            TlsParams(
+                omega_B=1.0,
+                kappa1=kappa1,
+                kappa2=draw(st.sampled_from((0.0, 1e-5))),
+                Omega_B=draw(_complex(-5.0, -3.0)),
+                Delta_B=draw(st.floats(-2.0, 2.0)) * kappa1,
+                couplings=tuple(draw(_complex(-9.0, -7.0)) for _ in range(n_modes)),
+            )
+        )
+    counts = [draw(st.floats(1.0, 1e3)) for _ in tls_list]
+    env = BathEnvironment(temperature=draw(st.sampled_from((0.0, 0.05, 0.5))))
+    return modes, tls_list, counts, env
+
+
+@given(case=_multimode())
+def test_hermiticity_of_rate_matrices_random_configs(case):
     """Coefficient matrices of the dissipators and the frequency-shift
     matrix must be Hermitian for any parameter draw; the assembler
     raises otherwise, so this is a no-raise property plus a direct
-    check on the returned arrays."""
-    rng = np.random.default_rng(2024)
-    for _ in range(100):
-        n_modes = int(rng.integers(1, 4))
-        n_species = int(rng.integers(1, 4))
-        omega_d = 1.0 - float(rng.uniform(-1e-4, 1e-4))
-        modes = [
-            ModeParams(
-                omega=omega_d + float(rng.uniform(-1e-3, 1e-3)),
-                gamma0=10.0 ** rng.uniform(-9, -6),
-                Omega=0j,
-            )
-            for _ in range(n_modes)
-        ]
-        tls_list = []
-        counts = []
-        for _ in range(n_species):
-            kappa1 = 10.0 ** rng.uniform(-5, -3)
-            tls_list.append(
-                TlsParams(
-                    omega_B=1.0,
-                    kappa1=kappa1,
-                    kappa2=float(rng.choice([0.0, 1e-5])),
-                    Omega_B=10.0 ** rng.uniform(-5, -3)
-                    * np.exp(1j * rng.uniform(0, 2 * np.pi)),
-                    Delta_B=float(rng.uniform(-2, 2)) * kappa1,
-                    couplings=tuple(
-                        10.0 ** rng.uniform(-9, -7)
-                        * np.exp(1j * rng.uniform(0, 2 * np.pi))
-                        for _ in range(n_modes)
-                    ),
-                )
-            )
-            counts.append(float(rng.integers(1, 1000)))
-        env = BathEnvironment(temperature=float(rng.choice([0.0, 0.2])))
-        rates = assemble_rates(modes, tls_list, env, omega_d, counts=counts)
-        for mat in (rates.delta, rates.gamma_plus, rates.gamma_minus):
-            assert np.allclose(mat, mat.conj().T, atol=1e-12 * np.abs(mat).max())
+    check on the returned arrays.  The diagonals of gamma_+- are
+    dissipator weights: real and nonnegative."""
+    modes, tls_list, counts, env = case
+    rates = assemble_rates(modes, tls_list, env, counts=counts)
+    for mat in (rates.delta, rates.gamma_plus, rates.gamma_minus):
+        assert np.abs(mat - mat.conj().T).max() <= 1e-12 * np.abs(mat).max()
+    for mat in (rates.gamma_plus, rates.gamma_minus):
+        diag, scale = np.diag(mat), np.abs(mat).max()
+        assert np.all(np.abs(diag.imag) <= 1e-12 * scale)
+        assert np.all(diag.real >= -1e-12 * scale)
+
+
+@given(case=_multimode(), phi=st.floats(0.0, 6.283))
+def test_drive_phase_covariance(case, phi):
+    """Rotating every TLS drive by e^{i phi} and every mode drive by
+    e^{-i phi}, with the couplings fixed, rotates Omega' by e^{-i phi} and
+    g and Gamma by e^{-2i phi}, and leaves delta and gamma_+- unchanged.
+    The second-order rates share one tolerance scale, since delta can
+    cancel to rounding."""
+    modes, tls_list, counts, env = case
+    turn = cmath.exp(1j * phi)
+    turned_modes = [dataclasses.replace(m, Omega=m.Omega / turn) for m in modes]
+    turned_tls = [dataclasses.replace(p, Omega_B=p.Omega_B * turn) for p in tls_list]
+    before = assemble_rates(modes, tls_list, env, counts=counts)
+    after = assemble_rates(turned_modes, turned_tls, env, counts=counts)
+    phases = {
+        "Omega_prime": cmath.exp(-1j * phi),
+        "g": cmath.exp(-2j * phi),
+        "Gamma": cmath.exp(-2j * phi),
+        "delta": 1.0,
+        "gamma_plus": 1.0,
+        "gamma_minus": 1.0,
+    }
+    second_order = max(np.abs(getattr(before, name)).max() for name in list(phases)[1:])
+    for name, phase in phases.items():
+        want = phase * getattr(before, name)
+        scale = np.abs(want).max() if name == "Omega_prime" else second_order
+        assert np.abs(getattr(after, name) - want).max() <= 1e-12 * scale, name
 
 
 def test_strong_drive_suppression():
@@ -256,30 +302,32 @@ def test_fractional_tls_number_is_not_truncated():
 
 @pytest.mark.parametrize("counts", [[0.0], [-1.0], [1.0, 1.0], []])
 def test_bad_tls_counts_raise(counts):
-    mode = ModeParams(omega=1.0, gamma0=1e-7)
+    mode = ModeParams(detuning=0.0, gamma0=1e-7)
     tls = TlsParams(1.0, KAPPA_1, 0.0, _drive(2.0), 0.0, (G,))
     with pytest.raises(ValueError):
-        single_mode_rates(mode, [tls], ENV0, 1.0, counts=counts)
+        single_mode_rates(mode, [tls], ENV0, counts=counts)
 
 
 @pytest.mark.parametrize("couplings", [(G,), (G, G, G)])
 def test_one_coupling_per_mode_is_required(couplings):
-    modes = [ModeParams(1.0, 1e-7), ModeParams(1.0 + 1e-5, 1e-7)]
+    modes = [
+        ModeParams(detuning=0.0, gamma0=1e-7),
+        ModeParams(detuning=1e-5, gamma0=1e-7),
+    ]
     tls = TlsParams(1.0, KAPPA_1, 0.0, _drive(2.0), 0.0, couplings)
     with pytest.raises(ValueError):
         effective_driving(modes, [tls], ENV0)
     with pytest.raises(ValueError):
-        assemble_rates(modes, [tls], ENV0, 1.0)
+        assemble_rates(modes, [tls], ENV0)
 
 
 def test_two_mode_rates_match_entrywise_formulas():
     """Each off-diagonal entry follows the per-entry contraction of the
     spectral densities; a transposed index would fail here even though
     it keeps delta and the incoherent rates Hermitian."""
-    omega_d = 1.0 - 1e-5
     modes = [
-        ModeParams(omega=omega_d + 3e-5, gamma0=1e-7, Omega=1e-6),
-        ModeParams(omega=omega_d - 7e-5, gamma0=1e-7, Omega=-2e-6j),
+        ModeParams(detuning=3e-5, gamma0=1e-7, Omega=1e-6),
+        ModeParams(detuning=-7e-5, gamma0=1e-7, Omega=-2e-6j),
     ]
     tls_list = [
         TlsParams(1.0, 1e-4, 0.0, 4e-5 + 3e-5j, 1e-5, (1e-8 + 4e-9j, 3e-9 - 2e-8j)),
@@ -287,7 +335,7 @@ def test_two_mode_rates_match_entrywise_formulas():
     ]
     counts = [200.0, 50.0]
     env = BathEnvironment(temperature=0.2)
-    rates = assemble_rates(modes, tls_list, env, omega_d, counts=counts)
+    rates = assemble_rates(modes, tls_list, env, counts=counts)
     det = np.array(rates.detunings)
 
     def gam(alpha, beta, m, n):
@@ -318,15 +366,14 @@ def test_detuning_frame_consistency():
     """Shifting drive and TLS frequencies together must leave the rates
     invariant (only detunings matter)."""
     r_a = _pipeline(_drive(1.0), Delta_0=KAPPA_T, Delta_B=0.0)
-    omega_d = 1.0 - 2e-5
-    mode = ModeParams(omega=omega_d + KAPPA_T, gamma0=1e-7, Omega=0j)
+    mode = ModeParams(detuning=KAPPA_T, gamma0=1e-7, Omega=0j)
     tls = TlsParams(1.0, KAPPA_1, 0.0, _drive(1.0) + 0j, 2e-5, (G,))
-    r_b = single_mode_rates(mode, [tls], ENV0, omega_d, counts=[N_TLS])
+    r_b = single_mode_rates(mode, [tls], ENV0, counts=[N_TLS])
     # same mode-drive detuning but different TLS detuning: rates differ
     assert abs(r_b.Gamma - r_a.Gamma) > 0
     # restoring Delta_B = 0 in the shifted frame recovers everything
     tls_same = TlsParams(1.0 - 2e-5, KAPPA_1, 0.0, _drive(1.0) + 0j, 0.0, (G,))
-    r_c = single_mode_rates(mode, [tls_same], ENV0, omega_d, counts=[N_TLS])
+    r_c = single_mode_rates(mode, [tls_same], ENV0, counts=[N_TLS])
     assert r_c.g == pytest.approx(r_a.g, rel=1e-12)
     assert r_c.Gamma == pytest.approx(r_a.Gamma, rel=1e-12)
     assert r_c.delta == pytest.approx(r_a.delta, rel=1e-12)

@@ -151,7 +151,7 @@ def test_rows_inside_stability_margin_are_unstable():
     unstable and goes on."""
     margin = {"mode": {"gamma_0": "3e-8"}, "bath": {"Omega_B": "8.515588354431853e-05"}}
     point = _cfg(**margin)
-    report = stability(build_moment_system(rates_at(point), point.gamma_0, point.Delta_0))
+    report = stability(build_moment_system(rates_at(point), point.gamma_0))
     assert not report.stable and report.max_real_part > 0
     grid = {"start": "8.515588354431853e-05", "stop": "8.6e-05", "count": "2", "scale": "linear"}
     steady = run_scenario("steady-state", _cfg(mode=margin["mode"], sweep=grid))
@@ -301,6 +301,27 @@ def test_oracle_scenario_single_tls_agreement():
     assert row["occupation_exact"] > 0
 
 
+@pytest.mark.parametrize(
+    "delta_0, delta_b", [(1e-8, 0.0), (1e-4, -1e16)], ids=["criterion-8-line", "far-bath"]
+)
+def test_rates_carry_the_configured_detuning_exactly(delta_0, delta_b):
+    """The mode detuning reaches the rates unchanged.  Rebuilt from the
+    absolute frequencies as (1 - Delta_B + Delta_0) - (1 - Delta_B), it read
+    9.99999993922529e-09 and 0.0 at these points."""
+    cfg = _cfg(mode={"Delta_0": delta_0}, bath={"Delta_B": delta_b})
+    assert rates_at(cfg).detuning == cfg.Delta_0
+
+
+def test_oracle_point_agrees_at_finite_temperature():
+    """The exact solver's mode bath is at zero temperature, as in the
+    effective theory, so the two agree within criterion 10's 5 % gate at
+    T > 0 too.  A thermal mode bath in the exact solver alone read an
+    occupation error of 0.92 here."""
+    cfg = _cfg(bath={"N": "1", "Omega_B": "7e-5"}, environment={"temperature": "0.5"})
+    row = sweeps.oracle_point(cfg, 0.01)
+    assert max(row[4], row[9], row[14]) < 0.05
+
+
 _OMEGA_AXIS = {"variable": "Omega_B", "start": "1e-6", "stop": "1e-3", "count": "3"}
 _GAMMA_AXIS = {"variable": "gamma_0", "start": "1e-9", "stop": "1e-5", "count": "4"}
 
@@ -346,7 +367,7 @@ def test_stability_map_rows_match_per_cell_evaluation(axes):
                 var: complex(v) if var == "Omega_B" else float(v)
                 for var, v in ((first["variable"], v1), (second["variable"], v2))
             })
-            rep = stability(build_moment_system(rates_at(point), point.gamma_0, point.Delta_0))
+            rep = stability(build_moment_system(rates_at(point), point.gamma_0))
             expected.append(
                 (float(v1), float(v2), int(rep.stable), int(rep.criterion), rep.max_real_part)
             )
