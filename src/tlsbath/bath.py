@@ -13,10 +13,14 @@ the sign as their leading array axis, and each TLS costs one evaluation
 of its Bloch statics and one of the resolvent.
 
 The spectral densities of a bath coupled to M modes form one complex
-array ``table[a, b, m, n]`` of shape ``(2, 2, M, M)``: ``a`` and ``b``
-are the positions of the fluctuation signs alpha and beta in ``SIGNS``
-(0 for +1, raising; 1 for -1, lowering) and ``m``, ``n`` index modes.
-Every entry already carries the coupling weights, summed over the bath.
+array ``table[..., a, b, m, n]`` of shape ``(..., 2, 2, M, M)``: ``a``
+and ``b`` are the positions of the fluctuation signs alpha and beta in
+``SIGNS`` (0 for +1, raising; 1 for -1, lowering) and ``m``, ``n`` index
+modes.  Every entry already carries the coupling weights, summed over the
+bath.  The leading axes are a grid: TLS parameters and mode detunings may
+be arrays, and one call evaluates every point of their broadcast shape,
+with the same array operations as a single point (which has no grid
+axes), so each grid point rounds as that point alone.
 
 Units: hbar = k_B = 1 throughout; rates and frequencies share the same unit.
 """
@@ -49,23 +53,30 @@ __all__ = [
 # Axes over signs hold +1 at index 0 and -1 at index 1; index them with
 # ``SIGNS.index(sign)``, since a sign used as an index wraps silently.
 SIGNS = (+1, -1)
+# i times the signs, for the exponent s = i beta delta_m
+_SIGNS_I = np.array(SIGNS) * 1j
 
 
 @dataclass(frozen=True)
 class TlsParams:
-    """One two-level system of the bath.
+    """One two-level system of the bath, or a grid of them.
+
+    ``kappa1``, ``kappa2``, ``Omega_B`` and ``Delta_B`` may be arrays that
+    broadcast to one grid shape; every function of this module then
+    carries that grid as its leading axes, element by element.  A grid is
+    not hashable, and groups in a bath only with itself.
 
     Attributes
     ----------
     omega_B : float
         Transition frequency (sets the thermal occupation of its local bath).
-    kappa1 : float
+    kappa1 : float or array
         Radiative relaxation rate.
-    kappa2 : float
+    kappa2 : float or array
         Pure dephasing rate.
-    Omega_B : complex
+    Omega_B : complex or array
         Coherent drive amplitude in the rotating frame.
-    Delta_B : float
+    Delta_B : float or array
         Detuning of the transition from the drive frequency.
     couplings : tuple[complex, ...]
         Jaynes-Cummings coupling to each bosonic mode, one entry per mode.
@@ -81,14 +92,21 @@ class TlsParams:
     def __post_init__(self):
         if self.omega_B <= 0:
             raise ValueError("TLS transition frequency must be positive")
-        if self.kappa1 <= 0:
+        if (np.asarray(self.kappa1) <= 0).any():
             raise ValueError("TLS relaxation rate kappa1 must be positive")
-        if self.kappa2 < 0:
+        if (np.asarray(self.kappa2) < 0).any():
             raise ValueError("pure dephasing kappa2 must be nonnegative")
-        object.__setattr__(self, "Omega_B", complex(self.Omega_B))
+        drive = self.Omega_B
+        drive = complex(drive) if np.isscalar(drive) else np.asarray(drive, dtype=complex)
+        object.__setattr__(self, "Omega_B", drive)
         object.__setattr__(
             self, "couplings", tuple(complex(g) for g in self.couplings)
         )
+
+    @property
+    def grid_shape(self) -> tuple:
+        """Broadcast shape of the array-valued parameters; () for one TLS."""
+        return np.broadcast(self.kappa1, self.kappa2, self.Omega_B, self.Delta_B).shape
 
 
 @dataclass(frozen=True)
@@ -142,28 +160,67 @@ def transverse_rate(p: TlsParams, env: BathEnvironment) -> float:
     return 0.5 * p.kappa1 * (1.0 + 2.0 * nbar) + 2.0 * p.kappa2
 
 
+def _sq(x):
+    # x^2 rounded as Python's float ** 2 (libm pow), so that a grid keeps
+    # every bit of the one-point formula
+    return np.float_power(x, 2)
+
+
+def _abs(z):
+    # |z| as Python's abs takes it, by hypot; NumPy's complex abs rounds
+    # differently
+    return np.hypot(z.real, z.imag)
+
+
+def _complex(re, im):
+    """The complex value with parts ``re`` and ``im``, exactly (``re + 1j
+    * im`` is not, at an infinite part), where ``re`` has the full shape."""
+    out = np.array(re, dtype=complex)
+    out.imag = im
+    return out[()]
+
+
+def _first(bad) -> tuple:
+    """Index of the first flagged point of a grid; () for a single point."""
+    return tuple(int(i) for i in np.argwhere(bad)[0])
+
+
+def _named(index) -> str:
+    """The words an error message names a grid point by; none for a
+    single point."""
+    return f" (grid index {', '.join(map(str, index))})" if index else ""
+
+
 def _statics(p: TlsParams, env: BathEnvironment):
-    """``(kappa_t, nbar, unit, BlochSteadyState, s)`` of one TLS, read by
-    :func:`bloch_steady_state`, :func:`saturation` and the resolvent.
-    ``unit`` is the power of two that brings the largest of kappa_t,
-    ``|Delta_B|`` and ``|Omega_B|`` into ``[1, 2)``: dividing by it rounds
-    nothing."""
+    """``(kappa_t, nbar, unit, drive, |drive|^2, BlochSteadyState, s)``
+    over the grid of ``p``, read by :func:`bloch_steady_state`,
+    :func:`saturation` and the resolvent.  ``unit`` is the power of two
+    that brings the largest of kappa_t, ``|Delta_B|`` and ``|Omega_B|``
+    into ``[1, 2)``: dividing by it rounds nothing.  ``drive`` is Omega_B
+    in that unit.  Everything is real arithmetic, which rounds a grid and
+    a single TLS alike.  The caller holds the floating-point error state:
+    an overflow leaves inf."""
     kt = transverse_rate(p, env)
     nbar = bose_occupation(p.omega_B, env.temperature)
-    scale = math.ldexp(1.0, math.frexp(max(kt, abs(p.Delta_B), abs(p.Omega_B)))[1] - 1)
-    k, d, drive = kt / scale, p.Delta_B / scale, p.Omega_B / scale
-    lorentz = k**2 + d**2
-    pump = (kt / p.kappa1) * abs(drive) ** 2
-    sigma_plus = -drive.conjugate() * complex(d, -k) / (
-        2.0 * (lorentz * (1.0 + 2.0 * nbar) + pump)
-    )
-    # lorentz underflows to 0 only where s overflows anyway
-    s = pump / lorentz if lorentz else math.inf
+    ob = p.Omega_B
+    unit = np.ldexp(0.5, np.frexp(np.maximum(np.maximum(kt, abs(p.Delta_B)), _abs(ob)))[1])
+    k, d = kt / unit, p.Delta_B / unit
+    dr, di = ob.real / unit, ob.imag / unit
+    drive = _complex(dr, di)
+    k2, d2, drive2 = _sq(np.array([k, d, _abs(drive)]))
+    lorentz = k2 + d2
+    # kt / kappa1 >= 1/2, so pump > 0 wherever lorentz underflows to 0,
+    # and s is +inf there, as it is wherever it overflows
+    pump = (kt / p.kappa1) * drive2
+    s = pump / lorentz
+    den = 2.0 * (lorentz * (1.0 + 2.0 * nbar) + pump)
+    # -conj(drive) (d - i k) / den
+    sigma_plus = _complex((di * k - dr * d) / den, (dr * k + di * d) / den)
     state = BlochSteadyState(sigma_plus=sigma_plus, sigma_z=-1.0 / (1.0 + 2.0 * nbar + s))
-    return kt, nbar, scale, state, s
+    return kt, nbar, unit, drive, drive2, state, s
 
 
-def saturation(p: TlsParams, env: BathEnvironment) -> float:
+def saturation(p: TlsParams, env: BathEnvironment):
     """Dimensionless saturation parameter of the driven transition.
 
     Zero without drive, unity at the knee where the drive starts to bleach
@@ -171,14 +228,19 @@ def saturation(p: TlsParams, env: BathEnvironment) -> float:
     Formed in the power-of-two unit of :func:`bloch_steady_state`, so
     it raises :class:`OverflowError` only when it exceeds the float range.
     """
-    s = _statics(p, env)[4]
-    if not math.isfinite(s):
-        raise OverflowError(f"saturation overflows at |Omega_B| = {abs(p.Omega_B):g}")
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        s = _statics(p, env)[6]
+    bad = ~np.isfinite(s)
+    if bad.any():
+        index = _first(bad)
+        drive = abs(np.broadcast_to(p.Omega_B, bad.shape)[index])
+        raise OverflowError(f"saturation overflows at |Omega_B| = {drive:g}{_named(index)}")
     return s
 
 
 def bloch_steady_state(p: TlsParams, env: BathEnvironment) -> BlochSteadyState:
-    """Stationary point of the driven, damped Bloch equations.
+    """Stationary point of the driven, damped Bloch equations, over the
+    grid of ``p``.
 
     ``sigma+ = -Omega_B* (Delta_B - i kappa_t) / (2 [(kappa_t^2 + Delta_B^2)
     (1 + 2 nbar) + (kappa_t / kappa1) |Omega_B|^2])``, in units of the power
@@ -187,25 +249,27 @@ def bloch_steady_state(p: TlsParams, env: BathEnvironment) -> BlochSteadyState:
     rounding that the weak-drive cancellation in ``(1 + sigma_z)/2 -
     |sigma+|^2`` passes on to the spectra; where ``s`` overflows it is -0.
     """
-    return _statics(p, env)[3]
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        return _statics(p, env)[5]
 
 
 def same_time_correlators(state: BlochSteadyState) -> np.ndarray:
     """Equal-time correlators of the centered Bloch operators.
 
-    Returns ``c[b, row] = <sigma~_row sigma~_beta>`` of shape ``(2, 3)``,
-    sign first: ``b`` is the position in ``SIGNS`` of the fluctuation beta
-    on the right (0 raising, 1 lowering) and ``row`` runs over (raising,
-    lowering, inversion).  Obtained from the Pauli algebra with the
-    stationary single-operator averages subtracted.
+    Returns ``c[b, row] = <sigma~_row sigma~_beta>`` of shape ``(2, 3)``
+    plus the grid shape of ``state``, sign first: ``b`` is the position in
+    ``SIGNS`` of the fluctuation beta on the right (0 raising, 1 lowering)
+    and ``row`` runs over (raising, lowering, inversion).  Obtained from
+    the Pauli algebra with the stationary single-operator averages
+    subtracted.
     """
     sp, sz = state.sigma_plus, state.sigma_z
-    mean = np.array([sp, np.conj(sp), sz], dtype=complex)
+    mean = np.array([sp, sp.conjugate(), sz], dtype=complex)
     # <sigma_vec sigma_beta>: the squares of sigma+ and sigma- vanish,
     # sigma+ sigma- = (1 + sz)/2, sigma- sigma+ = (1 - sz)/2, sz sigma+- = +-sigma+-
-    raw = np.array(
-        [[0.0, 0.5 * (1.0 - sz), sp], [0.5 * (1.0 + sz), 0.0, -mean[1]]], dtype=complex
-    )
+    raw = np.zeros((2,) + mean.shape, dtype=complex)
+    raw[0, 1], raw[0, 2] = 0.5 * (1.0 - sz), sp
+    raw[1, 0], raw[1, 2] = 0.5 * (1.0 + sz), -mean[1]
     return raw - mean * mean[:2, None]
 
 
@@ -234,31 +298,42 @@ def correlator_integral(p: TlsParams, env: BathEnvironment, delta_m) -> np.ndarr
     1e300 finite.  Frequencies are in units of the power of two that brings
     kappa_t, ``|Delta_B|`` and ``|Omega_B|`` below 2 (rounding nothing), so
     D overflows, raising :class:`OverflowError`, only where ``|Omega_B| /
-    kappa_t`` does.  Returns ``x[b, row]`` of shape ``(2, 3) +
-    delta_m.shape``, sign first, rows as in :func:`same_time_correlators`.
+    kappa_t`` does.
+
+    The grid of ``p`` and the detunings broadcast together; ``x[b, row]``
+    has shape ``(2, 3)`` plus that broadcast shape, sign first, rows as in
+    :func:`same_time_correlators`.  A single TLS and detuning take the same
+    array loops, so they round as one point of a grid.  Like the rest of
+    the table, it runs under the caller's ``np.errstate``: inputs that
+    overflow warn before the :class:`OverflowError`.
     """
-    kt, nbar, scale, state, _ = _statics(p, env)
-    # each correlator a (sign, 1) column against the detunings along axis 1
-    c1, c2, c3 = same_time_correlators(state).T[..., None]
-    ob, oc = p.Omega_B / scale, p.Omega_B.conjugate() / scale
+    kt, nbar, unit, ob, ob2, state, _ = _statics(p, env)
     delta_m = np.asarray(delta_m, dtype=float)
-    # one array code path, so a scalar detuning rounds as its array entry
-    s = np.array(SIGNS)[:, None] * 1j * delta_m.reshape(-1) / scale
-    u = s - kt / scale + 1j * p.Delta_B / scale
-    v = s - kt / scale - 1j * p.Delta_B / scale
-    w = s - p.kappa1 * (1.0 + 2.0 * nbar) / scale
-    d = w + 0.5 * abs(ob) ** 2 * (1.0 / u + 1.0 / v)
+    # (sign, grid) arrays: the grid of p aligns with the last axes of delta_m
+    grid = (1,) * (delta_m.ndim - unit.ndim) + unit.shape
+    c1, c2, c3 = same_time_correlators(state).swapaxes(0, 1).reshape((3, 2) + grid)
+    oc = ob.conjugate()
+    s = _SIGNS_I.reshape((2,) + (1,) * max(delta_m.ndim, unit.ndim)) * delta_m / unit
+    u = s - kt / unit + 1j * p.Delta_B / unit
+    v = s - kt / unit - 1j * p.Delta_B / unit
+    w = s - p.kappa1 * (1.0 + 2.0 * nbar) / unit
+    d = w + 0.5 * ob2 * (1.0 / u + 1.0 / v)
     if not np.isfinite(d).all():
-        raise OverflowError(f"resolvent overflows at |Omega_B| = {abs(p.Omega_B):g}")
-    x3 = -(c3 + 1j * ob * c1 / u - 1j * oc * c2 / v) / d
+        # the overflow is the TLS's: name its point on the grid of p
+        bad = ~np.isfinite(d).all(axis=tuple(range(d.ndim - unit.ndim)))
+        index = _first(bad)
+        drive = abs(np.broadcast_to(p.Omega_B, bad.shape)[index])
+        raise OverflowError(f"resolvent overflows at |Omega_B| = {drive:g}{_named(index)}")
+    x = np.empty((2, 3) + d.shape[1:], dtype=complex)
+    x[:, 2] = -(c3 + 1j * ob * c1 / u - 1j * oc * c2 / v) / d
     pump = ob * c1 + oc * c2
-    x1 = -((c1 * w + 0.5j * oc * c3 + 0.5 * oc * pump / v) / d) / u
-    x2 = -((c2 * w - 0.5j * ob * c3 + 0.5 * ob * pump / u) / d) / v
-    return np.stack([x1, x2, x3], axis=1).reshape((2, 3) + delta_m.shape) / scale
+    x[:, 0] = -((c1 * w + 0.5j * oc * c3 + 0.5 * oc * pump / v) / d) / u
+    x[:, 1] = -((c2 * w - 0.5j * ob * c3 + 0.5 * ob * pump / u) / d) / v
+    return x / unit
 
 
 def _grouped(tls_list, counts, n_modes: int):
-    """Collapse identical TLS into ``(params, weight)`` pairs.
+    """Collapse repeated entries of one TLS into ``(params, weight)`` pairs.
 
     ``counts`` holds one positive real weight per entry of ``tls_list``
     (``None`` means 1 each); the rates are linear in it, so a fractional N
@@ -271,22 +346,27 @@ def _grouped(tls_list, counts, n_modes: int):
     counts = [float(c) for c in counts]
     if len(counts) != len(tls_list) or not all(0 < c < math.inf for c in counts):
         raise ValueError("counts must hold one positive finite weight per TLS")
-    groups: dict[TlsParams, float] = {}
+    # keyed by identity: a grid-valued TLS is not hashable
+    params: dict[int, TlsParams] = {}
+    weights: dict[int, float] = {}
     for p, c in zip(tls_list, counts):
         if len(p.couplings) != n_modes:
             raise ValueError("each TLS needs exactly one coupling per mode")
-        groups[p] = groups.get(p, 0.0) + c
-    return list(groups.items())
+        params[id(p)] = p
+        weights[id(p)] = weights.get(id(p), 0.0) + c
+    return [(params[key], weight) for key, weight in weights.items()]
 
 
 def dipole_drive(tls_list, env: BathEnvironment, n_modes: int, counts=None) -> np.ndarray:
     """First-order drive of the bath on each of ``n_modes`` modes,
-    ``sum_i N_i G_im <sigma+_i>``: stationary dipoles times couplings."""
+    ``sum_i N_i G_im <sigma+_i>``: stationary dipoles times couplings,
+    over the grid of the bath, modes last."""
     out = np.zeros(n_modes, dtype=complex)
     # an overflow leaves inf or NaN, with no warning, for the caller to raise
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for p, weight in _grouped(tls_list, counts, n_modes):
-            out += weight * np.array(p.couplings) * bloch_steady_state(p, env).sigma_plus
+            sigma_plus = _statics(p, env)[5].sigma_plus
+            out = out + weight * np.array(p.couplings) * sigma_plus[..., None]
     return out
 
 
@@ -299,17 +379,17 @@ def psd(
     m: int,
     n: int,
     counts=None,
-) -> complex:
+):
     """One spectral-density component ``Gamma_alphabeta^mn`` of the TLS
     dipole fluctuations: the entry of :func:`build_psd_table` at the
     positions of signs ``alpha``, ``beta`` and at modes ``m``, ``n``."""
     if alpha not in SIGNS or beta not in SIGNS:
         raise ValueError("alpha and beta must be +1 or -1")
-    n_modes = np.atleast_1d(detunings).shape[0]
+    n_modes = len(np.atleast_1d(detunings))
     if not (0 <= m < n_modes and 0 <= n < n_modes):
         raise ValueError("mode indices out of range")
     table = build_psd_table(tls_list, env, detunings, counts=counts)
-    return complex(table[SIGNS.index(alpha), SIGNS.index(beta), m, n])
+    return table[..., SIGNS.index(alpha), SIGNS.index(beta), m, n][()]
 
 
 def build_psd_table(
@@ -317,25 +397,36 @@ def build_psd_table(
 ) -> np.ndarray:
     """All spectral-density components for a set of modes.
 
-    Returns the complex array ``table[a, b, m, n]`` of shape
-    ``(2, 2, M, M)`` laid out as described in the module docstring.  Each
-    TLS group takes one :func:`correlator_integral` call, over both
-    exponent signs and all M detunings at once, from which every entry
-    follows.
+    ``detunings`` holds one entry per mode: a scalar, or an array over
+    a grid that all array entries share.  Returns the complex array
+    ``table[..., a, b, m, n]`` of shape ``(..., 2, 2, M, M)`` laid out as
+    described in the module docstring, with the broadcast grid of the bath
+    and the detunings leading.  Each TLS group takes one
+    :func:`correlator_integral` call, over both exponent signs, all M
+    detunings and the whole grid at once, from which every entry follows.
     """
-    detunings = np.atleast_1d(np.asarray(detunings, dtype=float))
-    n_modes = len(detunings)
+    detunings = np.asarray(detunings, dtype=float)
+    if detunings.ndim == 0:
+        detunings = detunings[None]
+    n_modes, det_grid = len(detunings), detunings.shape[1:]
+    groups = _grouped(tls_list, counts, n_modes)
+    # modes first, then every grid axis, so the mode axis never meets a
+    # grid axis of the bath
+    extra = max(len(p.grid_shape) for p, _ in groups) - len(det_grid)
+    if extra > 0:
+        detunings = detunings.reshape((n_modes,) + (1,) * extra + det_grid)
     table = np.zeros((2, 2, n_modes, n_modes), dtype=complex)
     # an overflow leaves inf or NaN, with no warning, for the caller to raise
-    with np.errstate(over="ignore", invalid="ignore"):
-        for p, weight in _grouped(tls_list, counts, n_modes):
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for p, weight in groups:
             # couplings [a, n]: G for sign +1, conj(G) for sign -1
             cpl = np.array([p.couplings, [g.conjugate() for g in p.couplings]])
-            # correlator integrals [b, row, m], kept as [a, b, m] over the
-            # raising and lowering rows
-            integ = correlator_integral(p, env, detunings).transpose(1, 0, 2)[:2]
+            # correlator integrals [b, row, m, ...], kept as [..., a, b, m]
+            # over the raising and lowering rows
+            integ = correlator_integral(p, env, detunings)[:, :2]
+            integ = integ.transpose(tuple(range(3, integ.ndim)) + (1, 0, 2))
             # product order ((N G_n) G_m) I, as in the bath sum written out
-            table += (
+            table = table + (
                 (weight * cpl[:, None, None, :]) * cpl[None, :, :, None]
             ) * integ[..., None]
     return table

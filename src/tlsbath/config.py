@@ -203,12 +203,6 @@ class ScenarioConfig:
         )
 
     def mode_params(self) -> ModeParams:
-        # resolve checks the configured frame; a swept Delta_B or Delta_0
-        # reaches the physics through replace, so every point is checked here
-        if 1.0 - self.Delta_B + self.Delta_0 <= 0:
-            raise ValueError("mode frequency must be positive")
-        if 1.0 - self.Delta_B <= 0:
-            raise ValueError("drive frequency must be positive")
         return ModeParams(
             detuning=self.Delta_0, gamma0=self.gamma_0, Omega=self.Omega_0
         )
@@ -233,6 +227,23 @@ def _validate_axis(section, values) -> SweepAxis:
     if scale == "log" and start <= 0:
         raise ConfigError(f"{section}.start: log scale requires start > 0, got {start}")
     return SweepAxis(variable, start, stop, count, scale)
+
+
+def check_frame(delta_b: float, delta_0: float) -> None:
+    """Both absolute frequencies positive: the drive's, omega_d = 1 -
+    Delta_B, and the mode's, omega_d + Delta_0.  Both fall as Delta_B
+    grows and the mode's as Delta_0 falls, so a sweep grid is checked at
+    its largest Delta_B and smallest Delta_0."""
+    if 1.0 - delta_b <= 0:
+        raise ConfigError(
+            f"bath.Delta_B: drive frequency omega_d = 1 - Delta_B must be > 0, "
+            f"got {1.0 - delta_b}"
+        )
+    if 1.0 - delta_b + delta_0 <= 0:
+        raise ConfigError(
+            f"mode.Delta_0: mode frequency omega_d + Delta_0 must be > 0, "
+            f"got {1.0 - delta_b + delta_0}"
+        )
 
 
 def resolve(raw: dict) -> ScenarioConfig:
@@ -260,17 +271,8 @@ def resolve(raw: dict) -> ScenarioConfig:
     if kappa_2 < 0:
         raise ConfigError(f"bath.kappa_2: must be >= 0, got {kappa_2}")
     delta_b = _parse_float(b["Delta_B"], "bath.Delta_B")
-    if 1.0 - delta_b <= 0:
-        raise ConfigError(
-            f"bath.Delta_B: drive frequency omega_d = 1 - Delta_B must be > 0, "
-            f"got {1.0 - delta_b}"
-        )
     delta_0 = _parse_float(m["Delta_0"], "mode.Delta_0")
-    if 1.0 - delta_b + delta_0 <= 0:
-        raise ConfigError(
-            f"mode.Delta_0: mode frequency omega_d + Delta_0 must be > 0, "
-            f"got {1.0 - delta_b + delta_0}"
-        )
+    check_frame(delta_b, delta_0)
     temperature = _parse_float(e["temperature"], "environment.temperature")
     if temperature < 0:
         raise ConfigError(f"environment.temperature: must be >= 0, got {temperature}")

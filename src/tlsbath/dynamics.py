@@ -13,17 +13,18 @@ no margin, which is when a steady state exists.  Stability, the steady
 state (closed-form amplitudes, and centred second moments that do not see
 the drive) and the first-order coherence function (quantum regression
 with a closed-form ``exp(B tau)``) follow from that block form, and
-quadrature covariance and squeezing from the steady state.
+quadrature covariance and squeezing from the steady state.  The rates
+and ``gamma0`` may be arrays over a grid: stability and the steady state
+then cover every grid point in one call (``g1`` is one point's).
 """
 
 from __future__ import annotations
 
-import cmath
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from .bath import _abs, _complex, _first, _named, _sq
 from .rates import SingleModeRates
 
 __all__ = [
@@ -99,20 +100,22 @@ class CoherenceSeries:
     asymptote: complex
 
 
-def build_moment_system(rates: SingleModeRates, gamma0: float) -> MomentSystem:
+def build_moment_system(rates: SingleModeRates, gamma0) -> MomentSystem:
     """Moment system of one mode under the TLS-induced rates.
 
     The mode's detuning from the drive, ``rates.detuning``, plus the
     TLS-induced frequency shift is the total detuning ``delta'``.  The
     intrinsic mode bath enters only through its linewidth (zero-temperature
-    form; the TLS-side thermal physics is already inside the rates).
+    form; the TLS-side thermal physics is already inside the rates).  The
+    rates and ``gamma0`` may be arrays that broadcast to a grid.
     """
-    if gamma0 < 0:
+    gamma0 = np.asarray(gamma0, dtype=float)
+    if np.any(gamma0 < 0):
         raise ValueError("gamma0 must be nonnegative")
     return MomentSystem(
         rates=rates,
-        gamma0=float(gamma0),
-        delta_prime=float(rates.detuning + rates.delta),
+        gamma0=gamma0[()],
+        delta_prime=np.add(rates.detuning, rates.delta)[()],
     )
 
 
@@ -147,29 +150,29 @@ def drift_matrix(ms: MomentSystem) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _amplitude_block(ms: MomentSystem) -> tuple:
-    """``(s, gamma/2, 2|g|, sigma, D = gamma^2/4 - sigma^2)``, in units of
-    the power of two ``s`` that brings the largest of ``gamma``, ``|g|``
-    and ``|delta'|`` into ``[1, 2)``: that rounds nothing, so comparisons
-    are those of the rates, and no square overflows.  Nothing cancels:
+    """``(s, gamma/2, 2|g|, Re sigma, Im sigma, D = gamma^2/4 - sigma^2)``
+    over the grid of ``ms``, in units of the power of two ``s`` that brings
+    the largest of ``gamma``, ``|g|`` and ``|delta'|`` into ``[1, 2)``:
+    that rounds nothing, so comparisons are those of the rates, and no
+    square overflows.  ``sigma`` is real or imaginary.  Nothing cancels:
     ``sigma^2 = (2|g| - |delta'|)(2|g| + |delta'|)``, and ``D = (gamma/2 -
     sigma)(gamma/2 + sigma)`` for real ``sigma >= 0``, ``gamma^2/4 +
-    |sigma|^2`` for imaginary ``sigma``.
+    |sigma|^2`` for imaginary ``sigma``.  Real arithmetic throughout.
     """
-    gt, g, dp = ms.gamma_total, abs(ms.rates.g), abs(ms.delta_prime)
-    s = math.ldexp(1.0, math.frexp(max(abs(gt), g, dp))[1] - 1)
+    gt, dp, g = ms.gamma_total, abs(ms.delta_prime), _abs(ms.rates.g)
+    s = np.ldexp(0.5, np.frexp(np.maximum(np.maximum(abs(gt), g), dp))[1])
     half, two_g, dp = 0.5 * gt / s, 2.0 * g / s, dp / s
     sigma_sq = (two_g - dp) * (two_g + dp)
-    if sigma_sq >= 0.0:
-        sigma = math.sqrt(sigma_sq)
-        det = (half - sigma) * (half + sigma)
-    else:
-        sigma = 1j * math.sqrt(-sigma_sq)
-        det = half * half - sigma_sq
-    return s, half, two_g, sigma, det
+    real = sigma_sq >= 0.0
+    root = np.sqrt(abs(sigma_sq))
+    sigma_re = np.where(real, root, 0.0)
+    det = np.where(real, (half - sigma_re) * (half + sigma_re), half * half - sigma_sq)
+    return s, half, two_g, sigma_re, np.where(real, 0.0, root), det
 
 
 def stability(ms: MomentSystem) -> StabilityReport:
-    """Evaluate both stability tests, exactly and without a margin.
+    """Evaluate both stability tests, exactly and without a margin, at
+    every point of the grid of ``ms``.
 
     ``stable`` is ``gamma/2 > Re sigma`` (so ``gamma > 0``): the drift
     spectrum, whose largest real part ``max_real_part`` is ``max(-gamma/2
@@ -177,20 +180,55 @@ def stability(ms: MomentSystem) -> StabilityReport:
     ``delta'``.  ``criterion`` is the resonant inequality ``gamma0 + gamma
     > 4 |g|``, the ``delta' = 0`` case of that condition.
     """
-    s, half, two_g, sigma, _ = _amplitude_block(ms)
-    growth = sigma.real - half
+    return _stability(_amplitude_block(ms))
+
+
+def _stability(block) -> StabilityReport:
+    s, half, two_g, sigma_re, _, _ = block
+    growth = sigma_re - half
     return StabilityReport(
-        stable=half > sigma.real,
+        stable=half > sigma_re,
         criterion=half > two_g,
-        max_real_part=s * max(growth, 2.0 * growth),
+        max_real_part=s * np.maximum(growth, 2.0 * growth),
     )
 
 
-def steady_state(ms: MomentSystem) -> SteadyStateReport:
-    """Stationary moments and the quadrature covariance they imply.
+def _mul(a, b) -> np.ndarray:
+    """``a * b`` as Python multiplies complex numbers (a real factor taken
+    as complex): four products, no fused multiply-add, so the steady state
+    of a grid keeps every bit of the one-point formula."""
+    return _complex(a.real * b.real - a.imag * b.imag, a.real * b.imag + a.imag * b.real)
+
+
+def _over(z, x) -> np.ndarray:
+    """``z / x`` for real ``x``, part by part, as Python divides a complex
+    number by a float."""
+    return _complex(z.real / x, z.imag / x)
+
+
+def _div(a, b) -> np.ndarray:
+    """``a / b`` as Python divides complex numbers: Smith's method, and
+    never through the reciprocal, which overflows at a subnormal ``b``."""
+    ar, ai, br, bi = a.real, a.imag, b.real, b.imag
+    wide = np.abs(br) >= np.abs(bi)
+    ratio = np.where(wide, bi / br, br / bi)
+    denom = np.where(wide, br + bi * ratio, br * ratio + bi)
+    return _complex(
+        np.where(wide, ar + ai * ratio, ar * ratio + ai) / denom,
+        np.where(wide, ai - ar * ratio, ai * ratio - ar) / denom,
+    )
+
+
+def steady_state(ms: MomentSystem, where=True) -> SteadyStateReport:
+    """Stationary moments and the quadrature covariance they imply, at
+    every point of the grid of ``ms`` where ``where`` is true.
 
     Raises :class:`UnstableSystemError` exactly when :func:`stability`
-    calls the drift unstable.  The report carries the centered covariance
+    calls the drift unstable at such a point, and names the first one.
+    As with a NumPy ufunc's ``where``, the report's entries at the other
+    points are not checked and mean nothing: a sweep passes its stable
+    points, so that an error names its point by the index in the whole
+    grid.  The report carries the centered covariance
     matrix data, the squeezing factor ``xi = 1 / sqrt(2 * min eig
     sigma)``, and physicality flags for the Heisenberg determinant bound
     and the centered occupation.
@@ -211,79 +249,72 @@ def steady_state(ms: MomentSystem) -> SteadyStateReport:
     so the smaller eigenvalue is ``det sigma`` over the larger one rather
     than a difference of two large numbers.  The frequencies are taken in
     the units of :func:`_amplitude_block`, so only a moment beyond the
-    float range overflows, which raises :class:`OverflowError`.
+    float range overflows, which raises :class:`OverflowError`.  Complex
+    products and quotients are formed part by part, as Python forms them,
+    so a grid point rounds as a single point does.
     """
-    verdict = stability(ms)
-    if not verdict.stable:
+    block = _amplitude_block(ms)
+    verdict = _stability(block)
+    unstable = ~verdict.stable & where
+    if np.any(unstable):
+        index = _first(unstable)
         raise UnstableSystemError(
-            f"drift spectrum reaches Re(lambda) = {verdict.max_real_part:.3e}"
+            f"drift spectrum reaches Re(lambda) = {verdict.max_real_part[index]:.3e}"
+            f"{_named(index)}"
         )
-    s, half, _, _, det = _amplitude_block(ms)
+    s, half, _, _, _, det = block
     r, gt = ms.rates, ms.gamma_total
-    g, om, gg = complex(r.g) / s, complex(r.Omega_prime) / s, complex(r.Gamma)
-    dt = complex(-half, ms.delta_prime / s)
-    dt2, g2 = dt.real**2 + dt.imag**2, g.real**2 + g.imag**2
-    amp = (1j * om.conjugate() * dt + 2.0 * g.conjugate() * om) / det
-    n_c = float(
-        r.gamma_plus * dt2 + 2.0 * gt * g2 - 2.0 * (g * gg.conjugate() * dt).imag
-    ) / (gt * det)
-    gg /= s  # in units of s from here on
-    m2 = (2j * g.conjugate() * (2.0 * n_c + 1.0) + gg.conjugate()) / (
-        2.0 * dt.conjugate()
-    )
-    # products, not ** 2, so that an overflow reaches the check below
-    occupation = n_c + abs(amp) * abs(amp)
-    pair = m2 + amp * amp
-    v = np.array(
-        [occupation, amp, amp.conjugate(), pair, pair.conjugate()], dtype=complex
-    )
-    var_x = 0.5 + m2.real + n_c
-    var_p = 0.5 - m2.real + n_c
-    cov_xp = m2.imag
-    n_sym = n_c + 0.5
-    lam_max = n_sym + abs(m2)
-    cross = 8.0 * n_sym * (g.conjugate() * gg).imag
-    det_sigma = (4.0 * det * n_sym * n_sym + cross - abs(gg) * abs(gg)) / (4.0 * dt2)
-    # a finite det sigma bounds n_c, and with it the variances
-    named = (("occupation", occupation), ("pair amplitude", pair), ("det sigma", det_sigma))
-    for name, value in named:
-        if not cmath.isfinite(value):
-            raise OverflowError(f"steady-state {name} is not finite")
-    lam_min = det_sigma / lam_max
-    xi = 1.0 / np.sqrt(2.0 * lam_min) if lam_min > 0 else np.inf
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        g, om = _over(r.g, s), _over(r.Omega_prime, s)
+        dt = _complex(-half, ms.delta_prime / s)
+        dt2, g2 = _sq(dt.real) + _sq(dt.imag), _sq(g.real) + _sq(g.imag)
+        amp = _over(_mul(_mul(1j, om.conjugate()), dt) + _mul(_mul(2.0, g.conjugate()), om), det)
+        gg = r.Gamma
+        n_c = (r.gamma_plus * dt2 + 2.0 * gt * g2 - 2.0 * _mul(_mul(g, gg.conjugate()), dt).imag) / (
+            gt * det
+        )
+        gg = _over(gg, s)  # in units of s from here on
+        m2 = _div(
+            _mul(_mul(2j, g.conjugate()), 2.0 * n_c + 1.0) + gg.conjugate(),
+            _mul(2.0, dt.conjugate()),
+        )
+        # products, not ** 2, so that an overflow reaches the check below
+        occupation = n_c + _abs(amp) * _abs(amp)
+        pair = m2 + _mul(amp, amp)
+        n_sym = n_c + 0.5
+        lam_max = n_sym + _abs(m2)
+        cross = 8.0 * n_sym * _mul(g.conjugate(), gg).imag
+        det_sigma = (4.0 * det * n_sym * n_sym + cross - _abs(gg) * _abs(gg)) / (4.0 * dt2)
+        # a finite det sigma bounds n_c, and with it the variances
+        named = (("occupation", occupation), ("pair amplitude", pair), ("det sigma", det_sigma))
+        for name, value in named:
+            bad = ~np.isfinite(value) & where
+            if bad.any():
+                raise OverflowError(f"steady-state {name} is not finite{_named(_first(bad))}")
+        lam_min = det_sigma / lam_max
+        xi = np.where(lam_min > 0, 1.0 / np.sqrt(2.0 * lam_min), np.inf)[()]
+
     return SteadyStateReport(
-        moments=v,
+        moments=np.stack([occupation, amp, amp.conjugate(), pair, pair.conjugate()], axis=-1),
         occupation=occupation,
         amplitude=amp,
         pair_amplitude=pair,
         centered_occupation=n_c,
         centered_pair=m2,
-        var_x=var_x,
-        var_p=var_p,
-        cov_xp=cov_xp,
+        var_x=0.5 + m2.real + n_c,
+        var_p=0.5 - m2.real + n_c,
+        cov_xp=m2.imag,
         det_sigma=det_sigma,
-        xi=float(xi),
-        squeezed=bool(xi > 1.0),
-        heisenberg_ok=bool(det_sigma >= 0.25 - HEISENBERG_ATOL),
-        occupation_ok=bool(n_c >= -OCCUPATION_ATOL),
+        xi=xi,
+        squeezed=xi > 1.0,
+        heisenberg_ok=det_sigma >= 0.25 - HEISENBERG_ATOL,
+        occupation_ok=n_c >= -OCCUPATION_ATOL,
     )
 
 
-def default_tau_grid(gamma_total: float, points: int = 400) -> np.ndarray:
-    """Logarithmic time grid from zero out to 20 total decay times."""
-    if gamma_total <= 0:
-        raise ValueError("gamma_total must be positive")
-    if points < 2:
-        raise ValueError("need at least two grid points")
-    t_max = 20.0 / gamma_total
-    grid = np.geomspace(1e-4 * t_max, t_max, points - 1)
-    return np.concatenate(([0.0], grid))
-
-
-def coherence_g1(
-    ms: MomentSystem, report: SteadyStateReport, tau_grid=None
-) -> CoherenceSeries:
-    """Normalized first-order coherence of the stationary mode.
+def coherence_g1(ms: MomentSystem, report: SteadyStateReport, tau_grid) -> CoherenceSeries:
+    """Normalized first-order coherence of the stationary mode, at one
+    point, on the lags ``tau_grid``.
 
     Quantum regression: the lagged pair ``(<s+(0) s(tau)>, <s+(0) s+(tau)>)``
     relaxes under the amplitude block ``B`` to ``conj(<s>) (<s>, <s+>)``,
@@ -295,11 +326,10 @@ def coherence_g1(
     coherent fraction ``|<s>|^2 / <s+ s>``.  Values beyond the float range
     raise :class:`OverflowError`.
     """
-    occ, amp, pair = report.occupation, report.amplitude, report.pair_amplitude
+    occ = float(report.occupation)
+    amp, pair = complex(report.amplitude), complex(report.pair_amplitude)
     if occ <= 0:
         raise ValueError("coherence undefined for an unoccupied mode")
-    if tau_grid is None:
-        tau_grid = default_tau_grid(ms.gamma_total)
     tau_grid = np.asarray(tau_grid, dtype=float)
     if np.any(tau_grid < 0) or np.any(np.diff(tau_grid) <= 0):
         raise ValueError("tau grid must be nonnegative and increasing")
@@ -308,9 +338,9 @@ def coherence_g1(
     z_inf = ((amp.conjugate() * amp).real / occ, amp.conjugate() ** 2 / occ)
     dev0 = (1.0 - z_inf[0], pair.conjugate() / occ - z_inf[1])
     # first row of B + gamma/2, (-i delta', -2i conj(g)), applied to it
-    shifted = -1j * ms.delta_prime * dev0[0] - 2j * np.conj(ms.rates.g) * dev0[1]
-    s, _, _, sigma, _ = _amplitude_block(ms)
-    sigma *= s
+    shifted = -1j * float(ms.delta_prime) * dev0[0] - 2j * np.conj(complex(ms.rates.g)) * dev0[1]
+    s, _, _, sigma_re, sigma_im, _ = _amplitude_block(ms)
+    sigma = float(s * sigma_re) if sigma_im == 0 else 1j * float(s * sigma_im)
     x = 2.0 * sigma * tau_grid
     # tau phi(2 sigma tau) is tau to rounding while |x| < 2^-53, as at the
     # defective sigma = 0 and at a subnormal sigma, whose reciprocal overflows

@@ -9,7 +9,8 @@ arbitrary set of modes, specializes them to one mode, and provides the
 closed-form limiting expressions that serve as independent cross-checks
 (they never call the assembly pipeline).  Everything is written in the
 frame rotating at the TLS drive, so a mode enters only through its
-detuning from that drive.
+detuning from that drive.  Mode detunings and TLS parameters may be
+arrays over a grid, which then leads every rate.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bath import BathEnvironment, build_psd_table, dipole_drive
+from .bath import BathEnvironment, _first, _named, build_psd_table, dipole_drive
 
 __all__ = [
     "ModeParams",
@@ -54,8 +55,8 @@ class HermiticityError(ArithmeticError):
 
 @dataclass(frozen=True)
 class ModeParams:
-    """One bosonic mode: detuning from the drive, intrinsic linewidth,
-    direct drive."""
+    """One bosonic mode: detuning from the drive (a scalar, or an array
+    over a grid), intrinsic linewidth, direct drive."""
 
     detuning: float
     gamma0: float
@@ -69,12 +70,13 @@ class ModeParams:
 
 @dataclass(frozen=True, eq=False)
 class MasterEqRates:
-    """Full rate set for a multimode system.
+    """Full rate set for a multimode system, over a grid.
 
-    Matrix entries are indexed ``[m, n]`` over modes; ``delta`` and the
-    incoherent rate matrices are Hermitian, ``Omega_prime`` holds the
-    TLS-corrected coherent drives, ``detunings`` the modes' own detunings
-    from the drive.
+    Matrix entries are indexed ``[..., m, n]`` over modes, after the grid
+    axes; ``delta`` and the incoherent rate matrices are Hermitian at
+    every grid point, ``Omega_prime`` holds the TLS-corrected coherent
+    drives ``[..., m]``, ``detunings`` the modes' own detunings from the
+    drive.
     """
 
     detunings: tuple
@@ -88,7 +90,8 @@ class MasterEqRates:
 
 @dataclass(frozen=True)
 class SingleModeRates:
-    """Rates of the single-mode master equation (all per unit time)."""
+    """Rates of the single-mode master equation (all per unit time): one
+    point, or arrays that broadcast to a grid."""
 
     detuning: float
     Omega_prime: complex
@@ -111,20 +114,36 @@ def effective_driving(
 
     The bare mode drives plus :func:`~tlsbath.bath.dipole_drive`, the
     stationary TLS raising amplitudes weighted by their couplings; without
-    TLS drive the bare mode drives are returned unchanged.
+    TLS drive the bare mode drives are returned unchanged.  Modes are the
+    last axis, after the grid of the bath.
     """
     bare = np.array([complex(m.Omega) for m in modes], dtype=complex)
     return bare + dipole_drive(tls_list, env, len(bare), counts)
 
 
-def _check_hermitian(mat: np.ndarray, name: str) -> None:
-    scale = max(np.abs(mat).max(), np.finfo(float).tiny)
-    dev = np.abs(mat - mat.conj().T).max()
-    if dev > HERMITICITY_RTOL * scale:
+def _adjoint(mat: np.ndarray) -> np.ndarray:
+    return mat.swapaxes(-1, -2).conj()
+
+
+def _check_hermitian(named) -> None:
+    """Raise :class:`HermiticityError` for the first of the ``(name,
+    matrices)`` pairs that is not Hermitian at some grid point."""
+    mats = np.stack([mat for _, mat in named])
+    scale = np.maximum(np.abs(mats).max(axis=(-2, -1)), np.finfo(float).tiny)
+    dev = np.abs(mats - _adjoint(mats)).max(axis=(-2, -1))
+    bad = dev > HERMITICITY_RTOL * scale
+    if bad.any():
+        k, *index = _first(bad)
         raise HermiticityError(
-            f"{name} deviates from Hermiticity by {dev:.3e} "
-            f"(scale {scale:.3e})"
+            f"{named[k][0]} deviates from Hermiticity by {dev[k][tuple(index)]:.3e} "
+            f"(scale {scale[k][tuple(index)]:.3e}){_named(index)}"
         )
+
+
+def _check_finite(value: np.ndarray, name: str, axes) -> None:
+    if not np.isfinite(value).all():
+        bad = ~np.isfinite(value).all(axis=axes)
+        raise OverflowError(f"{name} is not finite{_named(_first(bad))}")
 
 
 def assemble_rates(
@@ -139,28 +158,34 @@ def assemble_rates(
     Hermiticity of the frequency-shift and incoherent-rate matrices is a
     structural consequence of the contraction and is asserted, not
     enforced: a violation raises :class:`HermiticityError`.  A table or
-    drive that overflowed raises :class:`OverflowError`.
+    drive that overflowed raises :class:`OverflowError`.  Mode detunings
+    and TLS parameters that are arrays broadcast to one grid, whose axes
+    lead every rate; each check holds at every grid point, and an error
+    names the first point that fails it.
     """
     modes = list(modes)
     detunings = tuple(m.detuning for m in modes)
     table = build_psd_table(tls_list, env, detunings, counts=counts)
     omega_prime = effective_driving(modes, tls_list, env, counts=counts)
-    for name, value in (("spectral-density table", table), ("effective drive", omega_prime)):
-        if not np.isfinite(value).all():
-            raise OverflowError(f"{name} is not finite")
+    _check_finite(table, "spectral-density table", (-4, -3, -2, -1))
+    _check_finite(omega_prime, "effective drive", -1)
     # pm is the (alpha, beta) = (+1, -1) block, and so on (see bath.SIGNS)
-    (pp, pm), (mp, mm) = table
+    pp, pm, mp, mm = (table[..., a, b, :, :] for a in (0, 1) for b in (0, 1))
 
     shift = pm + mp
-    delta = -0.5j * shift + 0.5j * shift.conj().T
-    g = -0.5j * (pp - mm.conj().T)
-    gamma_plus = pm + pm.conj().T
-    gamma_minus = mp + mp.conj().T
-    big_gamma = pp + mm.conj().T
+    delta = -0.5j * shift + 0.5j * _adjoint(shift)
+    g = -0.5j * (pp - _adjoint(mm))
+    gamma_plus = pm + _adjoint(pm)
+    gamma_minus = mp + _adjoint(mp)
+    big_gamma = pp + _adjoint(mm)
 
-    _check_hermitian(delta, "frequency-shift matrix")
-    _check_hermitian(gamma_plus, "upward-rate matrix")
-    _check_hermitian(gamma_minus, "downward-rate matrix")
+    _check_hermitian(
+        (
+            ("frequency-shift matrix", delta),
+            ("upward-rate matrix", gamma_plus),
+            ("downward-rate matrix", gamma_minus),
+        )
+    )
 
     return MasterEqRates(
         detunings=detunings,
@@ -173,12 +198,14 @@ def assemble_rates(
     )
 
 
-def _real_part(value: complex, name: str) -> float:
-    if abs(value.imag) > IMAG_RESIDUE_ATOL:
+def _real_part(value: np.ndarray, name: str) -> np.ndarray:
+    bad = np.abs(value.imag) > IMAG_RESIDUE_ATOL
+    if bad.any():
+        index = _first(bad)
         raise HermiticityError(
-            f"{name} carries imaginary residue {value.imag:.3e}"
+            f"{name} carries imaginary residue {value.imag[index]:.3e}{_named(index)}"
         )
-    return float(value.real)
+    return value.real
 
 
 def single_mode_rates(
@@ -187,30 +214,33 @@ def single_mode_rates(
     env: BathEnvironment,
     counts=None,
 ) -> SingleModeRates:
-    """Scalar rate set for a single mode.
+    """Scalar rate set for a single mode, at one point or over a grid.
 
     Diagonal entries of the Hermitian matrices are real by construction;
     an imaginary residue above 1e-12 signals an assembly bug and raises.
     The incoherent rates must come out nonnegative (they are diagonal
-    dissipator weights).
+    dissipator weights).  Each check holds at every grid point.
     """
     rates = assemble_rates([mode], tls_list, env, counts=counts)
-    gp = _real_part(complex(rates.gamma_plus[0, 0]), "upward rate")
-    gm = _real_part(complex(rates.gamma_minus[0, 0]), "downward rate")
-    tol = 1e-12 * max(abs(gp), abs(gm), 1e-30)
-    if gp < -tol or gm < -tol:
+    gp = _real_part(rates.gamma_plus[..., 0, 0], "upward rate")
+    gm = _real_part(rates.gamma_minus[..., 0, 0], "downward rate")
+    tol = 1e-12 * np.maximum(np.maximum(np.abs(gp), np.abs(gm)), 1e-30)
+    bad = (gp < -tol) | (gm < -tol)
+    if bad.any():
+        index = _first(bad)
         raise ArithmeticError(
-            f"negative incoherent rate: gamma_plus={gp:.3e}, "
-            f"gamma_minus={gm:.3e}"
+            f"negative incoherent rate: gamma_plus={gp[index]:.3e}, "
+            f"gamma_minus={gm[index]:.3e}{_named(index)}"
         )
     return SingleModeRates(
         detuning=rates.detunings[0],
-        Omega_prime=complex(rates.Omega_prime[0]),
-        delta=_real_part(complex(rates.delta[0, 0]), "frequency shift"),
-        g=complex(rates.g[0, 0]),
-        gamma_plus=max(gp, 0.0),
-        gamma_minus=max(gm, 0.0),
-        Gamma=complex(rates.Gamma[0, 0]),
+        Omega_prime=rates.Omega_prime[..., 0][()],
+        delta=_real_part(rates.delta[..., 0, 0], "frequency shift")[()],
+        g=rates.g[..., 0, 0][()],
+        # -0.0 stays -0.0, as in max(gp, 0.0)
+        gamma_plus=np.where(gp < 0.0, 0.0, gp)[()],
+        gamma_minus=np.where(gm < 0.0, 0.0, gm)[()],
+        Gamma=rates.Gamma[..., 0, 0][()],
     )
 
 

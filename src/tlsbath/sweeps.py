@@ -7,11 +7,14 @@ Complex columns are split into `_re`/`_im` pairs; grid points whose
 steady state does not exist carry the string sentinel ``unstable``
 instead of numbers.
 
-Every scenario runs in one serial loop over its grid.  The mode decay
-rate gamma_0 never enters the rates, so a grid's rates are assembled
-once per combination of its other swept values: once per drive on the
-default (Omega_B x gamma_0) stability map, once in all for a sweep of
-gamma_0.
+A grid scenario evaluates its whole grid in one batched pass: the
+swept values enter the config as arrays over an open mesh of the axes,
+one ``rates_at`` call gives the rates at every point, and each column is
+one array expression over all rows.  The mode decay rate gamma_0 never
+enters the rates, so its axis is left out of the rate call: the rates
+are assembled once per combination of the other swept values, once per
+drive on the default (Omega_B x gamma_0) stability map, once in all for
+a sweep of gamma_0.
 
 Scenario semantics:
 
@@ -32,7 +35,6 @@ Scenario semantics:
 from __future__ import annotations
 
 import dataclasses
-import itertools
 import json
 import sys
 from dataclasses import dataclass
@@ -41,8 +43,8 @@ from datetime import datetime, timezone
 import numpy as np
 
 from . import __version__
-from .bath import transverse_rate
-from .config import ConfigError, ScenarioConfig, resolved_items
+from .bath import _abs, transverse_rate
+from .config import ConfigError, ScenarioConfig, check_frame, resolved_items
 from .dynamics import (
     UnstableSystemError,
     build_moment_system,
@@ -51,7 +53,7 @@ from .dynamics import (
     steady_state,
 )
 from .oracle import steady_state_autogrow, mode_moments
-from .rates import single_mode_rates
+from .rates import SingleModeRates, single_mode_rates
 
 SCENARIOS = (
     "driving",
@@ -90,7 +92,11 @@ class SweepResult:
 
 
 def rates_at(cfg: ScenarioConfig):
-    """Single-mode rates of the bath and mode a resolved config describes."""
+    """Single-mode rates of the bath and mode a resolved config describes.
+
+    Fields of ``cfg`` that hold arrays (``Omega_B``, ``Delta_B``,
+    ``Delta_0``) give the rates over their broadcast grid, in one call.
+    """
     return single_mode_rates(
         cfg.mode_params(),
         [cfg.tls_params()],
@@ -99,17 +105,22 @@ def rates_at(cfg: ScenarioConfig):
     )
 
 
-def _split(z: complex) -> tuple:
-    return (z.real, z.imag, abs(z))
+def _filled(stable, values, sentinel=UNSTABLE) -> np.ndarray:
+    # one entry per row: ``values`` on the stable rows, the sentinel elsewhere
+    out = np.full(stable.shape, sentinel, dtype=object)
+    out[stable] = values[stable].tolist()
+    return out
 
 
-def _steady_state_cols(r, gamma_0: float) -> tuple:
+def _split(z) -> list:
+    return [z.real, z.imag, _abs(z)]
+
+
+def _steady_state_cols(r, gamma_0) -> list:
     ms = build_moment_system(r, gamma_0)
-    try:
-        rep = steady_state(ms)
-    except UnstableSystemError:
-        return (UNSTABLE,) * 7 + (0,)
-    return (
+    stable = stability(ms).stable
+    rep = steady_state(ms, where=stable)
+    cols = (
         rep.occupation,
         rep.amplitude.real,
         rep.amplitude.imag,
@@ -117,29 +128,27 @@ def _steady_state_cols(r, gamma_0: float) -> tuple:
         rep.pair_amplitude.imag,
         rep.xi,
         rep.centered_occupation,
-        1,
     )
+    return [_filled(stable, c) for c in cols] + [stable.astype(int)]
 
 
-def _squeezing_cols(r, gamma_0: float) -> tuple:
+def _squeezing_cols(r, gamma_0) -> list:
     ms = build_moment_system(r, gamma_0)
-    try:
-        rep = steady_state(ms)
-    except UnstableSystemError:
-        return (UNSTABLE,) * 5 + (0,)
+    stable = stability(ms).stable
+    rep = steady_state(ms, where=stable)
     # pair pumping switched off: stable too, as gamma > 0 and Re sigma = 0 without g
-    ms0 = build_moment_system(dataclasses.replace(r, g=0j), gamma_0)
-    xi0 = steady_state(ms0).xi
-    return (rep.xi, xi0, rep.var_x, rep.var_p, rep.det_sigma, int(rep.squeezed))
+    ms0 = build_moment_system(dataclasses.replace(r, g=np.zeros_like(r.g)), gamma_0)
+    cols = (rep.xi, steady_state(ms0, where=stable).xi, rep.var_x, rep.var_p, rep.det_sigma)
+    return [_filled(stable, c) for c in cols] + [_filled(stable, rep.squeezed.astype(int), 0)]
 
 
-def _stability_cols(r, gamma_0: float) -> tuple:
+def _stability_cols(r, gamma_0) -> list:
     rep = stability(build_moment_system(r, gamma_0))
-    return (int(rep.stable), int(rep.criterion), rep.max_real_part)
+    return [rep.stable.astype(int), rep.criterion.astype(int), rep.max_real_part]
 
 
-# Grid scenarios: their columns after the swept values, and how a row
-# reads them off the point's rates and mode decay rate.
+# Grid scenarios: their columns after the swept values, and how the rows
+# read them off the rates and mode decay rates of all rows at once.
 _GRID_SCENARIOS = {
     "driving": (
         ("Omega_prime_re", "Omega_prime_im", "Omega_prime_abs"),
@@ -149,9 +158,9 @@ _GRID_SCENARIOS = {
     "squeeze-rate": (("g_re", "g_im", "g_abs"), lambda r, _: _split(r.g)),
     "decay-rate": (
         ("gamma", "gamma_plus", "gamma_minus"),
-        lambda r, _: (r.gamma, r.gamma_plus, r.gamma_minus),
+        lambda r, _: [r.gamma, r.gamma_plus, r.gamma_minus],
     ),
-    "freq-shift": (("delta",), lambda r, _: (r.delta,)),
+    "freq-shift": (("delta",), lambda r, _: [r.delta]),
     "steady-state": (
         (
             "occupation",
@@ -175,23 +184,27 @@ _GRID_SCENARIOS = {
 
 def _grid_rows(cfg: ScenarioConfig, axes, read) -> list:
     """One row per point of the product grid of ``axes``: the swept values,
-    then ``read(rates, gamma_0)`` at that point.
+    then the columns ``read(rates, gamma_0)`` gives over all rows at once.
 
-    gamma_0 enters only the moment system, so the rates are keyed by the
-    other swept values and assembled once per key.
+    The axes form an open mesh, so one ``rates_at`` call over the swept
+    values other than gamma_0, which enters only the moment system, gives
+    the rates once per rate point; they are then broadcast along the
+    gamma_0 axis to one entry per row.
     """
-    variables = [axis.variable for axis in axes]
-    rates = {}
-    rows = []
-    for values in itertools.product(*(axis.grid() for axis in axes)):
-        at = dict(zip(variables, values))
-        key = tuple(v for var, v in at.items() if var != "gamma_0")
-        if key not in rates:
-            point = {var: complex(v) if var == "Omega_B" else float(v) for var, v in at.items()}
-            rates[key] = rates_at(cfg.replace(**point))
-        gamma_0 = float(at.get("gamma_0", cfg.gamma_0))
-        rows.append(_normalize_row(values + read(rates[key], gamma_0)))
-    return rows
+    shape = tuple(axis.count for axis in axes)
+    mesh = np.ix_(*(axis.grid() for axis in axes))
+    point = {axis.variable: values for axis, values in zip(axes, mesh)}
+    gamma_0 = point.pop("gamma_0", cfg.gamma_0)
+    if "Omega_B" in point:
+        point["Omega_B"] = point["Omega_B"].astype(complex)
+
+    def rows(v):
+        return np.broadcast_to(v, shape).reshape(-1)
+
+    rates = rates_at(cfg.replace(**point))
+    rates = SingleModeRates(*(rows(getattr(rates, f.name)) for f in dataclasses.fields(rates)))
+    columns = [rows(values) for values in mesh] + read(rates, rows(gamma_0))
+    return list(zip(*(np.asarray(c).tolist() for c in columns)))
 
 
 def _normalize_row(row) -> tuple:
@@ -250,23 +263,27 @@ def run_scenario(name: str, cfg: ScenarioConfig) -> SweepResult:
         axes = (cfg.sweep, cfg.sweep2)
     elif cfg.sweep.variable == "tau":
         raise ConfigError("sweep.variable: tau only applies to the coherence scenario")
+    # the drive frame holds on the whole grid where it holds at the largest
+    # Delta_B and the smallest Delta_0 on it
+    swept = {axis.variable: axis for axis in axes}
+    check_frame(
+        swept["Delta_B"].stop if "Delta_B" in swept else cfg.Delta_B,
+        swept["Delta_0"].start if "Delta_0" in swept else cfg.Delta_0,
+    )
     cols, read = _GRID_SCENARIOS[name]
     rows = _grid_rows(cfg, axes, read)
     return SweepResult(name, tuple(a.variable for a in axes) + cols, tuple(rows), meta)
 
 
 def _coherence_rows(cfg: ScenarioConfig) -> list:
-    rates = rates_at(cfg)
-    ms = build_moment_system(rates, cfg.gamma_0)
+    tau = cfg.sweep.grid()
+    ms = build_moment_system(rates_at(cfg), cfg.gamma_0)
     try:
         rep = steady_state(ms)
     except UnstableSystemError:
-        return [(float(t),) + (UNSTABLE,) * 3 for t in cfg.sweep.grid()]
-    series = coherence_g1(ms, rep, cfg.sweep.grid())
-    return [
-        _normalize_row((float(t), v.real, v.imag, abs(v)))
-        for t, v in zip(series.tau, series.values)
-    ]
+        return [(t, UNSTABLE, UNSTABLE, UNSTABLE) for t in tau.tolist()]
+    series = coherence_g1(ms, rep, tau)
+    return list(zip(series.tau.tolist(), *(c.tolist() for c in _split(series.values))))
 
 
 def oracle_point(cfg: ScenarioConfig, ratio: float) -> tuple:
@@ -325,14 +342,6 @@ def _oracle_rows(cfg: ScenarioConfig) -> list:
     return [_normalize_row(oracle_point(cfg, ratio)) for ratio in cfg.oracle_ratios]
 
 
-def _fmt(value) -> str:
-    if isinstance(value, str):
-        return value
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return repr(float(value))
-
-
 def render_csv(result: SweepResult) -> str:
     """Comma-separated text: '#' metadata, header row, then data rows."""
     lines = [
@@ -342,8 +351,8 @@ def render_csv(result: SweepResult) -> str:
     ]
     lines += [f"# {key} = {value}" for key, value in result.meta]
     lines.append(",".join(result.columns))
-    for row in result.rows:
-        lines.append(",".join(_fmt(v) for v in row))
+    # rows hold plain str, int and float values, and str is repr on them
+    lines += [",".join(map(str, row)) for row in result.rows]
     return "\n".join(lines) + "\n"
 
 

@@ -153,13 +153,16 @@ _TAU = ["--set", "sweep.variable=tau", "--set", "sweep.start=0", "--set", "sweep
         (["rates", "--set", "mode.Delta_0=-3"], "mode.Delta_0"),
         (["sweep", "driving", "--set", "sweep.variable=Delta_B", "--set", "sweep.start=0.5",
           "--set", "sweep.stop=1.5", "--set", "sweep.scale=linear", "--set", "sweep.count=5"],
-         "mode frequency"),
+         "bath.Delta_B"),
+        (["stability-map", "--set", "sweep2.variable=Delta_0", "--set", "sweep2.start=-2",
+          "--set", "sweep2.stop=0", "--set", "sweep2.scale=linear", "--set", "sweep2.count=3"],
+         "mode.Delta_0"),
         (["coherence", *_TAU], "unoccupied mode"),
         (["sweep", "driving", "--jobs", "0"], "--jobs"),
         (["steady-state", "--jobs", "-3"], "--jobs"),
     ],
-    ids=["drive-frequency", "mode-frequency", "Delta_B-sweep", "undriven-coherence",
-         "jobs-zero", "jobs-negative"],
+    ids=["drive-frequency", "mode-frequency", "Delta_B-sweep", "Delta_0-sweep",
+         "undriven-coherence", "jobs-zero", "jobs-negative"],
 )
 def test_library_parameter_errors_are_config_errors(capsys, argv, fragment):
     code, _, err = _run(capsys, *argv)

@@ -13,7 +13,6 @@ from tlsbath.dynamics import (
     UnstableSystemError,
     build_moment_system,
     coherence_g1,
-    default_tau_grid,
     drift_matrix,
     stability,
     steady_state,
@@ -31,6 +30,17 @@ ENV0 = BathEnvironment(temperature=0.0)
 
 def _drive(s):
     return float(np.sqrt(s * KAPPA_1 * KAPPA_T))
+
+
+def default_tau_grid(gamma_total: float, points: int = 400) -> np.ndarray:
+    """Logarithmic time grid from zero out to 20 total decay times."""
+    if gamma_total <= 0:
+        raise ValueError("gamma_total must be positive")
+    if points < 2:
+        raise ValueError("need at least two grid points")
+    t_max = 20.0 / gamma_total
+    grid = np.geomspace(1e-4 * t_max, t_max, points - 1)
+    return np.concatenate(([0.0], grid))
 
 
 def _rates(s=1.0, Delta_0=0.0, Omega_0=0j):
@@ -385,7 +395,7 @@ def test_coherence_unit_at_zero_lag_and_asymptote():
     r = _rates(s=1.0)
     ms = build_moment_system(r, GAMMA_0)
     rep = steady_state(ms)
-    series = coherence_g1(ms, rep)
+    series = coherence_g1(ms, rep, default_tau_grid(ms.gamma_total))
     assert series.values[0] == 1.0 + 0.0j
     coherent_fraction = abs(rep.amplitude) ** 2 / rep.occupation
     assert series.asymptote.real == pytest.approx(coherent_fraction, rel=1e-10)
@@ -408,4 +418,4 @@ def test_coherence_undefined_without_occupation():
     ms = build_moment_system(_bare_rates(0.0), GAMMA_0)
     rep = steady_state(ms)  # vacuum: zero occupation
     with pytest.raises(ValueError):
-        coherence_g1(ms, rep)
+        coherence_g1(ms, rep, default_tau_grid(ms.gamma_total))

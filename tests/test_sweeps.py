@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 import tlsbath.sweeps as sweeps
 from tlsbath.config import ConfigError, resolve
 from tlsbath.dynamics import build_moment_system, stability
-from tlsbath.rates import low_drive_limits
+from tlsbath.rates import low_drive_limits, single_mode_rates
 from tlsbath.sweeps import (
     SCENARIOS,
     UNSTABLE,
@@ -327,7 +327,7 @@ _GAMMA_AXIS = {"variable": "gamma_0", "start": "1e-9", "stop": "1e-5", "count": 
 
 
 @pytest.mark.parametrize(
-    "scenario, axes, assemblies, rows",
+    "scenario, axes, points, rows",
     [
         ("stability-map", {"sweep": _OMEGA_AXIS, "sweep2": _GAMMA_AXIS}, 3, 12),
         ("stability-map", {"sweep": _GAMMA_AXIS, "sweep2": _OMEGA_AXIS}, 3, 12),
@@ -335,18 +335,20 @@ _GAMMA_AXIS = {"variable": "gamma_0", "start": "1e-9", "stop": "1e-5", "count": 
     ],
     ids=["omega-by-gamma", "gamma-by-omega", "steady-state-over-gamma"],
 )
-def test_rates_assembled_once_per_rate_point(monkeypatch, scenario, axes, assemblies, rows):
-    """gamma_0 never enters the rates: a grid assembles them once per
-    value of its other axis, whichever axis order it has."""
+def test_rates_assembled_once_per_rate_point(monkeypatch, scenario, axes, points, rows):
+    """gamma_0 never enters the rates: a grid takes one single_mode_rates
+    call, over one point per value of its other axis, whichever axis order
+    it has."""
     calls = []
 
-    def counting(cfg):
-        calls.append(cfg)
-        return rates_at(cfg)
+    def counting(*args, **kwargs):
+        rates = single_mode_rates(*args, **kwargs)
+        calls.append(np.size(rates.g))
+        return rates
 
-    monkeypatch.setattr(sweeps, "rates_at", counting)
+    monkeypatch.setattr(sweeps, "single_mode_rates", counting)
     res = run_scenario(scenario, _cfg(**axes))
-    assert len(calls) == assemblies
+    assert calls == [points]
     assert len(res.rows) == rows
 
 
