@@ -17,6 +17,11 @@ The package is organized bottom-up:
   scenario configuration, sweep execution, serialization, command line.
 - :mod:`tlsbath.validation`: the acceptance checks, runnable from code,
   pytest, or the CLI.
+
+Every module is imported with the package, but SciPy only as its
+top-level package: its submodules load the first time the oracle, the
+linalg kernels or the acceptance checks read them, so the rate and
+moment layers run on NumPy alone.
 """
 
 __version__ = "0.1.0"
@@ -37,6 +42,7 @@ from .bath import (
 from .dynamics import (
     CoherenceSeries,
     MomentSystem,
+    PrecisionLossError,
     StabilityReport,
     SteadyStateReport,
     UnstableSystemError,
@@ -70,7 +76,6 @@ from .rates import (
     SingleModeRates,
     assemble_rates,
     effective_driving,
-    high_drive_gamma_limits,
     low_drive_limits,
     mollow_sideband,
     optimal_detuning,

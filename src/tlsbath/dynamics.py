@@ -33,6 +33,7 @@ __all__ = [
     "SteadyStateReport",
     "CoherenceSeries",
     "UnstableSystemError",
+    "PrecisionLossError",
     "build_moment_system",
     "drift_matrix",
     "stability",
@@ -44,9 +45,17 @@ __all__ = [
 HEISENBERG_ATOL = 1e-9
 OCCUPATION_ATOL = 1e-9
 
+# A variance or det sigma whose forward rounding bound exceeds this
+# fraction of its value has lost its digits; the steady state then raises.
+DIGITS_RTOL = 1e-2
+
 
 class UnstableSystemError(ArithmeticError):
     """Moment drift has a nondecaying direction; no steady state exists."""
+
+
+class PrecisionLossError(ArithmeticError):
+    """A steady-state variance or det sigma is below its rounding error."""
 
 
 @dataclass(frozen=True)
@@ -252,6 +261,15 @@ def steady_state(ms: MomentSystem, where=True) -> SteadyStateReport:
     float range overflows, which raises :class:`OverflowError`.  Complex
     products and quotients are formed part by part, as Python forms them,
     so a grid point rounds as a single point does.
+
+    ``var_x = n_c + 1/2 + Re m_c`` and ``det sigma`` still cancel ``n_c``
+    near a saturated, narrow bath, where ``n_c`` reaches 1e16.  Their
+    forward rounding bounds are ``eps (n_c + |m_c|)`` and ``eps`` times
+    the magnitudes ``det sigma`` sums, each plus what the rates carry in,
+    ``eps max(gamma_+, gamma_-, |Gamma|) / gamma_total`` (times the larger
+    covariance eigenvalue for ``det sigma``).  Where a bound exceeds
+    ``DIGITS_RTOL`` of its quantity, :class:`PrecisionLossError` names the
+    quantity, the bound and the point.
     """
     block = _amplitude_block(ms)
     verdict = _stability(block)
@@ -291,6 +309,23 @@ def steady_state(ms: MomentSystem, where=True) -> SteadyStateReport:
             bad = ~np.isfinite(value) & where
             if bad.any():
                 raise OverflowError(f"steady-state {name} is not finite{_named(_first(bad))}")
+        # forward rounding bounds: eps times the terms each sum cancels,
+        # plus the rates' rounding carried in through gamma
+        rates_in = np.maximum(np.maximum(r.gamma_plus, r.gamma_minus), _abs(r.Gamma)) / gt
+        eps = np.finfo(float).eps
+        var_err = eps * (abs(n_c) + _abs(m2) + rates_in)
+        det_terms = (4.0 * det * n_sym * n_sym + abs(cross) + _abs(gg) * _abs(gg)) / (4.0 * dt2)
+        det_err = eps * (det_terms + lam_max * rates_in)
+        var_x, var_p = 0.5 + m2.real + n_c, 0.5 - m2.real + n_c
+        bounded = (("var_x", var_x, var_err), ("var_p", var_p, var_err), ("det sigma", det_sigma, det_err))
+        for name, value, bound in bounded:
+            lost = ~(bound <= DIGITS_RTOL * abs(value)) & where
+            if lost.any():
+                index = _first(lost)
+                raise PrecisionLossError(
+                    f"steady-state {name} = {value[index]:.3e} has lost its digits: rounding"
+                    f" bound {bound[index]:.3e} exceeds {DIGITS_RTOL:g} of it{_named(index)}"
+                )
         lam_min = det_sigma / lam_max
         xi = np.where(lam_min > 0, 1.0 / np.sqrt(2.0 * lam_min), np.inf)[()]
 
@@ -301,8 +336,8 @@ def steady_state(ms: MomentSystem, where=True) -> SteadyStateReport:
         pair_amplitude=pair,
         centered_occupation=n_c,
         centered_pair=m2,
-        var_x=0.5 + m2.real + n_c,
-        var_p=0.5 - m2.real + n_c,
+        var_x=var_x,
+        var_p=var_p,
         cov_xp=m2.imag,
         det_sigma=det_sigma,
         xi=xi,

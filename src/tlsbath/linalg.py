@@ -8,7 +8,10 @@ reach sides of a few thousand at the default dimension cap and are
 sparse: their steady state is one sparse LU solve
 (:func:`trace_null_vector`).  The dense SVD
 :func:`null_vector` remains for the 4x4 single-TLS generator and as the
-reference the sparse kernel is tested against.
+reference the sparse kernel is tested against.  Only ``scipy`` itself is
+imported here: SciPy loads ``scipy.linalg`` or ``scipy.sparse`` the first
+time one of its attributes is read, so the closed-form layers never pay
+for them.
 """
 
 from __future__ import annotations
@@ -17,9 +20,7 @@ import math
 import warnings
 
 import numpy as np
-import scipy.linalg
-import scipy.sparse
-import scipy.sparse.linalg
+import scipy
 
 __all__ = [
     "SingularMatrixError",

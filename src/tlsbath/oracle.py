@@ -6,7 +6,8 @@ damped TLS is built as a sparse superoperator from Kronecker products, its
 steady state extracted from the kernel by one sparse LU solve, and
 expectation values compared against the adiabatic elimination.  Nothing
 here reuses the effective-rate pipeline; the only shared code is the
-linear-algebra kernel.
+linear-algebra kernel.  ``scipy.sparse`` and ``scipy.linalg`` load on the
+first call that reads them, not when the package is imported.
 
 Matrix vectorization is row-major throughout: ``vec(A rho B) =
 kron(A, B.T) @ vec(rho)``.
@@ -20,8 +21,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
-import scipy.sparse
+import scipy
 
 from .bath import BathEnvironment, TlsParams, bose_occupation
 from .linalg import null_vector, trace_null_vector

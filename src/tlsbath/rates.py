@@ -33,7 +33,6 @@ __all__ = [
     "single_mode_rates",
     "resonant_closed_form",
     "low_drive_limits",
-    "high_drive_gamma_limits",
     "mollow_sideband",
     "optimal_detuning",
 ]
@@ -41,8 +40,6 @@ __all__ = [
 # Tolerances for structural checks on assembled rate matrices.
 HERMITICITY_RTOL = 1e-10
 IMAG_RESIDUE_ATOL = 1e-12
-
-HIGH_DRIVE_REGIMES = ("far_detuned", "amplifying", "saturated_resonant")
 
 
 class BelowThresholdError(ValueError):
@@ -301,48 +298,6 @@ def low_drive_limits(
     therm = _thermal_coherence_factor(omega_B, temperature)
     base = n_tls * abs(coupling) ** 2 / (kappa_t**2 + detuning**2) * therm
     return 2.0 * kappa_t * base, detuning * base
-
-
-def high_drive_gamma_limits(
-    n_tls: float,
-    coupling: complex,
-    kappa1: float,
-    kappa_t: float,
-    delta_0: float,
-    drive: complex,
-    regime: str,
-    omega_B: float = 1.0,
-    temperature: float = 0.0,
-) -> float:
-    """Saturated-drive asymptotes of the induced decay rate.
-
-    Three parameter orderings have distinct leading behavior:
-
-    - ``far_detuned``: mode detuning dominates the drive
-      (``|delta_0| >> |drive| >> kappa_t``), residual cooling ~ 1/delta_0^2.
-    - ``amplifying``: drive dominates the detuning
-      (``|drive| >> |delta_0| >> kappa_t``), net amplification ~ -1/|drive|^2.
-    - ``saturated_resonant``: near-resonant saturated TLS
-      (``|drive| >> kappa_t >> |delta_0|``), thermally weighted ~ 1/|drive|^4.
-    """
-    if regime not in HIGH_DRIVE_REGIMES:
-        raise ValueError(f"regime must be one of {HIGH_DRIVE_REGIMES}")
-    base = n_tls * abs(coupling) ** 2 * kappa1
-    if regime == "far_detuned":
-        if delta_0 == 0:
-            raise ValueError("far_detuned regime needs a nonzero detuning")
-        return base / delta_0**2
-    if regime == "amplifying":
-        if drive == 0:
-            raise BelowThresholdError("amplifying regime needs a drive")
-        return -base / abs(drive) ** 2
-    if drive == 0:
-        raise BelowThresholdError("saturated regime needs a drive")
-    if temperature == 0.0:
-        coth = 1.0
-    else:
-        coth = 1.0 / math.tanh(omega_B / (2.0 * temperature))
-    return base * 2.0 * kappa1 * kappa_t / abs(drive) ** 4 * coth
 
 
 def mollow_sideband(drive: complex, kappa_t: float) -> float:

@@ -15,6 +15,7 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
+import scipy
 
 from .bath import BathEnvironment, TlsParams, build_psd_table, transverse_rate
 from .config import ScenarioConfig, resolve
@@ -191,8 +192,6 @@ def criterion_04_closed_form() -> CriterionResult:
 
 
 def criterion_05_driving_structure() -> CriterionResult:
-    import scipy.optimize
-
     t0 = time.perf_counter()
 
     def neg_drive(s):

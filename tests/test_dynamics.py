@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from tlsbath.bath import BathEnvironment, TlsParams
 from tlsbath.dynamics import (
+    PrecisionLossError,
     UnstableSystemError,
     build_moment_system,
     coherence_g1,
@@ -346,11 +347,21 @@ def _threshold_system(draw):
 @settings(max_examples=300)
 @given(ms=st.one_of(_threshold_system(), _stable_system(st.floats(0.0, 3.0), _log(-10, -6))))
 def test_steady_state_exists_exactly_when_stable(ms):
-    """Stable drifts have finite moments within the Heisenberg bound; every
-    other drift, threshold cases in exact binary included, raises the
-    typed error, never an inf or NaN."""
+    """Stable drifts have finite moments within the Heisenberg bound, or
+    raise the typed precision error; every other drift, threshold cases in
+    exact binary included, raises the unstable error, never an inf or NaN.
+
+    Every variance is at least 1/(4 lam_max), so a rounding bound of
+    eps (n_c + |m_c|) above 1 % of it needs n_c + |m_c| of a few 1e6;
+    the draws that raise have 1e13 and more, where a variance of order
+    one (or 1e-40) is a difference of two moments that large."""
     if stability(ms).stable:
-        rep = steady_state(ms)
+        try:
+            rep = steady_state(ms)
+        except PrecisionLossError:
+            rep = steady_state(ms, where=False)  # the same numbers, unchecked
+            assert rep.centered_occupation + abs(rep.centered_pair) > 1e6
+            return
         assert np.all(np.isfinite(rep.moments))
         assert np.isfinite([rep.det_sigma, rep.var_x, rep.var_p]).all()
         assert rep.det_sigma >= 0.25 - 1e-9

@@ -6,6 +6,8 @@ deleted or renamed one breaks only the traced run, so it is checked here.
 
 import importlib
 import importlib.util
+import subprocess
+import sys
 from pathlib import Path
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
@@ -33,3 +35,32 @@ def test_solve_split_names_are_targets():
     names = {f"{mod_name}.{fn_name}" for mod_name, fn_name in spans.TARGETS}
     assert spans.SOLVE in names
     assert set(spans.SOLVE_PARENTS) <= names
+
+
+# `import tlsbath` alone, in a fresh interpreter, must bring in every module
+# the tracer patches: a module loaded lazily on first use would be missing
+# from sys.modules when `Tracer.install` reads it.
+_FRESH = """
+import sys
+sys.path.insert(0, {perfbench!r})
+import tlsbath
+import spans
+print([m for m, _ in spans.TARGETS if "tlsbath." + m not in sys.modules])
+original = tlsbath.sweeps.run_scenario
+tracer = spans.Tracer()
+tracer.install()
+print(tlsbath.sweeps.run_scenario is not original)
+tracer.uninstall()
+print(tlsbath.sweeps.run_scenario is original)
+"""
+
+
+def test_package_import_registers_traced_modules():
+    proc = subprocess.run(
+        [sys.executable, "-c", _FRESH.format(perfbench=str(SPANS.parent))],
+        capture_output=True,
+        text=True,
+        check=False,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split("\n")[:3] == ["[]", "True", "True"]
