@@ -10,6 +10,30 @@ from tlsbath.validation import validate_all
 
 EXPECTED = 12
 
+# The measured strings of the criteria that run the closed-form chain,
+# pinned: they are the same on any platform, so any change to a value
+# the chain computes, or to the points it is evaluated on, shows here.
+# Criteria 10 and 11 go through SuperLU and expm and keep their gate only.
+MEASURED = {
+    1: "max |g|, |Gamma|, |drive shift| = 0.00e+00",
+    2: "gamma = 3.999992e-07 vs 4.0e-07, rel dev 2.00e-06",
+    3: (
+        "Gamma rel dev 1.00e-06; |gamma| = 4.00e-19 (1.0e-12 of weak-drive), "
+        "|delta| = 0.00e+00 (0.0e+00)"
+    ),
+    4: "max rel deviation 3.25e-13 over 303 grid points",
+    5: "peak saturation 0.999999980; drive 2x: peak dev 0.00 steps; drive 4x: peak dev 0.15 steps",
+    6: "drive 10x: |dev| = 1.00 steps; drive 30x: |dev| = 0.00 steps",
+    7: "window [0.202 kappa_t, 0.9840 Omega_B], 2 sign changes",
+    8: (
+        "0 verdict disagreements on 100x100 grid; 0 with the numerical eigensolve; "
+        "14 unstable cells at gamma_0 = 3e-8, 0 at gamma_0 >= 1e-6; "
+        "88 of 100 stable at Delta_0 = 1e-8"
+    ),
+    9: "xi > 1 around s = 0.1: True; max xi full 1.0471 vs pair-pumping-free 1.2140",
+    12: "1000 stable states; min det sigma - 1/4 = 1.82e-13, min centered occupation = 1.82e-13",
+}
+
 
 @pytest.fixture(scope="module")
 def report():
@@ -26,6 +50,12 @@ def test_criterion(report, number):
     result = next(r for r in report.results if r.number == number)
     print(result.line())
     assert result.passed, result.line()
+
+
+@pytest.mark.parametrize("number", sorted(MEASURED))
+def test_measured_is_pinned(report, number):
+    result = next(r for r in report.results if r.number == number)
+    assert result.measured == MEASURED[number]
 
 
 def test_overall_verdict(report):
