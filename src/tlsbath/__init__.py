@@ -60,7 +60,6 @@ from .linalg import (
 from .oracle import (
     DimensionCapError,
     HilbertSpec,
-    TruncationWarning,
     bloch_correlator_numeric,
     build_liouvillian,
     mode_moments,

@@ -131,31 +131,24 @@ def build_moment_system(rates: SingleModeRates, gamma0) -> MomentSystem:
 def drift_matrix(ms: MomentSystem) -> tuple[np.ndarray, np.ndarray]:
     """Drift matrix and inhomogeneity of the moment vector, ``dv/dt =
     drift @ v + inhom``: the generic form that numerical eigensolves and
-    linear solves check the closed forms against."""
+    linear solves check the closed forms against.  Over the grid of ``ms``
+    they are ``(..., 5, 5)`` and ``(..., 5)``, each point's as one point
+    gives it."""
     om, g, gg = ms.rates.Omega_prime, ms.rates.g, ms.rates.Gamma
     dt = 1j * ms.delta_prime - 0.5 * ms.gamma_total  # complex frequency of <s+>
     dtc = np.conj(dt)
-    drift = np.array(
-        [
-            [-ms.gamma_total, 1j * om, -1j * np.conj(om), 2j * g, -2j * np.conj(g)],
-            [0.0, dtc, -2j * np.conj(g), 0.0, 0.0],
-            [0.0, 2j * g, dt, 0.0, 0.0],
-            [-4j * np.conj(g), -2j * np.conj(om), 0.0, 2.0 * dtc, 0.0],
-            [4j * g, 0.0, 2j * om, 0.0, 2.0 * dt],
-        ],
-        dtype=complex,
+    # the entries of each point in row-major order, the inhomogeneity as a
+    # sixth row, broadcast so that both cover the whole grid
+    entries = np.broadcast_arrays(
+        -ms.gamma_total, 1j * om, -1j * np.conj(om), 2j * g, -2j * np.conj(g),
+        0.0, dtc, -2j * np.conj(g), 0.0, 0.0,
+        0.0, 2j * g, dt, 0.0, 0.0,
+        -4j * np.conj(g), -2j * np.conj(om), 0.0, 2.0 * dtc, 0.0,
+        4j * g, 0.0, 2j * om, 0.0, 2.0 * dt,
+        ms.rates.gamma_plus, -1j * np.conj(om), 1j * om, -2j * np.conj(g) - np.conj(gg), 2j * g - gg,
     )
-    inhom = np.array(
-        [
-            ms.rates.gamma_plus,
-            -1j * np.conj(om),
-            1j * om,
-            -2j * np.conj(g) - np.conj(gg),
-            2j * g - gg,
-        ],
-        dtype=complex,
-    )
-    return drift, inhom
+    rows = np.stack(entries, axis=-1, dtype=complex).reshape(entries[0].shape + (6, 5))
+    return rows[..., :5, :], rows[..., 5, :]
 
 
 def _amplitude_block(ms: MomentSystem) -> tuple:

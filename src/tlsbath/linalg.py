@@ -58,9 +58,10 @@ class KernelDimensionError(np.linalg.LinAlgError):
     """Matrix kernel is not one-dimensional."""
 
 
-def _as_matrix(a) -> np.ndarray:
+def _as_matrix(a, stack: bool = False) -> np.ndarray:
+    # a square matrix, or with ``stack`` a stack of them (..., n, n)
     a = np.asarray(a, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    if a.ndim < 2 or (a.ndim > 2 and not stack) or a.shape[-1] != a.shape[-2]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
     if not np.all(np.isfinite(a.view(float))):
         raise ValueError("matrix contains non-finite entries")
@@ -103,8 +104,9 @@ def solve_linear(a, b) -> np.ndarray:
 
 
 def eigenvalues(a) -> np.ndarray:
-    """All eigenvalues of a square complex matrix (unordered)."""
-    a = _as_matrix(a)
+    """All eigenvalues of a square complex matrix (unordered), or of each
+    matrix of a stack ``(..., n, n)``, as ``(..., n)``."""
+    a = _as_matrix(a, stack=True)
     try:
         return np.linalg.eigvals(a)
     except np.linalg.LinAlgError as exc:  # QR iteration failed

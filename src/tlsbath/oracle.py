@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import dataclasses
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,7 +29,6 @@ from .rates import ModeParams
 __all__ = [
     "HilbertSpec",
     "DimensionCapError",
-    "TruncationWarning",
     "build_liouvillian",
     "tls_liouvillian",
     "steady_state_full",
@@ -40,7 +38,7 @@ __all__ = [
     "bloch_correlator_numeric",
 ]
 
-# Population allowed in the top two Fock levels before a truncation warning.
+# Population allowed in the top two Fock levels of a steady state.
 LEAK_TOL = 1e-8
 
 DEFAULT_DIM_CAP = 64
@@ -48,10 +46,6 @@ DEFAULT_DIM_CAP = 64
 
 class DimensionCapError(ValueError):
     """Requested Hilbert space exceeds the configured dimension cap."""
-
-
-class TruncationWarning(UserWarning):
-    """Fock truncation is carrying non-negligible population."""
 
 
 @dataclass(frozen=True)
@@ -226,23 +220,10 @@ def _fock_populations(rho: np.ndarray, spec: HilbertSpec) -> np.ndarray:
     return per_level
 
 
-def mode_moments(
-    rho: np.ndarray, spec: HilbertSpec, check_leak: bool = True
-) -> tuple[float, complex, complex]:
-    """Stationary mode moments ``(<s+ s>, <s>, <s^2>)``.
-
-    Warns with :class:`TruncationWarning` when the top two Fock levels
-    hold more than the leak tolerance (the truncated values are still
-    returned; the caller decides whether to grow the space).
-    """
-    if check_leak:
-        leak = _fock_populations(rho, spec)[-2:].sum()
-        if leak > LEAK_TOL:
-            warnings.warn(
-                f"top Fock levels hold population {leak:.2e}",
-                TruncationWarning,
-                stacklevel=2,
-            )
+def mode_moments(rho: np.ndarray, spec: HilbertSpec) -> tuple[float, complex, complex]:
+    """Stationary mode moments ``(<s+ s>, <s>, <s^2>)`` of a state on
+    ``spec``, as truncated there: :func:`steady_state_autogrow` gives
+    states whose top Fock levels hold less than ``LEAK_TOL``."""
     s = mode_operator(spec)
     occ = expectation(rho, s.conj().T @ s).real
     return float(occ), expectation(rho, s), expectation(rho, s @ s)

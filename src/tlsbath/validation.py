@@ -7,20 +7,27 @@ omega_B = 1) except the oracle comparison, which reads the [oracle]
 config section so a too-small dimension cap surfaces as a skip with a
 reason rather than a silent pass.  Runtime budgets are part of the
 verdict where stated.
+
+Each line or grid of points a criterion checks is one call of the CLI's
+batched path (``rates_at`` with the swept values as arrays, then the
+moment system over that grid), and each verdict one array expression.
+Loops remain for criterion 5's golden search, criterion 4's scalar
+closed form, the exact solver of criteria 10 and 11, and the random
+draws of criterion 12.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import time
 from dataclasses import dataclass
 
 import numpy as np
 import scipy
 
-from .bath import BathEnvironment, TlsParams, build_psd_table, transverse_rate
+from .bath import BathEnvironment, TlsParams, _abs, build_psd_table, transverse_rate
 from .config import ScenarioConfig, resolve
 from .dynamics import (
-    UnstableSystemError,
     build_moment_system,
     drift_matrix,
     stability,
@@ -28,7 +35,7 @@ from .dynamics import (
 )
 from .linalg import eigenvalues
 from .oracle import DimensionCapError, bloch_correlator_numeric
-from .rates import mollow_sideband, optimal_detuning
+from .rates import mollow_sideband, optimal_detuning, resonant_closed_form
 from .sweeps import oracle_point, rates_at
 
 N_TLS = 1e5
@@ -86,9 +93,9 @@ BASELINE = resolve({}).replace(
 )
 
 
-def _drive_for_saturation(s: float) -> float:
+def _drive_for_saturation(s):
     # resonant, zero temperature: s = |Omega_B|^2 / (kappa_1 kappa_t)
-    return float(np.sqrt(s * KAPPA_1 * KAPPA_T))
+    return np.sqrt(s * KAPPA_1 * KAPPA_T)
 
 
 def _verdict(number, name, ok, measured, tolerance, t0, budget=None) -> CriterionResult:
@@ -109,10 +116,9 @@ def _verdict(number, name, ok, measured, tolerance, t0, budget=None) -> Criterio
 
 def criterion_01_zero_drive() -> CriterionResult:
     t0 = time.perf_counter()
-    worst = 0.0
-    for delta_0 in (0.0, 1e-3, -2.5e-2):
-        r = rates_at(BASELINE.replace(Omega_B=0j, Delta_0=delta_0, Omega_0=1e-6 + 0j))
-        worst = max(worst, abs(r.g), abs(r.Gamma), abs(r.Omega_prime - 1e-6))
+    delta_0 = np.array([0.0, 1e-3, -2.5e-2])
+    r = rates_at(BASELINE.replace(Omega_B=0j, Delta_0=delta_0, Omega_0=1e-6 + 0j))
+    worst = max(_abs(r.g).max(), _abs(r.Gamma).max(), _abs(r.Omega_prime - 1e-6).max())
     return _verdict(
         1,
         "zero-drive-collapse",
@@ -165,21 +171,23 @@ def criterion_03_saturation() -> CriterionResult:
 
 
 def criterion_04_closed_form() -> CriterionResult:
-    from .rates import resonant_closed_form
-
     t0 = time.perf_counter()
-    worst = 0.0
+    saturations = np.array([1e-2, 1.0, 1e2])
     detunings = np.linspace(-1e3 * KAPPA_1, 1e3 * KAPPA_1, 101)
-    for s in (1e-2, 1.0, 1e2):
-        drive = _drive_for_saturation(s)
-        for d0 in detunings:
-            r = rates_at(BASELINE.replace(Omega_B=drive, Delta_0=float(d0)))
-            g_ref, gam_ref = resonant_closed_form(N_TLS, COUPLING, KAPPA_1, s, float(d0))
-            worst = max(
-                worst,
-                abs(r.g - g_ref) / max(abs(g_ref), 1e-300),
-                abs(r.Gamma - gam_ref) / max(abs(gam_ref), 1e-300),
-            )
+    drives = _drive_for_saturation(saturations)[:, None] + 0j
+    r = rates_at(BASELINE.replace(Omega_B=drives, Delta_0=detunings))
+    # the independent anchor: the scalar closed form, point by point
+    ref = np.array(
+        [
+            [resonant_closed_form(N_TLS, COUPLING, KAPPA_1, s, d0) for d0 in detunings.tolist()]
+            for s in saturations.tolist()
+        ]
+    )
+    g_ref, gam_ref = ref[..., 0], ref[..., 1]
+    worst = max(
+        (_abs(r.g - g_ref) / np.maximum(_abs(g_ref), 1e-300)).max(),
+        (_abs(r.Gamma - gam_ref) / np.maximum(_abs(gam_ref), 1e-300)).max(),
+    )
     return _verdict(
         4,
         "closed-form-equivalence",
@@ -196,7 +204,7 @@ def criterion_05_driving_structure() -> CriterionResult:
 
     def neg_drive(s):
         point = BASELINE.replace(Omega_B=_drive_for_saturation(s))
-        return -abs(rates_at(point).Omega_prime)
+        return -_abs(rates_at(point).Omega_prime)
 
     res = scipy.optimize.minimize_scalar(
         neg_drive, bracket=(0.2, 0.8, 5.0), method="golden", options={"xtol": 1e-10}
@@ -210,10 +218,7 @@ def criterion_05_driving_structure() -> CriterionResult:
         pred = optimal_detuning(drive, KAPPA_T)
         grid = np.linspace(-4.0 * KAPPA_T, 4.0 * KAPPA_T, 1601)
         step = grid[1] - grid[0]
-        line = BASELINE.replace(Omega_B=drive)
-        vals = np.array(
-            [abs(rates_at(line.replace(Delta_B=float(db))).Omega_prime) for db in grid]
-        )
+        vals = _abs(rates_at(BASELINE.replace(Omega_B=drive, Delta_B=grid)).Omega_prime)
         interior = (vals[1:-1] > vals[:-2]) & (vals[1:-1] > vals[2:])
         peaks = grid[1:-1][interior]
         ok = ok and peaks.size == 2
@@ -242,10 +247,7 @@ def criterion_06_mollow_sidebands() -> CriterionResult:
         drive = mult * KAPPA_T
         pred = mollow_sideband(drive, KAPPA_T)
         grid = pred + np.linspace(-2.0, 2.0, 11) * KAPPA_T
-        line = BASELINE.replace(Omega_B=drive)
-        vals = np.array(
-            [abs(rates_at(line.replace(Delta_0=float(d0))).Gamma) for d0 in grid]
-        )
+        vals = _abs(rates_at(BASELINE.replace(Omega_B=drive, Delta_0=grid)).Gamma)
         located = float(grid[np.argmax(vals)])
         dev = abs(located - pred)
         ok = ok and dev <= step + 1e-15
@@ -264,8 +266,7 @@ def criterion_07_amplification_window() -> CriterionResult:
     t0 = time.perf_counter()
     drive = 10.0 * KAPPA_T
     grid = np.geomspace(1e-2 * KAPPA_T, 100.0 * drive, 1000)
-    line = BASELINE.replace(Omega_B=drive)
-    gam = np.array([rates_at(line.replace(Delta_0=float(d0))).gamma for d0 in grid])
+    gam = rates_at(BASELINE.replace(Omega_B=drive, Delta_0=grid)).gamma
     neg = gam < 0
     runs = int(np.sum(np.diff(neg.astype(int)) != 0))
     single_window = runs == 2 and not neg[0] and not neg[-1]
@@ -293,37 +294,24 @@ def criterion_07_amplification_window() -> CriterionResult:
 
 def criterion_08_stability_map() -> CriterionResult:
     t0 = time.perf_counter()
-    drives = np.geomspace(1e-6, 1e-3, 100)
-    gammas = np.geomspace(1e-9, 1e-5, 100)
-    disagreements = 0
-    eig_disagreements = 0
-    unstable_low = 0
-    unstable_high = 0
-
-    def verdict(r, g0):
-        # closed-form verdict, checked against the numerical drift spectrum
-        nonlocal eig_disagreements
-        ms = build_moment_system(r, g0)
-        rep = stability(ms)
-        eig_disagreements += rep.stable != (eigenvalues(drift_matrix(ms)[0]).real.max() < 0)
-        return rep
-
+    drives = np.geomspace(1e-6, 1e-3, 100) + 0j
+    gammas = np.geomspace(1e-9, 1e-5, 100)[:, None]
     # gamma_0 never enters the rates: assemble them once per drive and detuning
-    resonant = [rates_at(BASELINE.replace(Omega_B=complex(ob))) for ob in drives]
-    off_resonant = [
-        rates_at(BASELINE.replace(Omega_B=complex(ob), Delta_0=1e-8)) for ob in drives
-    ]
-    for g0 in gammas:
-        for r in resonant:
-            rep = verdict(r, float(g0))
-            if rep.stable != rep.criterion:
-                disagreements += 1
-            if not rep.stable and g0 >= 1e-6:
-                unstable_high += 1
-    for r in resonant:
-        if not verdict(r, 3e-8).stable:
-            unstable_low += 1
-    detuned = sum(verdict(r, 3e-8).stable for r in off_resonant)
+    resonant = rates_at(BASELINE.replace(Omega_B=drives))
+    systems = (
+        build_moment_system(resonant, gammas),
+        build_moment_system(resonant, 3e-8),
+        build_moment_system(rates_at(BASELINE.replace(Omega_B=drives, Delta_0=1e-8)), 3e-8),
+    )
+    grid, low, off = reports = [stability(ms) for ms in systems]
+    disagreements = int(np.sum(grid.stable != grid.criterion))
+    unstable_high = int(np.sum(~grid.stable & (gammas >= 1e-6)))
+    unstable_low = int(np.sum(~low.stable))
+    detuned = int(np.sum(off.stable))
+    # every closed-form verdict, checked against the numerical drift spectrum
+    drifts = np.concatenate([drift_matrix(ms)[0].reshape(-1, 5, 5) for ms in systems])
+    verdicts = np.concatenate([rep.stable.ravel() for rep in reports])
+    eig_disagreements = int(np.sum(verdicts != (eigenvalues(drifts).real.max(axis=-1) < 0)))
     ok = (
         disagreements == 0
         and eig_disagreements == 0
@@ -349,24 +337,19 @@ def criterion_08_stability_map() -> CriterionResult:
     )
 
 
-def criterion_09_squeezing() -> CriterionResult:
-    import dataclasses
+def _xi_where_stable(rates, gamma_0) -> np.ndarray:
+    # the squeezing factor over the grid of the rates, NaN where unstable
+    ms = build_moment_system(rates, gamma_0)
+    stable = stability(ms).stable
+    return np.where(stable, steady_state(ms, where=stable).xi, np.nan)
 
+
+def criterion_09_squeezing() -> CriterionResult:
     t0 = time.perf_counter()
     s_grid = np.geomspace(1e-3, 10.0, 150)
-    xi_full = np.full(s_grid.size, np.nan)
-    xi_nog = np.full(s_grid.size, np.nan)
-    for k, s in enumerate(s_grid):
-        r = rates_at(BASELINE.replace(Omega_B=_drive_for_saturation(float(s))))
-        try:
-            xi_full[k] = steady_state(build_moment_system(r, GAMMA_0)).xi
-        except UnstableSystemError:
-            pass
-        try:
-            r0 = dataclasses.replace(r, g=0j)
-            xi_nog[k] = steady_state(build_moment_system(r0, GAMMA_0)).xi
-        except UnstableSystemError:
-            pass
+    r = rates_at(BASELINE.replace(Omega_B=_drive_for_saturation(s_grid) + 0j))
+    xi_full = _xi_where_stable(r, GAMMA_0)
+    xi_nog = _xi_where_stable(dataclasses.replace(r, g=np.zeros_like(r.g)), GAMMA_0)
     near = (s_grid > 0.05) & (s_grid < 0.2)
     squeezed_near = bool(np.all(xi_full[near] > 1.0))
     nonempty = bool(np.any(xi_full > 1.0))
@@ -468,6 +451,18 @@ def criterion_11_correlator_quadrature() -> CriterionResult:
     )
 
 
+def _physicality_draw(rng) -> tuple:
+    """One attempt of criterion 12: its seven random draws, in a fixed order."""
+    kappa1 = 10.0 ** rng.uniform(-5.0, -3.0)
+    s = 10.0 ** rng.uniform(-3.0, 3.0)
+    temperature = float(rng.choice([0.0, 0.05, 0.2]))
+    phase = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
+    delta_b = float(rng.uniform(-2.0, 2.0)) * kappa1
+    delta_0 = float(rng.uniform(-10.0, 10.0)) * kappa1
+    gamma0 = 10.0 ** rng.uniform(-9.0, -5.0)
+    return kappa1, s, temperature, phase, delta_b, delta_0, gamma0
+
+
 def criterion_12_physicality() -> CriterionResult:
     t0 = time.perf_counter()
     rng = np.random.default_rng(1234)
@@ -476,26 +471,28 @@ def criterion_12_physicality() -> CriterionResult:
     worst_occ = np.inf
     attempts = 0
     while checked < 1000 and attempts < 8000:
-        attempts += 1
-        kappa1 = 10.0 ** rng.uniform(-5.0, -3.0)
-        s = 10.0 ** rng.uniform(-3.0, 3.0)
-        point = BASELINE.replace(
-            kappa_1=kappa1, temperature=float(rng.choice([0.0, 0.05, 0.2]))
-        )
-        phase = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
-        kt_guess = transverse_rate(point.tls_params(), point.environment())
-        drive = np.sqrt(s * kappa1 * kt_guess) * phase
-        delta_b = float(rng.uniform(-2.0, 2.0)) * kappa1
-        delta_0 = float(rng.uniform(-10.0, 10.0)) * kappa1
-        gamma0 = 10.0 ** rng.uniform(-9.0, -5.0)
-        try:
-            point = point.replace(Omega_B=drive, Delta_B=delta_b, Delta_0=delta_0)
-            rep = steady_state(build_moment_system(rates_at(point), gamma0))
-        except UnstableSystemError:
-            continue
-        checked += 1
-        worst_det = min(worst_det, rep.det_sigma)
-        worst_occ = min(worst_occ, rep.centered_occupation)
+        # as many attempts as stable states are still wanted: no attempt is
+        # drawn past the one that completes the set
+        count = min(1000 - checked, 8000 - attempts)
+        attempts += count
+        draws = [_physicality_draw(rng) for _ in range(count)]
+        kappa1, s, temperature, phase, delta_b, delta_0, gamma0 = map(np.array, zip(*draws))
+        # the bath temperature is one value per rate call
+        for temp in np.unique(temperature).tolist():
+            at = temperature == temp
+            point = BASELINE.replace(kappa_1=kappa1[at], temperature=temp)
+            kt_guess = transverse_rate(point.tls_params(), point.environment())
+            point = point.replace(
+                Omega_B=np.sqrt(s[at] * kappa1[at] * kt_guess) * phase[at],
+                Delta_B=delta_b[at],
+                Delta_0=delta_0[at],
+            )
+            ms = build_moment_system(rates_at(point), gamma0[at])
+            stable = stability(ms).stable
+            rep = steady_state(ms, where=stable)
+            checked += int(stable.sum())
+            worst_det = min(worst_det, rep.det_sigma[stable].min(initial=np.inf))
+            worst_occ = min(worst_occ, rep.centered_occupation[stable].min(initial=np.inf))
     ok = (
         checked == 1000
         and worst_det >= 0.25 - 1e-9

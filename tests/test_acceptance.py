@@ -1,19 +1,23 @@
 """Acceptance gate: every numbered criterion at its stated tolerance.
 
 Runs the full suite once and emits one pass/fail line per criterion
-(pytest -s shows them; any failure carries its line in the assertion).
+(pytest -s shows them; any failure carries its line in the assertion),
+then once more under call counters.
 """
+
+import collections
 
 import pytest
 
+from tlsbath import sweeps, validation
 from tlsbath.validation import validate_all
 
 EXPECTED = 12
 
 # The measured strings of the criteria that run the closed-form chain,
-# pinned: they are the same on any platform, so any change to a value
-# the chain computes, or to the points it is evaluated on, shows here.
-# Criteria 10 and 11 go through SuperLU and expm and keep their gate only.
+# pinned, so that a change to a value the chain computes, or to the points
+# a criterion evaluates, shows here.  Criteria 10 and 11 go through SuperLU
+# and expm and keep their gate only.
 MEASURED = {
     1: "max |g|, |Gamma|, |drive shift| = 0.00e+00",
     2: "gamma = 3.999992e-07 vs 4.0e-07, rel dev 2.00e-06",
@@ -61,3 +65,27 @@ def test_measured_is_pinned(report, number):
 def test_overall_verdict(report):
     assert report.all_passed
     assert len(report.lines()) == EXPECTED
+
+
+def test_criteria_call_the_chain_once_per_line(monkeypatch):
+    """Each line or grid of points is one batched call of the rate and
+    moment chain, not one call per point: the whole suite makes fewer
+    than 100 rate calls (criterion 5's golden search makes most of them)
+    and fewer than 20 of each stability, steady-state and eigensolve call."""
+    calls = collections.Counter()
+
+    def count(module, name):
+        inner = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+
+    count(sweeps, "single_mode_rates")
+    for name in ("stability", "steady_state", "eigenvalues"):
+        count(validation, name)
+    assert validate_all().all_passed
+    assert calls["single_mode_rates"] < 100, calls
+    assert all(calls[name] < 20 for name in ("stability", "steady_state", "eigenvalues")), calls

@@ -17,6 +17,7 @@ from tlsbath.config import resolve
 from tlsbath.dynamics import (
     UnstableSystemError,
     build_moment_system,
+    drift_matrix,
     stability,
     steady_state,
 )
@@ -188,8 +189,9 @@ def test_unstable_grid_point_is_named():
 
 
 def test_grid_points_round_as_single_points():
-    """Rates and steady states over a (drive x mode detuning) grid equal
-    the one-point calls bit for bit: one code path, not a twin."""
+    """Rates, steady states and drift matrices over a (drive x mode
+    detuning) grid, the drift also along a gamma_0 axis, equal the
+    one-point calls bit for bit: one code path, not a twin."""
     env = BathEnvironment(temperature=0.05)
     drives = np.array([2e-5 + 1e-5j, 7e-5 - 3e-5j, 3e-4j])[:, None]
     detunings = np.array([-4e-5, 0.0, 1e-5, 6e-5])
@@ -199,6 +201,9 @@ def test_grid_points_round_as_single_points():
     stable = stability(ms).stable
     assert 0 < stable.sum() < stable.size
     rep = steady_state(ms, where=stable)
+    gammas = np.array([1e-8, 3e-7])
+    drift, inhom = drift_matrix(build_moment_system(grid, gammas[:, None, None]))
+    assert drift.shape == (2, 3, 4, 5, 5) and inhom.shape == (2, 3, 4, 5)
     for i, j in np.ndindex(3, 4):
         point = TlsParams(1.0, 1e-4, 2e-6, complex(drives[i, 0]), 1e-5, (1e-8 - 4e-9j,))
         one = single_mode_rates(ModeParams(float(detunings[j]), 1e-7), [point], env, counts=[1e5])
@@ -210,3 +215,7 @@ def test_grid_points_round_as_single_points():
             one_rep = steady_state(one_ms)
             assert np.array_equal(rep.moments[i, j], one_rep.moments)
             assert rep.xi[i, j] == one_rep.xi and rep.det_sigma[i, j] == one_rep.det_sigma
+        for k, gamma0 in enumerate(gammas.tolist()):
+            one_drift, one_inhom = drift_matrix(build_moment_system(one, gamma0))
+            assert drift[k, i, j].tobytes() == one_drift.tobytes()
+            assert inhom[k, i, j].tobytes() == one_inhom.tobytes()

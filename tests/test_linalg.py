@@ -48,6 +48,12 @@ def test_eigenvalues_known_spectrum():
     got = np.sort_complex(eigenvalues(a))
     want = np.sort_complex(np.diag(d))
     assert np.allclose(got, want, atol=1e-10)
+    # a stack (k, n, n) gives each matrix's eigenvalues, as one call does
+    stack = np.stack([a, _random_complex(rng, (3, 3)), a.T])
+    assert np.array_equal(eigenvalues(stack), np.array([eigenvalues(m) for m in stack]))
+    for bad in (np.ones((2, 3, 4)), np.where(np.eye(3), np.nan, 0.0)[None]):
+        with pytest.raises(ValueError):
+            eigenvalues(bad)
 
 
 def test_expm_apply_matches_dense():

@@ -306,6 +306,25 @@ def test_rates_scale_linearly_with_tls_number():
     assert r2.Omega_prime == pytest.approx(250 * r1.Omega_prime, rel=1e-12)
 
 
+@given(case=_multimode(), scale=_log_uniform(-3.0, 3.0))
+def test_rates_are_linear_in_tls_counts(case, scale):
+    """Scaling every TLS count by lambda scales the TLS part of each rate
+    by lambda: delta, gamma_+-, g, Gamma and the drive correction Omega'
+    - Omega, to 1e-12 of the largest rate of their order."""
+    modes, tls_list, counts, env = case
+    before = assemble_rates(modes, tls_list, env, counts=counts)
+    after = assemble_rates(modes, tls_list, env, counts=[scale * n for n in counts])
+    bare = np.array([m.Omega for m in modes])
+    drive_scale = max(np.abs(after.Omega_prime).max(), scale * np.abs(before.Omega_prime).max())
+    got, want = after.Omega_prime - bare, scale * (before.Omega_prime - bare)
+    assert np.abs(got - want).max() <= 1e-12 * drive_scale
+    names = ("delta", "gamma_plus", "gamma_minus", "g", "Gamma")
+    second_order = scale * max(np.abs(getattr(before, name)).max() for name in names)
+    for name in names:
+        want = scale * getattr(before, name)
+        assert np.abs(getattr(after, name) - want).max() <= 1e-12 * second_order, name
+
+
 def test_fractional_tls_number_is_not_truncated():
     r1 = _pipeline(_drive(2.0), Delta_0=KAPPA_T, n=1.0)
     r15 = _pipeline(_drive(2.0), Delta_0=KAPPA_T, n=1.5)
