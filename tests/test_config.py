@@ -159,6 +159,74 @@ def test_resolved_items_deterministic_and_complete():
         assert needed in mapping
 
 
+def test_resolved_items_of_a_non_default_config():
+    """The metadata of one config that moves every key off its default:
+    a complex G with a negative imaginary part, a linear sweep, a
+    non-default sweep2 and three custom ratios.  ``[output]`` is not
+    listed."""
+    cfg = resolve(
+        {
+            "mode": {"Delta_0": "-2e-5", "gamma_0": "5e-8", "Omega_0": "1e-9+2e-9j"},
+            "bath": {
+                "N": "2.5e4",
+                "G": "3e-8-4e-9j",
+                "kappa_1": "2e-4",
+                "kappa_2": "1e-5",
+                "Omega_B": "7.1e-5",
+                "Delta_B": "1e-5",
+            },
+            "environment": {"temperature": "0.05"},
+            "sweep": {
+                "variable": "Delta_B",
+                "start": "-5e-4",
+                "stop": "5e-4",
+                "count": "11",
+                "scale": "linear",
+            },
+            "sweep2": {
+                "variable": "Delta_0",
+                "start": "1e-8",
+                "stop": "1e-4",
+                "count": "1e1",
+                "scale": "log",
+            },
+            "output": {"path": "out.csv", "format": "json"},
+            "oracle": {
+                "fock_start": "4",
+                "dim_cap": "48",
+                "gamma_0": "2e-6",
+                "ratios": "0.2 0.05, 0.005",
+            },
+        }
+    )
+    assert resolved_items(cfg) == [
+        ("mode.Delta_0", "-2e-05"),
+        ("mode.gamma_0", "5e-08"),
+        ("mode.Omega_0", "1e-09+2e-09j"),
+        ("bath.N", "25000.0"),
+        ("bath.G", "3e-08-4e-09j"),
+        ("bath.kappa_1", "0.0002"),
+        ("bath.kappa_2", "1e-05"),
+        ("bath.Omega_B", "7.1e-05+0.0j"),
+        ("bath.Delta_B", "1e-05"),
+        ("environment.temperature", "0.05"),
+        ("sweep.variable", "Delta_B"),
+        ("sweep.start", "-0.0005"),
+        ("sweep.stop", "0.0005"),
+        ("sweep.count", "11"),
+        ("sweep.scale", "linear"),
+        ("sweep2.variable", "Delta_0"),
+        ("sweep2.start", "1e-08"),
+        ("sweep2.stop", "0.0001"),
+        ("sweep2.count", "10"),
+        ("sweep2.scale", "log"),
+        ("oracle.fock_start", "4"),
+        ("oracle.dim_cap", "48"),
+        ("oracle.gamma_0", "2e-06"),
+        ("oracle.ratios", "0.2 0.05 0.005"),
+    ]
+
+
 def test_replace_produces_new_validated_view():
     cfg = resolve({})
     cfg2 = cfg.replace(Omega_B=1e-4 + 0j, Delta_B=1e-5)
