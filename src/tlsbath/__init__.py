@@ -69,7 +69,6 @@ from .oracle import (
 )
 from .rates import (
     BelowThresholdError,
-    HermiticityError,
     MasterEqRates,
     ModeParams,
     SingleModeRates,

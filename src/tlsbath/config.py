@@ -31,9 +31,12 @@ Grammar::
     count = 100
     scale = log          # or linear
 
-    [sweep2]             # optional second axis (stability-map)
+    [sweep2]             # second axis, stability-map only
     variable = gamma_0
-    ...
+    start = 1e-9
+    stop = 1e-5
+    count = 100
+    scale = log
 
     [output]
     path =               # empty means stdout
@@ -45,8 +48,13 @@ Grammar::
     gamma_0 = 3e-6       # mode decay used for the oracle comparison
     ratios = 0.1, 0.03, 0.01   # coupling-to-linewidth ratios G/kappa_t
 
-Complex values use Python syntax ("1e-4", "1e-4+5e-5j").  `--set
-section.key=value` overrides parse identically to file values.
+Sections and keys match case-insensitively; `[DEFAULT]` is an unknown
+section like any other name outside the grammar.  A comment runs from `;` or
+`#` to the end of its line; inside a line it must follow whitespace, so
+`out#1.csv` is a value.  Complex values use Python syntax ("1e-4",
+"1e-4+5e-5j").  The file is read first, in file order, then each `--set
+section.key=value` override in command-line order, with the same
+parsers; the last value given for a key wins, whatever its case.
 """
 
 from __future__ import annotations
@@ -106,6 +114,8 @@ DEFAULTS = {
         "ratios": "0.1, 0.03, 0.01",
     },
 }
+# lowercased section -> (section, {lowercased key -> key})
+_GRAMMAR = {s.lower(): (s, {k.lower(): k for k in kv}) for s, kv in DEFAULTS.items()}
 
 
 def _parse_float(raw, field):
@@ -247,50 +257,48 @@ def check_frame(delta_b: float, delta_0: float) -> None:
 
 
 def resolve(raw: dict) -> ScenarioConfig:
-    """Merge ``raw`` {section: {key: string}} over defaults and validate."""
+    """Fold ``raw`` {section: {key: string}} over the defaults and validate."""
+    return _resolve([(s, k, v) for s, kv in raw.items() for k, v in kv.items()])
+
+
+def _resolve(entries) -> ScenarioConfig:
+    """Write ``(section, key, value)`` entries over the defaults in order,
+    under the grammar's names (sections and keys match case-insensitively,
+    so the last value of a key wins whatever its case), then validate."""
     merged = {s: dict(kv) for s, kv in DEFAULTS.items()}
-    for section, entries in raw.items():
-        if section not in merged:
+    for section, key, value in entries:
+        found = _GRAMMAR.get(section.lower())
+        if found is None:
             raise ConfigError(f"{section}: unknown section")
-        for key, value in entries.items():
-            if key not in merged[section]:
-                raise ConfigError(f"{section}.{key}: unknown key")
-            merged[section][key] = value
+        name, keys = found
+        if key.lower() not in keys:
+            raise ConfigError(f"{name}.{key}: unknown key")
+        merged[name][keys[key.lower()]] = value
 
-    m, b, e = merged["mode"], merged["bath"], merged["environment"]
-    gamma_0 = _parse_float(m["gamma_0"], "mode.gamma_0")
-    if gamma_0 < 0:
-        raise ConfigError(f"mode.gamma_0: must be >= 0, got {gamma_0}")
-    n_tls = _parse_float(b["N"], "bath.N")
-    if n_tls <= 0:
-        raise ConfigError(f"bath.N: must be > 0, got {n_tls}")
-    kappa_1 = _parse_float(b["kappa_1"], "bath.kappa_1")
-    if kappa_1 <= 0:
-        raise ConfigError(f"bath.kappa_1: must be > 0, got {kappa_1}")
-    kappa_2 = _parse_float(b["kappa_2"], "bath.kappa_2")
-    if kappa_2 < 0:
-        raise ConfigError(f"bath.kappa_2: must be >= 0, got {kappa_2}")
-    delta_b = _parse_float(b["Delta_B"], "bath.Delta_B")
-    delta_0 = _parse_float(m["Delta_0"], "mode.Delta_0")
+    def get(field, parse=_parse_float, op=None, low=0):
+        section, key = field.split(".")
+        value = parse(merged[section][key], field)
+        if op is not None and not (value > low if op == ">" else value >= low):
+            raise ConfigError(f"{field}: must be {op} {low}, got {value}")
+        return value
+
+    gamma_0 = get("mode.gamma_0", op=">=")
+    n_tls = get("bath.N", op=">")
+    kappa_1 = get("bath.kappa_1", op=">")
+    kappa_2 = get("bath.kappa_2", op=">=")
+    delta_b = get("bath.Delta_B")
+    delta_0 = get("mode.Delta_0")
     check_frame(delta_b, delta_0)
-    temperature = _parse_float(e["temperature"], "environment.temperature")
-    if temperature < 0:
-        raise ConfigError(f"environment.temperature: must be >= 0, got {temperature}")
-
-    o = merged["oracle"]
-    fock_start = _parse_int(o["fock_start"], "oracle.fock_start")
-    if fock_start < 2:
-        raise ConfigError(f"oracle.fock_start: must be >= 2, got {fock_start}")
-    dim_cap = _parse_int(o["dim_cap"], "oracle.dim_cap")
+    temperature = get("environment.temperature", op=">=")
+    fock_start = get("oracle.fock_start", _parse_int, ">=", 2)
+    dim_cap = get("oracle.dim_cap", _parse_int)
     if dim_cap < 2 * fock_start:
         raise ConfigError(
             f"oracle.dim_cap: must allow at least fock_start x one TLS "
             f"({2 * fock_start}), got {dim_cap}"
         )
-    oracle_gamma_0 = _parse_float(o["gamma_0"], "oracle.gamma_0")
-    if oracle_gamma_0 <= 0:
-        raise ConfigError(f"oracle.gamma_0: must be > 0, got {oracle_gamma_0}")
-    ratio_parts = [p for p in o["ratios"].replace(",", " ").split() if p]
+    oracle_gamma_0 = get("oracle.gamma_0", op=">")
+    ratio_parts = merged["oracle"]["ratios"].replace(",", " ").split()
     if not ratio_parts:
         raise ConfigError("oracle.ratios: need at least one ratio")
     ratios = tuple(_parse_float(p, "oracle.ratios") for p in ratio_parts)
@@ -301,12 +309,12 @@ def resolve(raw: dict) -> ScenarioConfig:
     return ScenarioConfig(
         Delta_0=delta_0,
         gamma_0=gamma_0,
-        Omega_0=_parse_complex(m["Omega_0"], "mode.Omega_0"),
+        Omega_0=get("mode.Omega_0", _parse_complex),
         n_tls=n_tls,
-        G=_parse_complex(b["G"], "bath.G"),
+        G=get("bath.G", _parse_complex),
         kappa_1=kappa_1,
         kappa_2=kappa_2,
-        Omega_B=_parse_complex(b["Omega_B"], "bath.Omega_B"),
+        Omega_B=get("bath.Omega_B", _parse_complex),
         Delta_B=delta_b,
         temperature=temperature,
         sweep=_validate_axis("sweep", merged["sweep"]),
@@ -320,95 +328,67 @@ def resolve(raw: dict) -> ScenarioConfig:
     )
 
 
-def _read_ini(text: str) -> dict:
-    parser = configparser.ConfigParser(interpolation=None)
+def _read_ini(text: str) -> list:
+    """The ``(section, key, value)`` entries of INI text, in file order.
+    No section is configparser's shared default section, so a
+    ``[DEFAULT]`` header is an unknown section like any other."""
+    parser = configparser.ConfigParser(
+        interpolation=None, inline_comment_prefixes=(";", "#"), default_section=""
+    )
     try:
         parser.read_string(text)
     except configparser.Error as exc:
         raise ConfigError(f"config syntax: {exc}") from None
-    return {s: dict(parser.items(s)) for s in parser.sections()}
+    return [(s, k, v) for s in parser.sections() for k, v in parser.items(s)]
 
 
-def _canonical_sections(raw: dict) -> dict:
-    """configparser lowercases nothing by default for sections but does
-    for keys unless optionxform is identity; normalize against the
-    known grammar case-insensitively so `omega_b` and `Omega_B` match."""
-    lookup = {
-        s.lower(): (s, {k.lower(): k for k in kv}) for s, kv in DEFAULTS.items()
-    }
-    out = {}
-    for section, entries in raw.items():
-        sec = lookup.get(section.lower())
-        if sec is None:
-            raise ConfigError(f"{section}: unknown section")
-        name, keymap = sec
-        fixed = {}
-        for key, value in entries.items():
-            canon = keymap.get(key.lower())
-            if canon is None:
-                raise ConfigError(f"{name}.{key}: unknown key")
-            fixed[canon] = value
-        out[name] = fixed
-    return out
-
-
-def apply_overrides(raw: dict, overrides) -> dict:
-    """Fold `--set section.key=value` strings into a raw mapping."""
-    out = {s: dict(kv) for s, kv in raw.items()}
-    for item in overrides:
-        if "=" not in item:
-            raise ConfigError(f"--set {item!r}: expected section.key=value")
-        path, _, value = item.partition("=")
-        if "." not in path:
-            raise ConfigError(f"--set {item!r}: key must be section.key")
-        section, _, key = path.strip().partition(".")
-        out.setdefault(section, {})[key.strip()] = value.strip()
-    return out
+def _set_entry(item: str) -> tuple:
+    """The ``(section, key, value)`` entry of one `--set section.key=value`."""
+    if "=" not in item:
+        raise ConfigError(f"--set {item!r}: expected section.key=value")
+    path, _, value = item.partition("=")
+    if "." not in path:
+        raise ConfigError(f"--set {item!r}: key must be section.key")
+    section, _, key = path.strip().partition(".")
+    return section, key.strip(), value.strip()
 
 
 def load_config(path=None, overrides=()) -> ScenarioConfig:
-    """Load an INI file (optional) plus overrides into a resolved config."""
-    raw = {}
+    """Load an INI file (optional), then each override in order, into a
+    resolved config."""
+    entries = []
     if path is not None:
         try:
             with open(path, "r", encoding="utf-8") as fh:
-                raw = _read_ini(fh.read())
+                entries = _read_ini(fh.read())
         except OSError as exc:
             raise ConfigError(f"config file {path}: {exc.strerror or exc}") from None
-    raw = apply_overrides(raw, overrides)
-    return resolve(_canonical_sections(raw))
+    return _resolve(entries + [_set_entry(item) for item in overrides])
+
+
+# ScenarioConfig fields whose names differ from their keys; the keys of
+# a sweep section are the fields of its SweepAxis.
+_FIELDS = {"bath.N": "n_tls", **{f"oracle.{k}": f"oracle_{k}" for k in DEFAULTS["oracle"]}}
+
+
+def _canonical(value) -> str:
+    if isinstance(value, complex):
+        return f"{value.real!r}{'+' if value.imag >= 0 else '-'}{abs(value.imag)!r}j"
+    if isinstance(value, tuple):
+        return " ".join(repr(v) for v in value)
+    return repr(value) if isinstance(value, float) else str(value)
 
 
 def resolved_items(cfg: ScenarioConfig):
-    """Flat ordered (dotted key, canonical string) pairs for metadata."""
-
-    def cpx(z):
-        return f"{z.real!r}{'+' if z.imag >= 0 else '-'}{abs(z.imag)!r}j"
-
-    items = [
-        ("mode.Delta_0", repr(cfg.Delta_0)),
-        ("mode.gamma_0", repr(cfg.gamma_0)),
-        ("mode.Omega_0", cpx(cfg.Omega_0)),
-        ("bath.N", repr(cfg.n_tls)),
-        ("bath.G", cpx(cfg.G)),
-        ("bath.kappa_1", repr(cfg.kappa_1)),
-        ("bath.kappa_2", repr(cfg.kappa_2)),
-        ("bath.Omega_B", cpx(cfg.Omega_B)),
-        ("bath.Delta_B", repr(cfg.Delta_B)),
-        ("environment.temperature", repr(cfg.temperature)),
-        ("sweep.variable", cfg.sweep.variable),
-        ("sweep.start", repr(cfg.sweep.start)),
-        ("sweep.stop", repr(cfg.sweep.stop)),
-        ("sweep.count", str(cfg.sweep.count)),
-        ("sweep.scale", cfg.sweep.scale),
-        ("sweep2.variable", cfg.sweep2.variable),
-        ("sweep2.start", repr(cfg.sweep2.start)),
-        ("sweep2.stop", repr(cfg.sweep2.stop)),
-        ("sweep2.count", str(cfg.sweep2.count)),
-        ("sweep2.scale", cfg.sweep2.scale),
-        ("oracle.fock_start", str(cfg.oracle_fock_start)),
-        ("oracle.dim_cap", str(cfg.oracle_dim_cap)),
-        ("oracle.gamma_0", repr(cfg.oracle_gamma_0)),
-        ("oracle.ratios", " ".join(repr(r) for r in cfg.oracle_ratios)),
-    ]
+    """Flat (dotted key, canonical string) pairs for metadata, in grammar
+    order; ``[output]`` says where a result goes, not what it is, and is
+    left out."""
+    items = []
+    for section, keys in DEFAULTS.items():
+        if section == "output":
+            continue
+        owner = getattr(cfg, section) if section.startswith("sweep") else cfg
+        for key in keys:
+            field = _FIELDS.get(f"{section}.{key}", key)
+            items.append((f"{section}.{key}", _canonical(getattr(owner, field))))
     return items

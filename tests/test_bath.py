@@ -69,7 +69,7 @@ def test_bose_occupation_zero_temperature_exact():
 
 def test_bose_occupation_known_value():
     # omega = T: n = 1/(e - 1)
-    assert bose_occupation(0.2, 0.2) == pytest.approx(1.0 / (np.e - 1.0), rel=1e-14)
+    assert bose_occupation(0.2, 0.2) == pytest.approx(1.0 / (np.e - 1.0), rel=1e-14, abs=0)
 
 
 def test_bose_occupation_underflows_gradually():
@@ -77,7 +77,7 @@ def test_bose_occupation_underflows_gradually():
     exp(-omega/T) equals it to rounding and falls through the subnormals
     to 0, and below 700 the quotient is kept as it was."""
     for x in (700.0, 705.0, 709.7):
-        assert bose_occupation(x, 1.0) == pytest.approx(1.0 / math.expm1(x), rel=1e-15)
+        assert bose_occupation(x, 1.0) == pytest.approx(1.0 / math.expm1(x), rel=1e-15, abs=0)
     assert bose_occupation(699.9, 1.0) == 1.0 / math.expm1(699.9)
     assert 0.0 < bose_occupation(720.0, 1.0) == math.exp(-720.0) < np.finfo(float).tiny
     assert bose_occupation(1.0, 1e-3) == 0.0
@@ -96,15 +96,15 @@ def test_transverse_rate_composition():
     env = BathEnvironment(temperature=0.5)
     nbar = bose_occupation(1.0, 0.5)
     assert transverse_rate(p, env) == pytest.approx(
-        0.5e-4 * (1 + 2 * nbar) + 6e-5, rel=1e-14
+        0.5e-4 * (1 + 2 * nbar) + 6e-5, rel=1e-14, abs=0
     )
-    assert transverse_rate(p, ENV0) == pytest.approx(0.5e-4 + 6e-5, rel=1e-14)
+    assert transverse_rate(p, ENV0) == pytest.approx(0.5e-4 + 6e-5, rel=1e-14, abs=0)
 
 
 def test_saturation_reference_point():
     # baseline parameters, drive amplitude 1e-4: s = 2 exactly
     p = TlsParams(1.0, 1e-4, 0.0, 1e-4 + 0j, 0.0, (1e-8,))
-    assert saturation(p, ENV0) == pytest.approx(2.0, rel=1e-14)
+    assert saturation(p, ENV0) == pytest.approx(2.0, rel=1e-14, abs=0)
 
 
 @given(
@@ -139,7 +139,7 @@ def test_saturation_finite_where_its_squares_are_not(params, env):
     kappa1, kappa2, drive = params
     p = TlsParams(1.0, kappa1, kappa2, drive, 0.0, (1e-8,))
     expected = 0.0 if drive == 0 else 2.0
-    assert saturation(p, env) == pytest.approx(expected, rel=1e-14)
+    assert saturation(p, env) == pytest.approx(expected, rel=1e-14, abs=0)
 
 
 def test_saturation_detuning_dependence():
@@ -147,7 +147,7 @@ def test_saturation_detuning_dependence():
     kt = transverse_rate(p0, ENV0)
     p1 = TlsParams(1.0, 1e-4, 0.0, 1e-4 + 0j, kt, (0j,))
     # one transverse linewidth of detuning halves the saturation
-    assert saturation(p1, ENV0) == pytest.approx(saturation(p0, ENV0) / 2, rel=1e-12)
+    assert saturation(p1, ENV0) == pytest.approx(saturation(p0, ENV0) / 2, rel=1e-12, abs=0)
 
 
 def test_params_validation():
@@ -375,7 +375,7 @@ def test_saturation_overflow_raises():
     with pytest.raises(OverflowError, match="saturation"):
         saturation(p, ENV0)
     state = bloch_steady_state(p, ENV0)
-    assert state.sigma_plus == pytest.approx(0.5j * 1e-4 / 1e150, rel=1e-12)
+    assert state.sigma_plus == pytest.approx(0.5j * 1e-4 / 1e150, rel=1e-12, abs=0)
     assert -1e-300 < state.sigma_z <= 0.0
 
 
@@ -423,7 +423,7 @@ def test_psd_counts_equal_explicit_repetition():
     detunings = np.array([1e-5])
     grouped = psd([p], env, detunings, +1, -1, 0, 0, counts=[3.0])
     repeated = psd([p, p, p], env, detunings, +1, -1, 0, 0)
-    assert grouped == pytest.approx(repeated, rel=1e-14)
+    assert grouped == pytest.approx(repeated, rel=1e-14, abs=0)
 
 
 def test_psd_coupling_phase_covariance():
@@ -443,10 +443,10 @@ def test_psd_coupling_phase_covariance():
     detunings = np.array([2.2 * p.kappa1])
     pair = psd([p], env, detunings, +1, +1, 0, 0)
     pair_rot = psd([p_rot], env, detunings, +1, +1, 0, 0)
-    assert pair_rot == pytest.approx(pair * np.exp(2j * phi), rel=1e-12)
+    assert pair_rot == pytest.approx(pair * np.exp(2j * phi), rel=1e-12, abs=0)
     cross = psd([p], env, detunings, +1, -1, 0, 0)
     cross_rot = psd([p_rot], env, detunings, +1, -1, 0, 0)
-    assert cross_rot == pytest.approx(cross, rel=1e-12)
+    assert cross_rot == pytest.approx(cross, rel=1e-12, abs=0)
 
 
 def test_psd_rejects_bad_indices():

@@ -48,7 +48,7 @@ def test_rates_stdout_report(capsys):
         line.split(" = ") for line in out.strip().splitlines() if " = " in line
     )
     assert float(report["kappa_t"]) == pytest.approx(5e-5)
-    assert float(report["saturation"]) == pytest.approx(2.0, rel=1e-12)
+    assert float(report["saturation"]) == pytest.approx(2.0, rel=1e-12, abs=0)
     assert float(report["gamma"]) > 0
 
 
@@ -68,7 +68,7 @@ def test_rates_csv_to_stdout(capsys):
     lines = [line for line in out.splitlines() if not line.startswith("#")]
     assert len(lines) == 2 and lines[0].startswith("kappa_t,saturation,")
     row = dict(zip(lines[0].split(","), lines[1].split(",")))
-    assert float(row["saturation"]) == pytest.approx(2.0, rel=1e-12)
+    assert float(row["saturation"]) == pytest.approx(2.0, rel=1e-12, abs=0)
 
 
 def test_sweep_csv_file_output(tmp_path, capsys):
@@ -193,7 +193,7 @@ def test_marginally_stable_steady_state_exits_zero(capsys):
     # occupation of 3e14 gave 596.56 and 596.0
     centred = doc["columns"].index("centered_occupation")
     for row in doc["rows"]:
-        assert row[centred] == pytest.approx(609.1496, rel=1e-6)
+        assert row[centred] == pytest.approx(609.1496, rel=1e-6, abs=0)
 
 
 def test_steady_state_inside_stability_margin_exits_zero(capsys):

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from tlsbath.config import (
     ConfigError,
@@ -71,6 +73,81 @@ def test_set_overrides_win_over_file(tmp_path):
     assert cfg.gamma_0 == 5e-8
 
 
+# keys that accept any value drawn below, each on its own
+_FREE_KEYS = (
+    ("mode", "Delta_0"),
+    ("mode", "gamma_0"),
+    ("mode", "Omega_0"),
+    ("bath", "N"),
+    ("bath", "G"),
+    ("bath", "kappa_1"),
+    ("bath", "kappa_2"),
+    ("bath", "Omega_B"),
+    ("bath", "Delta_B"),
+    ("environment", "temperature"),
+    ("oracle", "gamma_0"),
+)
+
+
+def _any_case(name):
+    flips = st.lists(st.booleans(), min_size=len(name), max_size=len(name))
+    return flips.map(lambda f: "".join(c.swapcase() if x else c for c, x in zip(name, f)))
+
+
+# (section, key, section as written, key as written, value)
+_ENTRY = st.sampled_from(_FREE_KEYS).flatmap(
+    lambda sk: st.tuples(
+        st.just(sk[0]),
+        st.just(sk[1]),
+        _any_case(sk[0]),
+        _any_case(sk[1]),
+        st.sampled_from(("1e-9", "2e-6", "3e-5", "4e-4")),
+    )
+)
+
+
+@given(file=st.lists(_ENTRY, max_size=6), sets=st.lists(_ENTRY, max_size=8))
+# an override once replaced the whole file section of another case, and
+# bath.N=2, bath.n=3, bath.N=4 once resolved to N = 3
+@example(
+    file=[("bath", "kappa_1", "Bath", "kappa_1", "2e-4"), ("bath", "N", "Bath", "N", "2e4")],
+    sets=[("bath", "Omega_B", "bath", "Omega_B", "1e-5")],
+)
+@example(
+    file=[],
+    sets=[("bath", "N", "bath", w, v) for w, v in (("N", "2"), ("n", "3"), ("N", "4"))],
+)
+def test_each_key_resolves_to_the_last_value_given(tmp_path_factory, file, sets):
+    """File entries, then `--set` entries in order, with sections and keys
+    in any letter case: every key ends at the last value given for it."""
+    sections = {}  # one header per section, one line per key, as INI allows
+    for section, key, written_section, written_key, value in file:
+        header, lines = sections.setdefault(section, (written_section, {}))
+        lines[key] = (written_key, value)
+    path = None
+    if sections:
+        path = tmp_path_factory.mktemp("fold") / "run.ini"
+        path.write_text(
+            "".join(
+                f"[{header}]\n" + "".join(f"{k} = {v}\n" for k, v in lines.values())
+                for header, lines in sections.values()
+            ),
+            encoding="utf-8",
+        )
+    want = {s: {k: v for k, (_, v) in lines.items()} for s, (_, lines) in sections.items()}
+    for section, key, _, _, value in sets:
+        want.setdefault(section, {})[key] = value
+    overrides = [f"{s}.{k}={v}" for _, _, s, k, v in sets]
+    assert load_config(path, overrides) == resolve(want)
+
+
+def test_default_section_is_unknown_not_dropped(tmp_path):
+    path = tmp_path / "run.ini"
+    path.write_text("[DEFAULT]\nkappa_1 = 2e-4\n", encoding="utf-8")
+    with pytest.raises(ConfigError, match="DEFAULT: unknown section"):
+        load_config(path)
+
+
 def test_missing_file_is_config_error(tmp_path):
     with pytest.raises(ConfigError, match="config file"):
         load_config(tmp_path / "absent.ini")
@@ -124,8 +201,8 @@ def test_sweep_grid_endpoints():
         {"sweep": {"start": "1e-6", "stop": "1e-2", "count": "5", "scale": "log"}}
     )
     grid = cfg.sweep.grid()
-    assert grid[0] == pytest.approx(1e-6, rel=1e-15)
-    assert grid[-1] == pytest.approx(1e-2, rel=1e-15)
+    assert grid[0] == pytest.approx(1e-6, rel=1e-15, abs=0)
+    assert grid[-1] == pytest.approx(1e-2, rel=1e-15, abs=0)
     assert len(grid) == 5
     assert np.allclose(np.diff(np.log(grid)), np.log(10), rtol=1e-12)
 

@@ -150,7 +150,7 @@ def test_bare_oscillator_spectrum():
 def test_moment_system_gamma_total():
     r = _rates(s=0.5)
     ms = build_moment_system(r, GAMMA_0)
-    assert ms.gamma_total == pytest.approx(GAMMA_0 + r.gamma, rel=1e-14)
+    assert ms.gamma_total == pytest.approx(GAMMA_0 + r.gamma, rel=1e-14, abs=0)
     assert ms.delta_prime == pytest.approx(r.delta, abs=1e-20)
 
 
@@ -187,7 +187,7 @@ def test_stability_max_real_part_closed_form():
         rep = stability(build_moment_system(r, gamma0))
         amp = 2 * mag - gamma0 / 2
         want = max(amp, 2 * amp)
-        assert rep.max_real_part == pytest.approx(want, rel=1e-9)
+        assert rep.max_real_part == pytest.approx(want, rel=1e-9, abs=0)
 
 
 @_PROPERTY
@@ -284,10 +284,10 @@ def test_steady_state_near_exceptional_point_matches_mpmath(ms):
     larger one, does not lose the digits that n_c + 1/2 - |m_c| would."""
     rep = steady_state(ms)
     n_c, m_c, det, xi = _centred_by_mpmath(ms)
-    assert rep.centered_occupation == pytest.approx(n_c, rel=1e-9)
+    assert rep.centered_occupation == pytest.approx(n_c, rel=1e-9, abs=0)
     assert abs(rep.centered_pair - m_c) <= 1e-9 * abs(m_c)
-    assert rep.det_sigma == pytest.approx(det, rel=1e-9)
-    assert rep.xi == pytest.approx(xi, rel=1e-12)
+    assert rep.det_sigma == pytest.approx(det, rel=1e-9, abs=0)
+    assert rep.xi == pytest.approx(xi, rel=1e-12, abs=0)
 
 
 @pytest.mark.parametrize(
@@ -383,13 +383,13 @@ def test_covariance_identities():
     rep = steady_state(build_moment_system(r, GAMMA_0))
     m2 = rep.centered_pair
     nc = rep.centered_occupation
-    assert rep.var_x == pytest.approx(0.5 + m2.real + nc, rel=1e-12)
-    assert rep.var_p == pytest.approx(0.5 - m2.real + nc, rel=1e-12)
+    assert rep.var_x == pytest.approx(0.5 + m2.real + nc, rel=1e-12, abs=0)
+    assert rep.var_p == pytest.approx(0.5 - m2.real + nc, rel=1e-12, abs=0)
     assert rep.cov_xp == pytest.approx(m2.imag, abs=1e-18)
     lam_min = nc + 0.5 - abs(m2)
     lam_max = nc + 0.5 + abs(m2)
-    assert rep.det_sigma == pytest.approx(lam_min * lam_max, rel=1e-12)
-    assert rep.xi == pytest.approx(1 / np.sqrt(2 * lam_min), rel=1e-12)
+    assert rep.det_sigma == pytest.approx(lam_min * lam_max, rel=1e-12, abs=0)
+    assert rep.xi == pytest.approx(1 / np.sqrt(2 * lam_min), rel=1e-12, abs=0)
     assert rep.squeezed == (rep.xi > 1)
 
 
@@ -409,7 +409,7 @@ def test_coherence_unit_at_zero_lag_and_asymptote():
     series = coherence_g1(ms, rep, default_tau_grid(ms.gamma_total))
     assert series.values[0] == 1.0 + 0.0j
     coherent_fraction = abs(rep.amplitude) ** 2 / rep.occupation
-    assert series.asymptote.real == pytest.approx(coherent_fraction, rel=1e-10)
+    assert series.asymptote.real == pytest.approx(coherent_fraction, rel=1e-10, abs=0)
     # long-lag value approaches the coherent fraction
     assert abs(series.values[-1] - series.asymptote) < 1e-3 * abs(series.asymptote)
     assert np.all(np.abs(series.values) <= 1 + 1e-12)

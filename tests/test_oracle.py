@@ -239,8 +239,8 @@ def test_autogrow_expands_until_clean():
     occ, amp, _ = mode_moments(rho, spec)
     # decoupled coherently driven mode: displaced vacuum
     alpha = -1j * np.conj(mode.Omega) / (mode.gamma0 / 2)
-    assert amp == pytest.approx(alpha, rel=1e-6)
-    assert occ == pytest.approx(abs(alpha) ** 2, rel=1e-6)
+    assert amp == pytest.approx(alpha, rel=1e-6, abs=0)
+    assert occ == pytest.approx(abs(alpha) ** 2, rel=1e-6, abs=0)
 
 
 def test_autogrow_respects_dimension_cap():
@@ -278,7 +278,7 @@ def test_bloch_correlator_at_mollow_exceptional_point(delta_m):
         ref = correlator_integral(p, ENV0, delta_m)[SIGNS.index(beta)]
         for alpha in (+1, -1):
             got = bloch_correlator_numeric(p, ENV0, alpha, beta, delta_m)
-            assert got == pytest.approx(complex(ref[row[alpha]]), rel=1e-10)
+            assert got == pytest.approx(complex(ref[row[alpha]]), rel=1e-10, abs=0)
 
 
 def test_bloch_correlator_when_inversion_decays_slowest():
@@ -292,7 +292,7 @@ def test_bloch_correlator_when_inversion_decays_slowest():
             ref = correlator_integral(p, ENV0, delta_m)[SIGNS.index(beta)]
             for alpha in (+1, -1):
                 got = bloch_correlator_numeric(p, ENV0, alpha, beta, delta_m)
-                assert got == pytest.approx(complex(ref[row[alpha]]), rel=1e-10)
+                assert got == pytest.approx(complex(ref[row[alpha]]), rel=1e-10, abs=0)
 
 
 @st.composite
