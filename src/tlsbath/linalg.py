@@ -203,18 +203,21 @@ def trace_null_vector(a) -> np.ndarray:
         rmatvec=lambda y: lu.solve(y, trans="H"),
         dtype=complex,
     )
-    cond = scipy.sparse.linalg.norm(m, 1) * scipy.sparse.linalg.onenormest(inverse)
+    rhs = np.zeros(side, dtype=complex)
+    rhs[0] = scale
+    # A factor that overflows gives NaN or inf here, which the checks below
+    # report, so the estimator's floating-point warnings are silenced.
+    with np.errstate(all="ignore"):
+        cond = scipy.sparse.linalg.norm(m, 1) * scipy.sparse.linalg.onenormest(inverse)
+        x = lu.solve(rhs)
+        residual = np.abs(a @ x).max() / (
+            scipy.sparse.linalg.norm(a, np.inf) * np.abs(x).max()
+        )
     if not cond <= 1.0 / NULL_RTOL:
         raise KernelDimensionError(
             f"kernel dimension >= 2: condition estimate {cond:.3e} of the "
             f"trace-row system exceeds {1.0 / NULL_RTOL:.3e}"
         )
-    rhs = np.zeros(side, dtype=complex)
-    rhs[0] = scale
-    x = lu.solve(rhs)
-    residual = np.abs(a @ x).max() / (
-        scipy.sparse.linalg.norm(a, np.inf) * np.abs(x).max()
-    )
     if not residual <= NULL_RTOL:
         raise KernelDimensionError(
             f"no numerical kernel: relative residual {residual:.3e} "

@@ -2,12 +2,14 @@
 
 Brute-force cross-check of the effective theory: the full rotating-frame
 Liouvillian of one truncated bosonic mode coupled to a handful of driven,
-damped TLS is built as a sparse superoperator from Kronecker products, its
-steady state extracted from the kernel by one sparse LU solve, and
-expectation values compared against the adiabatic elimination.  Nothing
-here reuses the effective-rate pipeline; the only shared code is the
-linear-algebra kernel.  ``scipy.sparse`` and ``scipy.linalg`` load on the
-first call that reads them, not when the package is imported.
+damped TLS is assembled as a sparse superoperator from the index triplets
+of its Kronecker-product terms (the Hilbert-space operators are dense, at
+most the dimension cap), its steady state extracted from the kernel by
+one sparse LU solve, and expectation values compared against the
+adiabatic elimination.  Nothing here reuses the effective-rate pipeline;
+the only shared code is the linear-algebra kernel.  ``scipy.sparse`` and
+``scipy.linalg`` load on the first call that reads them, not when the
+package is imported.
 
 Matrix vectorization is row-major throughout: ``vec(A rho B) =
 kron(A, B.T) @ vec(rho)``.
@@ -16,6 +18,7 @@ kron(A, B.T) @ vec(rho)``.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from dataclasses import dataclass
 
@@ -87,51 +90,63 @@ _SZ = np.array([[-1.0, 0.0], [0.0, 1.0]], dtype=complex)
 _ID2 = np.eye(2, dtype=complex)
 
 
-def _embed(ops: list[np.ndarray]) -> scipy.sparse.csr_array:
-    out = scipy.sparse.csr_array(ops[0])
-    for op in ops[1:]:
-        out = scipy.sparse.kron(out, op, format="csr")
-    return out
-
-
-def _mode(spec: HilbertSpec) -> scipy.sparse.csr_array:
-    return _embed([_destroy(spec.fock_dim)] + [_ID2] * spec.n_tls)
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Dense Kronecker product, as one broadcast multiply."""
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(
+        a.shape[0] * b.shape[0], a.shape[1] * b.shape[1]
+    )
 
 
 def mode_operator(spec: HilbertSpec) -> np.ndarray:
-    """Annihilation operator of the mode on the full space (dense)."""
-    return _mode(spec).toarray()
+    """Annihilation operator of the mode on the full space."""
+    return functools.reduce(_kron, [_destroy(spec.fock_dim)] + [_ID2] * spec.n_tls)
 
 
-def tls_operator(spec: HilbertSpec, i: int, op: np.ndarray) -> scipy.sparse.csr_array:
-    """Single-TLS operator embedded on the full space (sparse)."""
-    ops = [np.eye(spec.fock_dim, dtype=complex)]
-    for j in range(spec.n_tls):
-        ops.append(op if j == i else _ID2)
-    return _embed(ops)
+def tls_operator(spec: HilbertSpec, i: int, op: np.ndarray) -> np.ndarray:
+    """Single-TLS operator embedded on the full space."""
+    ops = [op if j == i else _ID2 for j in range(spec.n_tls)]
+    return functools.reduce(_kron, [np.eye(spec.fock_dim, dtype=complex)] + ops)
 
 
-def _sparse_kron(a, b) -> scipy.sparse.csr_array:
-    return scipy.sparse.kron(a, b, format="csr")
-
-
-def _liouvillian(h, jumps, kron):
-    """Row-major generator ``-i[h, .] + sum_k c_k D[a_k, b_k]``.
+def _liouvillian(h, jumps) -> list:
+    """Terms ``(c, a, b)`` of the row-major generator ``-i[h, .] + sum_k
+    c_k D[a_k, b_k]``, which is the sum of ``c kron(a, b)`` over them.
 
     ``jumps`` lists ``(c, a, b)`` with ``D[a, b] rho = a rho b -
     (b a rho + rho b a) / 2``.  The anticommutators are summed into one
     effective Hamiltonian first, so ``vec(X rho + rho Y) = (kron(X, 1) +
-    kron(1, Y.T)) vec(rho)`` takes two Kronecker products in all.
-    ``kron`` is ``np.kron`` for the 4x4 single-TLS generator, whose sparse
-    build would cost milliseconds of fixed overhead, and
-    :func:`_sparse_kron` for the coupled system.
+    kron(1, Y.T)) vec(rho)`` takes two terms in all, and each jump one
+    more, ``c kron(a, b.T)``.
     """
     k = sum(c * (b @ a) for c, a, b in jumps)
     eye = np.eye(h.shape[0])
-    liou = kron(-1j * h - 0.5 * k, eye) + kron(eye, (1j * h - 0.5 * k).T)
-    for c, a, b in jumps:
-        liou = liou + c * kron(a, b.T)
-    return liou
+    terms = [(1.0, -1j * h - 0.5 * k, eye), (1.0, eye, (1j * h - 0.5 * k).T)]
+    return terms + [(c, a, b.T) for c, a, b in jumps]
+
+
+def _triplet_sum(terms, n: int) -> scipy.sparse.csr_array:
+    """Sparse sum of ``c kron(a, b)`` over ``terms`` of dense ``n x n``
+    factors, from the COO triplets of each pair's nonzeros.
+
+    A stable sort keeps the duplicates of each entry in term order, so
+    ``sum_duplicates`` adds them up as a chain of sparse sums would, and
+    an entry that cancels to zero there cancels here too and is dropped.
+    """
+    rows, cols, vals = [], [], []
+    for c, a, b in terms:
+        ia, ja = np.nonzero(a)
+        ib, jb = np.nonzero(b)
+        rows.append((ia[:, None] * n + ib).ravel())
+        cols.append((ja[:, None] * n + jb).ravel())
+        vals.append((c * (a[ia, ja][:, None] * b[ib, jb])).ravel())
+    rows, cols, vals = (np.concatenate(x) for x in (rows, cols, vals))
+    side = n * n
+    order = np.argsort(rows * side + cols, kind="stable")
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=side))))
+    out = scipy.sparse.csr_array((vals[order], cols[order], indptr), shape=(side, side))
+    out.sum_duplicates()
+    out.eliminate_zeros()
+    return out
 
 
 def _tls_terms(p: TlsParams, env: BathEnvironment, sp, sm, sz) -> tuple:
@@ -159,7 +174,7 @@ def build_liouvillian(spec: HilbertSpec) -> scipy.sparse.csr_array:
     on row-major vectorized density matrices and annihilates the trace
     functional from the left.
     """
-    s = _mode(spec)
+    s = mode_operator(spec)
     sd = s.conj().T
     om0 = complex(spec.mode.Omega)
     h = spec.mode.detuning * (sd @ s) + om0 * s + np.conj(om0) * sd
@@ -170,13 +185,13 @@ def build_liouvillian(spec: HilbertSpec) -> scipy.sparse.csr_array:
         g = complex(p.couplings[0])
         h = h + h_tls + g * (sp @ s) + np.conj(g) * (sd @ sm)
         jumps += jumps_tls
-    return _liouvillian(h, jumps, _sparse_kron)
+    return _triplet_sum(_liouvillian(h, jumps), spec.dim)
 
 
 def tls_liouvillian(p: TlsParams, env: BathEnvironment) -> np.ndarray:
     """Vectorized generator of a single driven, damped TLS (dense 4x4)."""
     h, jumps = _tls_terms(p, env, _SP, _SM, _SZ)
-    return _liouvillian(h, jumps, np.kron)
+    return sum(c * _kron(a, b) for c, a, b in _liouvillian(h, jumps))
 
 
 def _normalize_density(rho: np.ndarray) -> np.ndarray:

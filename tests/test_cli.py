@@ -426,6 +426,46 @@ def test_extreme_override_pairs_exit_cleanly(keys, exponents, signs):
         _assert_clean_exit(code, out.getvalue(), err.getvalue())
 
 
+# oracle-validate at one TLS, one ratio and a small Hilbert space, so that
+# an exact solve per draw stays fast.
+_ORACLE_RUN = (
+    "oracle-validate", "--set", "bath.N=1", "--set", "bath.Omega_B=7.1e-5",
+    "--set", "oracle.ratios=0.03", "--set", "oracle.fock_start=2",
+    "--set", "oracle.dim_cap=16",
+)
+
+
+@settings(max_examples=150)
+@given(
+    key=st.sampled_from(_EXTREME_KEYS),
+    exponent=st.floats(-300.0, 300.0),
+    sign=st.sampled_from((1.0, -1.0)),
+)
+def test_extreme_override_of_oracle_validate_exits_cleanly(key, exponent, sign):
+    """The exact oracle keeps the contract of `_assert_clean_exit` under one
+    extreme --set."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main([*_ORACLE_RUN, "--set", f"{key}={sign * 10.0**exponent!r}"])
+    _assert_clean_exit(code, out.getvalue(), err.getvalue())
+
+
+@pytest.mark.parametrize(
+    "override", ["bath.kappa_2=1e123", "mode.Delta_0=1.99523347570821e+157"]
+)
+def test_overflowing_kernel_estimate_prints_one_line(capsys, override):
+    """A trace-row system whose condition estimate overflows to NaN or inf
+    is a numerical failure on one stderr line: the estimator's
+    floating-point warnings once reached stderr ahead of it."""
+    code, out, err = _run(
+        capsys, "oracle-validate", "--set", "bath.N=1", "--set", "bath.Omega_B=7.1e-5",
+        "--set", "oracle.ratios=0.03", "--set", override,
+    )
+    assert code == cli.EXIT_NUMERICAL
+    assert len(err.splitlines()) == 1 and err.startswith("numerical failure:"), err
+    assert out == ""
+
+
 def test_numerical_failure_exit_code(capsys):
     code, _, err = _run(
         capsys,

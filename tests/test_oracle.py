@@ -1,7 +1,10 @@
 """Exact small-dimension reference dynamics and its cross-checks."""
 
+import functools
+
 import numpy as np
 import pytest
+import scipy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -104,6 +107,90 @@ def test_liouvillian_annihilates_trace():
     trace_row = np.eye(spec.dim, dtype=complex).reshape(-1)
     residual = np.abs(trace_row @ liou).max()
     assert residual < 1e-14 * np.abs(liou).max()
+
+
+def _kron_chain_generator(h, jumps, kron):
+    """The generator ``-i[h, .] + sum_k c_k D[a_k, b_k]`` as a chain of
+    Kronecker products and additions: the reference for the library's
+    triplet assembly."""
+    k = sum(c * (b @ a) for c, a, b in jumps)
+    eye = np.eye(h.shape[0])
+    liou = kron(-1j * h - 0.5 * k, eye) + kron(eye, (1j * h - 0.5 * k).T)
+    for c, a, b in jumps:
+        liou = liou + c * kron(a, b.T)
+    return liou
+
+
+def _sparse_kron(a, b):
+    return scipy.sparse.kron(a, b, format="csr")
+
+
+def _kron_chain_liouvillian(spec):
+    """`build_liouvillian` from sparse Kronecker products of sparse
+    operators."""
+    def embed(ops):
+        return functools.reduce(_sparse_kron, ops[1:], scipy.sparse.csr_array(ops[0]))
+
+    s = embed([oracle._destroy(spec.fock_dim)] + [oracle._ID2] * spec.n_tls)
+    sd = s.conj().T
+    om0 = complex(spec.mode.Omega)
+    h = spec.mode.detuning * (sd @ s) + om0 * s + np.conj(om0) * sd
+    jumps = [(spec.mode.gamma0, s, sd)]
+    eye = np.eye(spec.fock_dim, dtype=complex)
+    for i, p in enumerate(spec.tls):
+        sp, sm, sz = (
+            embed([eye] + [op if j == i else oracle._ID2 for j in range(spec.n_tls)])
+            for op in (oracle._SP, oracle._SM, oracle._SZ)
+        )
+        h_tls, jumps_tls = oracle._tls_terms(p, spec.env, sp, sm, sz)
+        g = complex(p.couplings[0])
+        h = h + h_tls + g * (sp @ s) + np.conj(g) * (sd @ sm)
+        jumps += jumps_tls
+    return _kron_chain_generator(h, jumps, _sparse_kron)
+
+
+def _every_jump_spec(n, fock=4, temperature=0.2):
+    """Complex drives and couplings and kappa_2 > 0, so that the dephasing
+    jumps are present, and at T > 0 the thermal absorption jumps too."""
+    tls = tuple(
+        TlsParams(1.0, KAPPA_1, 0.3 * KAPPA_1, 0.8 * KAPPA_1 * np.exp(0.4j * (i + 1)),
+                  0.2 * KAPPA_1, (0.3 * KAPPA_1 * np.exp(-0.9j),))
+        for i in range(n)
+    )
+    mode = ModeParams(detuning=0.5 * KAPPA_1, gamma0=0.1 * KAPPA_1,
+                      Omega=0.2 * KAPPA_1 * np.exp(1.1j))
+    return HilbertSpec(fock_dim=fock, mode=mode, tls=tls,
+                       env=BathEnvironment(temperature=temperature))
+
+
+@pytest.mark.parametrize("temperature", [0.2, 0.0])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_liouvillian_matches_kronecker_chain(n, temperature):
+    """The triplet assembly has the Kronecker chain's sparsity pattern
+    exactly, so the sparse LU sees the same structure, and its entries to
+    rounding.  At T = 0 some diagonal entries cancel exactly (the dephasing
+    jumps against their anticommutator), and the chain's sparse additions
+    drop them."""
+    spec = _every_jump_spec(n, temperature=temperature)
+    liou = build_liouvillian(spec)
+    want = _kron_chain_liouvillian(spec)
+    want.sort_indices()
+    assert liou.shape == want.shape
+    assert np.array_equal(liou.indptr, want.indptr)
+    assert np.array_equal(liou.indices, want.indices)
+    assert np.abs(liou.data - want.data).max() <= 1e-15 * np.abs(want.data).max()
+
+
+@pytest.mark.parametrize("i", [0, 1, 2])
+def test_tls_liouvillian_matches_kronecker_chain(i):
+    spec = _every_jump_spec(3)
+    p, env = spec.tls[i], spec.env
+    h, jumps = oracle._tls_terms(p, env, oracle._SP, oracle._SM, oracle._SZ)
+    assert len(jumps) == 3
+    liou = oracle.tls_liouvillian(p, env)
+    want = _kron_chain_generator(h, jumps, np.kron)
+    assert np.array_equal(liou != 0, want != 0)
+    assert np.abs(liou - want).max() <= 1e-15 * np.abs(want).max()
 
 
 def test_steady_state_full_is_stationary_and_physical():
