@@ -6,10 +6,11 @@ damped TLS is assembled as a sparse superoperator from the index triplets
 of its Kronecker-product terms (the Hilbert-space operators are dense, at
 most the dimension cap), its steady state extracted from the kernel by
 one sparse LU solve, and expectation values compared against the
-adiabatic elimination.  Nothing here reuses the effective-rate pipeline;
-the only shared code is the linear-algebra kernel.  ``scipy.sparse`` and
-``scipy.linalg`` load on the first call that reads them, not when the
-package is imported.
+adiabatic elimination.  The quadrature's 4x4 TLS generator is ``theta``
+times six blocks built once from the same Hamiltonian and jumps.
+Nothing here reuses the effective-rate pipeline; the only shared code is
+the linear-algebra kernel.  ``scipy.sparse`` and ``scipy.linalg`` load
+on the first call that reads them, not when the package is imported.
 
 Matrix vectorization is row-major throughout: ``vec(A rho B) =
 kron(A, B.T) @ vec(rho)``.
@@ -149,18 +150,33 @@ def _triplet_sum(terms, n: int) -> scipy.sparse.csr_array:
     return out
 
 
-def _tls_terms(p: TlsParams, env: BathEnvironment, sp, sm, sz) -> tuple:
-    """Hamiltonian and jumps of one driven TLS: thermal relaxation at its
-    own frequency plus pure dephasing."""
+def _tls_coefficients(p: TlsParams, env: BathEnvironment) -> tuple:
+    """``theta = (Delta_B, Omega_B, Omega_B*, kappa1 (1 + nbar), kappa1
+    nbar, kappa2)``, in which a TLS's Hamiltonian and jumps are linear."""
     ob = complex(p.Omega_B)
-    h = 0.5 * p.Delta_B * sz + 0.5 * (ob * sp + np.conj(ob) * sm)
     nbar = bose_occupation(p.omega_B, env.temperature)
-    jumps = [(p.kappa1 * (1.0 + nbar), sm, sp)]
-    if nbar > 0:
-        jumps.append((p.kappa1 * nbar, sp, sm))
-    if p.kappa2 > 0:
-        jumps.append((p.kappa2, sz, sz))
-    return h, jumps
+    return (p.Delta_B, ob, ob.conjugate(), p.kappa1 * (1.0 + nbar), p.kappa1 * nbar, p.kappa2)
+
+
+def _tls_terms(theta, sp, sm, sz) -> tuple:
+    """Hamiltonian and jumps of one driven TLS with coefficients ``theta``:
+    thermal relaxation at its own frequency plus pure dephasing.  Jumps of
+    zero rate are left out."""
+    delta, ob, ob_conj, down, up, dephasing = theta
+    h = 0.5 * delta * sz + 0.5 * (ob * sp + ob_conj * sm)
+    jumps = [(down, sm, sp), (up, sp, sm), (dephasing, sz, sz)]
+    return h, [j for j in jumps if j[0] != 0]
+
+
+@functools.cache
+def _tls_blocks() -> np.ndarray:
+    """Row k: the flattened single-TLS generator at theta = e_k.  Built on
+    first use, as its matrix products touch BLAS buffers that processes
+    which never call the oracle need not hold."""
+    return np.array([
+        sum(c * _kron(a, b) for c, a, b in _liouvillian(*_tls_terms(unit, _SP, _SM, _SZ))).ravel()
+        for unit in np.eye(6)
+    ])
 
 
 def build_liouvillian(spec: HilbertSpec) -> scipy.sparse.csr_array:
@@ -181,7 +197,7 @@ def build_liouvillian(spec: HilbertSpec) -> scipy.sparse.csr_array:
     jumps = [(spec.mode.gamma0, s, sd)]
     for i, p in enumerate(spec.tls):
         sp, sm, sz = (tls_operator(spec, i, op) for op in (_SP, _SM, _SZ))
-        h_tls, jumps_tls = _tls_terms(p, spec.env, sp, sm, sz)
+        h_tls, jumps_tls = _tls_terms(_tls_coefficients(p, spec.env), sp, sm, sz)
         g = complex(p.couplings[0])
         h = h + h_tls + g * (sp @ s) + np.conj(g) * (sd @ sm)
         jumps += jumps_tls
@@ -189,9 +205,9 @@ def build_liouvillian(spec: HilbertSpec) -> scipy.sparse.csr_array:
 
 
 def tls_liouvillian(p: TlsParams, env: BathEnvironment) -> np.ndarray:
-    """Vectorized generator of a single driven, damped TLS (dense 4x4)."""
-    h, jumps = _tls_terms(p, env, _SP, _SM, _SZ)
-    return sum(c * _kron(a, b) for c, a, b in _liouvillian(h, jumps))
+    """Vectorized generator of a single driven, damped TLS (dense 4x4):
+    ``theta`` times the blocks built once from its Hamiltonian and jumps."""
+    return (np.array(_tls_coefficients(p, env)) @ _tls_blocks()).reshape(4, 4)
 
 
 def _normalize_density(rho: np.ndarray) -> np.ndarray:

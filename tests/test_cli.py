@@ -612,8 +612,9 @@ print(len(run("oracle-validate", "bath.N=1", "oracle.dim_cap=32", "bath.Omega_B=
 
 def test_import_leaves_optimize_and_integrate_unloaded():
     """The rate and moment scenarios load no SciPy submodule: only the
-    exact oracle, the linalg kernels and criterion 5 read one, on first
-    use.  A small oracle run in the same interpreter then still works."""
+    exact oracle and the linalg kernels read one, on first use, and
+    nothing in the package reads ``scipy.optimize``.  A small oracle run
+    in the same interpreter then still works."""
     proc = subprocess.run(
         [sys.executable, "-c", _SCIPY_BOUNDARY],
         capture_output=True,

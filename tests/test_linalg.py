@@ -1,8 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse
+import scipy.sparse.linalg
 
+from tlsbath.bath import BathEnvironment, TlsParams
 from tlsbath.linalg import (
     KernelDimensionError,
     SingularMatrixError,
@@ -12,6 +16,8 @@ from tlsbath.linalg import (
     solve_linear,
     trace_null_vector,
 )
+from tlsbath.oracle import HilbertSpec, build_liouvillian
+from tlsbath.rates import ModeParams
 
 
 def _random_complex(rng, shape):
@@ -130,20 +136,95 @@ def _hamiltonian_generator(h):
     return -1j * (scipy.sparse.kron(h, eye) - scipy.sparse.kron(eye, h.T))
 
 
-def test_trace_null_vector_matches_dense_kernel():
-    # amplitude damping of a qubit plus a random Hamiltonian
+def _damped_qubit():
+    """Amplitude damping of a qubit plus a random Hamiltonian."""
     lower = scipy.sparse.csr_array(np.array([[0.0, 1.0], [0.0, 0.0]]))
     eye = scipy.sparse.eye_array(2)
     n = lower.T @ lower
-    liou = _hamiltonian_generator(_random_hermitian(17, 2)) + (
+    return _hamiltonian_generator(_random_hermitian(17, 2)) + (
         scipy.sparse.kron(lower, lower)
         - 0.5 * (scipy.sparse.kron(n, eye) + scipy.sparse.kron(eye, n.T))
     )
+
+
+def test_trace_null_vector_matches_dense_kernel():
+    liou = _damped_qubit()
     got = trace_null_vector(liou)
     assert got[0] + got[3] == pytest.approx(1.0, abs=1e-14)
     want = null_vector(liou.toarray())
     want /= want[0] + want[3]
     assert np.abs(got - want).max() < 1e-13
+
+
+def _reference_trace_null_vector(a):
+    """The trace-row solve with the system assembled by slicing and
+    stacking sparse matrices: the reference for the library's index-built
+    system."""
+    a = scipy.sparse.csr_array(a, dtype=complex)
+    side = a.shape[0]
+    d = math.isqrt(side)
+    scale = max(scipy.sparse.linalg.norm(a, 1), np.finfo(float).tiny)
+    trace = scipy.sparse.csr_array(
+        (np.full(d, scale, dtype=complex), (np.zeros(d, dtype=int), np.arange(d) * (d + 1))),
+        shape=(1, side),
+    )
+    m = scipy.sparse.vstack([trace, a[1:]], format="csc")
+    rhs = np.zeros(side, dtype=complex)
+    rhs[0] = scale
+    return scipy.sparse.linalg.splu(m).solve(rhs)
+
+
+def _oracle_liouvillian(n_tls, fock):
+    tls = tuple(
+        TlsParams(1.0, 1e-4, 2e-5, 8e-5 * np.exp(0.4j * (i + 1)), 2e-5, (3e-5,))
+        for i in range(n_tls)
+    )
+    mode = ModeParams(detuning=5e-5, gamma0=1e-5, Omega=2e-5 * np.exp(1.1j))
+    return build_liouvillian(HilbertSpec(fock, mode, tls, BathEnvironment(temperature=0.2)))
+
+
+def _unsorted_with_duplicates():
+    """The damped qubit with every entry stored as two parts, columns in
+    descending order within each row."""
+    liou = _damped_qubit().tocoo()
+    rows, cols = np.tile(liou.row, 2), np.tile(liou.col, 2)
+    vals = np.concatenate((0.25 * liou.data, 0.75 * liou.data))
+    order = np.lexsort((-cols, rows))
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=4))))
+    out = scipy.sparse.csr_array((vals[order], cols[order], indptr), shape=liou.shape)
+    assert not out.has_sorted_indices
+    return out
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: _oracle_liouvillian(1, 4),
+        lambda: _oracle_liouvillian(1, 8),
+        lambda: _oracle_liouvillian(2, 4),
+        lambda: _oracle_liouvillian(2, 8),
+        lambda: _oracle_liouvillian(1, 4).toarray(),
+        _unsorted_with_duplicates,
+    ],
+    ids=["N1-fock4", "N1-fock8", "N2-fock4", "N2-fock8", "dense", "unsorted-duplicates"],
+)
+def test_trace_null_vector_matches_stacked_reference(make):
+    """The index-built trace-row system is the stacked one, entry for
+    entry, so the kernel vectors agree bit for bit.  Each side gets its
+    own copy of the input: canonicalizing sums duplicates in place."""
+    assert np.array_equal(trace_null_vector(make()), _reference_trace_null_vector(make()))
+
+
+def test_trace_null_vector_leaves_the_global_rng_alone():
+    """The condition estimate starts from the ones vector and draws no
+    random columns, so a solve does not advance NumPy's global stream."""
+    liou = _oracle_liouvillian(2, 8)
+    np.random.seed(20261019)
+    before = np.random.get_state()
+    trace_null_vector(liou)
+    after = np.random.get_state()
+    assert np.array_equal(before[1], after[1])
+    assert before[2:] == after[2:]
 
 
 @pytest.mark.parametrize(

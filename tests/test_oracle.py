@@ -142,7 +142,7 @@ def _kron_chain_liouvillian(spec):
             embed([eye] + [op if j == i else oracle._ID2 for j in range(spec.n_tls)])
             for op in (oracle._SP, oracle._SM, oracle._SZ)
         )
-        h_tls, jumps_tls = oracle._tls_terms(p, spec.env, sp, sm, sz)
+        h_tls, jumps_tls = oracle._tls_terms(oracle._tls_coefficients(p, spec.env), sp, sm, sz)
         g = complex(p.couplings[0])
         h = h + h_tls + g * (sp @ s) + np.conj(g) * (sd @ sm)
         jumps += jumps_tls
@@ -181,12 +181,21 @@ def test_liouvillian_matches_kronecker_chain(n, temperature):
     assert np.abs(liou.data - want.data).max() <= 1e-15 * np.abs(want.data).max()
 
 
-@pytest.mark.parametrize("i", [0, 1, 2])
-def test_tls_liouvillian_matches_kronecker_chain(i):
-    spec = _every_jump_spec(3)
-    p, env = spec.tls[i], spec.env
-    h, jumps = oracle._tls_terms(p, env, oracle._SP, oracle._SM, oracle._SZ)
-    assert len(jumps) == 3
+@pytest.mark.parametrize(
+    "drive", [0.8 * KAPPA_1, 0.8 * KAPPA_1 * np.exp(0.4j)], ids=["real", "complex"]
+)
+@pytest.mark.parametrize("kappa2", [0.0, 0.2 * KAPPA_1], ids=["kappa2=0", "kappa2>0"])
+@pytest.mark.parametrize("temperature", [0.0, 0.2], ids=["T=0", "T>0"])
+def test_tls_liouvillian_matches_kronecker_chain(temperature, kappa2, drive):
+    """The block generator against the Kronecker chain of the same terms,
+    on every subset of the jumps: at T = 0 or kappa_2 = 0 the absorption
+    or dephasing jump is absent and its coefficient is an exact zero."""
+    p = TlsParams(1.0, KAPPA_1, kappa2, drive, 0.3 * KAPPA_1, (0.3 * KAPPA_1,))
+    env = BathEnvironment(temperature=temperature)
+    h, jumps = oracle._tls_terms(
+        oracle._tls_coefficients(p, env), oracle._SP, oracle._SM, oracle._SZ
+    )
+    assert len(jumps) == 1 + (temperature > 0) + (kappa2 > 0)
     liou = oracle.tls_liouvillian(p, env)
     want = _kron_chain_generator(h, jumps, np.kron)
     assert np.array_equal(liou != 0, want != 0)

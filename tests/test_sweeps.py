@@ -301,6 +301,16 @@ def test_oracle_scenario_single_tls_agreement():
     assert row["occupation_exact"] > 0
 
 
+def test_oracle_scenario_leaves_the_global_rng_alone():
+    cfg = _cfg(bath={"N": "1", "Omega_B": "7.1e-5"}, oracle={"ratios": "0.03", "dim_cap": "32"})
+    np.random.seed(20261019)
+    before = np.random.get_state()
+    run_scenario("oracle-validate", cfg)
+    after = np.random.get_state()
+    assert np.array_equal(before[1], after[1])
+    assert before[2:] == after[2:]
+
+
 @pytest.mark.parametrize(
     "delta_0, delta_b", [(1e-8, 0.0), (1e-4, -1e16)], ids=["criterion-8-line", "far-bath"]
 )
