@@ -181,12 +181,26 @@ def test_liouvillian_matches_kronecker_chain(n, temperature):
     assert np.abs(liou.data - want.data).max() <= 1e-15 * np.abs(want.data).max()
 
 
+@pytest.mark.parametrize("i", [0, 1, 2])
+def test_tls_liouvillian_matches_kronecker_chain(i):
+    spec = _every_jump_spec(3)
+    p, env = spec.tls[i], spec.env
+    h, jumps = oracle._tls_terms(
+        oracle._tls_coefficients(p, env), oracle._SP, oracle._SM, oracle._SZ
+    )
+    assert len(jumps) == 3
+    liou = oracle.tls_liouvillian(p, env)
+    want = _kron_chain_generator(h, jumps, np.kron)
+    assert np.array_equal(liou != 0, want != 0)
+    assert np.abs(liou - want).max() <= 1e-15 * np.abs(want).max()
+
+
 @pytest.mark.parametrize(
     "drive", [0.8 * KAPPA_1, 0.8 * KAPPA_1 * np.exp(0.4j)], ids=["real", "complex"]
 )
 @pytest.mark.parametrize("kappa2", [0.0, 0.2 * KAPPA_1], ids=["kappa2=0", "kappa2>0"])
 @pytest.mark.parametrize("temperature", [0.0, 0.2], ids=["T=0", "T>0"])
-def test_tls_liouvillian_matches_kronecker_chain(temperature, kappa2, drive):
+def test_tls_liouvillian_matches_kronecker_chain_on_jump_subsets(temperature, kappa2, drive):
     """The block generator against the Kronecker chain of the same terms,
     on every subset of the jumps: at T = 0 or kappa_2 = 0 the absorption
     or dephasing jump is absent and its coefficient is an exact zero."""
