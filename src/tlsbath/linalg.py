@@ -188,7 +188,9 @@ def trace_null_vector(a) -> np.ndarray:
     d = math.isqrt(side)
     if side == 0 or d * d != side:
         raise ValueError(f"Liouvillian side {side} is not a perfect square")
-    a.sum_duplicates()
+    if not a.has_canonical_format:  # summed on a copy: the input may share its arrays
+        a = a.copy()
+        a.sum_duplicates()
     col_sums = np.bincount(a.indices, weights=np.abs(a.data), minlength=side)
     scale = max(col_sums.max(), np.finfo(float).tiny)
     head = a.indptr[1]  # row 0 goes, the trace row takes its place

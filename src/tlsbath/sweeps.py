@@ -14,7 +14,8 @@ one array expression over all rows.  The mode decay rate gamma_0 never
 enters the rates, so its axis is left out of the rate call: the rates
 are assembled once per combination of the other swept values, once per
 drive on the default (Omega_B x gamma_0) stability map, once in all for
-a sweep of gamma_0.
+a sweep of gamma_0.  The moment layer broadcasts those rates against the
+gamma_0 axis itself; only the output columns are expanded to rows.
 
 Scenario semantics:
 
@@ -53,7 +54,7 @@ from .dynamics import (
     steady_state,
 )
 from .oracle import steady_state_autogrow, mode_moments
-from .rates import SingleModeRates, single_mode_rates
+from .rates import single_mode_rates
 
 SCENARIOS = (
     "driving",
@@ -188,8 +189,9 @@ def _grid_rows(cfg: ScenarioConfig, axes, read) -> list:
 
     The axes form an open mesh, so one ``rates_at`` call over the swept
     values other than gamma_0, which enters only the moment system, gives
-    the rates once per rate point; they are then broadcast along the
-    gamma_0 axis to one entry per row.
+    the rates once per rate point.  ``read`` gets the rates and gamma_0 on
+    that mesh, and the moment layer broadcasts them against each other;
+    each column it returns is then expanded to one entry per row.
     """
     shape = tuple(axis.count for axis in axes)
     mesh = np.ix_(*(axis.grid() for axis in axes))
@@ -197,14 +199,8 @@ def _grid_rows(cfg: ScenarioConfig, axes, read) -> list:
     gamma_0 = point.pop("gamma_0", cfg.gamma_0)
     if "Omega_B" in point:
         point["Omega_B"] = point["Omega_B"].astype(complex)
-
-    def rows(v):
-        return np.broadcast_to(v, shape).reshape(-1)
-
-    rates = rates_at(cfg.replace(**point))
-    rates = SingleModeRates(*(rows(getattr(rates, f.name)) for f in dataclasses.fields(rates)))
-    columns = [rows(values) for values in mesh] + read(rates, rows(gamma_0))
-    return list(zip(*(np.asarray(c).tolist() for c in columns)))
+    columns = list(mesh) + read(rates_at(cfg.replace(**point)), gamma_0)
+    return list(zip(*(np.broadcast_to(c, shape).reshape(-1).tolist() for c in columns)))
 
 
 def _normalize_row(row) -> tuple:
@@ -351,8 +347,9 @@ def render_csv(result: SweepResult) -> str:
     ]
     lines += [f"# {key} = {value}" for key, value in result.meta]
     lines.append(",".join(result.columns))
-    # rows hold plain str, int and float values, and str is repr on them
-    lines += [",".join(map(str, row)) for row in result.rows]
+    # rows are tuples of plain str, int and float; %s is str, repr on them
+    fmt = ",".join(["%s"] * len(result.columns))
+    lines += [fmt % row for row in result.rows]
     return "\n".join(lines) + "\n"
 
 

@@ -4,6 +4,7 @@ evaluation of that one point, and a guard that fails names the point."""
 import cmath
 import dataclasses
 import importlib.util
+import json
 import math
 from pathlib import Path
 
@@ -22,7 +23,7 @@ from tlsbath.dynamics import (
     steady_state,
 )
 from tlsbath.rates import ModeParams, single_mode_rates
-from tlsbath.sweeps import UNSTABLE, rates_at, run_scenario
+from tlsbath.sweeps import UNSTABLE, rates_at, render_csv, render_json, run_scenario
 
 _CHECKS = Path(__file__).resolve().parents[1] / "perfbench" / "checks.py"
 
@@ -144,6 +145,45 @@ def test_grid_rows_equal_one_point_evaluation(run):
             rtol = CANCELLATION_RTOL if column in CANCELLATION_COLUMNS else 1e-12
             assert type(got) is float
             assert math.isclose(got, expected, rel_tol=rtol, abs_tol=0.0), (column, got, expected)
+
+
+def _parsed(field: str):
+    # what a reader of the CSV gets back: an int, a float, or the sentinel
+    for kind in (int, float):
+        try:
+            return kind(field)
+        except ValueError:
+            pass
+    return field
+
+
+def _same(got, expected) -> bool:
+    # exact: same type, and floats to the bit (signed zero and NaN included)
+    if type(got) is not type(expected):
+        return False
+    return repr(got) == repr(expected) if isinstance(got, float) else got == expected
+
+
+@settings(max_examples=120)
+@given(run=_runs())
+@example(run=("steady-state", resolve(_MARGIN)))
+def test_csv_and_json_round_trip(run):
+    """Both renderings of a random grid scenario parse back to its rows
+    exactly: floats by ``float()``, ints, and the ``unstable`` sentinel."""
+    scenario, cfg = run
+    res = run_scenario(scenario, cfg)
+    lines = [line for line in render_csv(res).splitlines() if not line.startswith("#")]
+    assert lines[0] == ",".join(res.columns)
+    from_csv = [tuple(_parsed(f) for f in line.split(",")) for line in lines[1:]]
+    doc = json.loads(render_json(res))
+    assert doc["columns"] == list(res.columns)
+    assert doc["config"] == dict(res.meta)
+    from_json = [tuple(row) for row in doc["rows"]]
+    for parsed in (from_csv, from_json):
+        assert len(parsed) == len(res.rows)
+        for got, expected in zip(parsed, res.rows):
+            assert len(got) == len(expected)
+            assert all(_same(a, b) for a, b in zip(got, expected)), (got, expected)
 
 
 ENV0 = BathEnvironment(temperature=0.0)

@@ -215,6 +215,23 @@ def test_trace_null_vector_matches_stacked_reference(make):
     assert np.array_equal(trace_null_vector(make()), _reference_trace_null_vector(make()))
 
 
+def test_trace_null_vector_leaves_its_input_alone():
+    """A CSR input with duplicate, unsorted entries is summed on a copy:
+    its own arrays keep every slot, and its kernel vector is that of the
+    canonical matrix, bit for bit, on every call."""
+    liou = _unsorted_with_duplicates()
+    assert liou.nnz == 32
+    stored = (liou.indptr, liou.indices, liou.data)
+    before = [arr.copy() for arr in stored]
+    got = trace_null_vector(liou)
+    for old, new in zip(before, stored):
+        assert old.tobytes() == new.tobytes()
+    canonical = _unsorted_with_duplicates()
+    canonical.sum_duplicates()
+    assert got.tobytes() == trace_null_vector(canonical).tobytes()
+    assert trace_null_vector(liou).tobytes() == got.tobytes()
+
+
 def test_trace_null_vector_leaves_the_global_rng_alone():
     """The condition estimate starts from the ones vector and draws no
     random columns, so a solve does not advance NumPy's global stream."""

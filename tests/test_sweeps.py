@@ -415,6 +415,27 @@ def test_csv_layout():
     assert first == 1e-6
 
 
+_EDGE_VALUES = (-0.0, 0.0, float("inf"), float("-inf"), float("nan"), 5e-324,
+                1.7976931348623157e308, -2.5e-310, 0.1, 1e16, 1e-7, 0, 1, -7, 10**30,
+                UNSTABLE)
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [tuple((v,) for v in _EDGE_VALUES), (_EDGE_VALUES * 3, _EDGE_VALUES[::-1] * 3), ()],
+    ids=["one-column", "wide", "empty"],
+)
+def test_csv_rows_match_the_join_formula(rows):
+    """Each data line is the old per-row ``",".join(map(str, row))``, kept
+    here as the reference: signed zeros, infinities, NaN, the subnormal and
+    largest floats, ints and the sentinel render as ``str`` renders them."""
+    width = len(rows[0]) if rows else 3
+    res = sweeps.SweepResult("edge", tuple(f"c{k}" for k in range(width)), rows, ())
+    lines = render_csv(res).splitlines()
+    header = lines.index(",".join(res.columns))
+    assert lines[header + 1:] == [",".join(map(str, row)) for row in rows]
+
+
 def test_json_round_trip():
     cfg = _small_sweep()
     res = run_scenario("driving", cfg)
