@@ -9,6 +9,7 @@ output goes to `--out` (or the config's output path, or stdout).
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 import numpy as np
@@ -90,11 +91,11 @@ def _emit(result: SweepResult, cfg, args) -> None:
     path = args.out or cfg.out_path
     write_result(result, path, args.format or cfg.out_format)
     if path:
-        print(f"wrote {path} ({len(result.rows)} rows)")
+        print(f"wrote {path} ({math.prod(result.shape)} rows)")
 
 
-def _cmd_rates(args) -> int:
-    cfg = load_config(args.config, args.overrides)
+def _rates_result(cfg) -> SweepResult:
+    # the one-row table of the `rates` report
     r = rates_at(cfg)
     tls = cfg.tls_params()
     env = cfg.environment()
@@ -112,12 +113,17 @@ def _cmd_rates(args) -> int:
         "gamma_minus": r.gamma_minus,
         "gamma": r.gamma,
     }
-    result = SweepResult(
-        scenario="rates",
-        columns=tuple(report),
-        rows=(tuple(float(v) for v in report.values()),),
-        meta=tuple(resolved_items(cfg)),
+    return SweepResult.from_rows(
+        "rates",
+        tuple(report),
+        (tuple(float(v) for v in report.values()),),
+        tuple(resolved_items(cfg)),
     )
+
+
+def _cmd_rates(args) -> int:
+    cfg = load_config(args.config, args.overrides)
+    result = _rates_result(cfg)
     if args.out or cfg.out_path or args.format:
         _emit(result, cfg, args)
     else:
@@ -141,7 +147,8 @@ def _cmd_validate(args) -> int:
     # the table goes only to a file, never after the report on stdout
     if args.out or cfg.out_path:
         columns, rows = report_rows(report)
-        result = SweepResult("validate-all", columns, rows, tuple(resolved_items(cfg)))
+        meta = tuple(resolved_items(cfg))
+        result = SweepResult.from_rows("validate-all", columns, rows, meta)
         _emit(result, cfg, args)
     if report.all_passed:
         print("all criteria passed")

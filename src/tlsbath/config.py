@@ -373,7 +373,10 @@ _FIELDS = {"bath.N": "n_tls", **{f"oracle.{k}": f"oracle_{k}" for k in DEFAULTS[
 
 def _canonical(value) -> str:
     if isinstance(value, complex):
-        return f"{value.real!r}{'+' if value.imag >= 0 else '-'}{abs(value.imag)!r}j"
+        # the sign of the imaginary part, that of a zero included, so that
+        # the string parses back to the same value
+        sign = "-" if math.copysign(1.0, value.imag) < 0 else "+"
+        return f"{value.real!r}{sign}{abs(value.imag)!r}j"
     if isinstance(value, tuple):
         return " ".join(repr(v) for v in value)
     return repr(value) if isinstance(value, float) else str(value)

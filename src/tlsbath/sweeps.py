@@ -15,7 +15,10 @@ enters the rates, so its axis is left out of the rate call: the rates
 are assembled once per combination of the other swept values, once per
 drive on the default (Omega_B x gamma_0) stability map, once in all for
 a sweep of gamma_0.  The moment layer broadcasts those rates against the
-gamma_0 axis itself; only the output columns are expanded to rows.
+gamma_0 axis itself.  The table stays column-wise, each column at the
+shape it was computed at, until it is rendered: CSV formats each column
+at its own shape, so each swept value is formatted once, and a float
+column bit for bit equal to an earlier one reuses its strings.
 
 Scenario semantics:
 
@@ -36,6 +39,7 @@ Scenario semantics:
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import sys
 from dataclasses import dataclass
@@ -76,20 +80,45 @@ def _timestamp() -> str:
     return datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # arrays have no single truth value
 class SweepResult:
-    """One scenario run: metadata, column names, and value rows."""
+    """One scenario run: metadata, column names, and the table column-wise.
+
+    ``data`` holds one array per column, each at the shape it was computed
+    at and broadcastable to the table's ``shape``.  On a grid the swept
+    values lie on their own axes of the open mesh, the rate-only columns
+    on the mesh of the rate axes, and the moment columns at full size.
+    Row k is entry k of every column broadcast to ``shape`` and flattened
+    in C order; ``rows`` is that table as a tuple of tuples of plain
+    Python scalars (str, int, float).
+    """
 
     scenario: str
     columns: tuple
-    rows: tuple
+    data: tuple  # one ndarray per column
     meta: tuple  # (key, value) pairs of the resolved config
     # UTC timestamp, the only nondeterministic field
     generated: str = dataclasses.field(default_factory=_timestamp)
 
+    @classmethod
+    def from_rows(cls, scenario: str, columns, rows, meta) -> "SweepResult":
+        """A table given row by row: each column becomes the object array
+        of its entries, so ``rows`` gives back the same scalars."""
+        table = np.array(rows, dtype=object).reshape(len(rows), len(columns))
+        return cls(scenario, tuple(columns), tuple(table.T), meta)
+
+    @property
+    def shape(self) -> tuple:
+        return np.broadcast_shapes(*(c.shape for c in self.data))
+
     def column(self, name: str) -> list:
-        idx = self.columns.index(name)
-        return [row[idx] for row in self.rows]
+        c = self.data[self.columns.index(name)]
+        return np.broadcast_to(c, self.shape).reshape(-1).tolist()
+
+    @functools.cached_property
+    def rows(self) -> tuple:
+        shape = self.shape
+        return tuple(zip(*(np.broadcast_to(c, shape).reshape(-1).tolist() for c in self.data)))
 
 
 def rates_at(cfg: ScenarioConfig):
@@ -107,7 +136,7 @@ def rates_at(cfg: ScenarioConfig):
 
 
 def _filled(stable, values, sentinel=UNSTABLE) -> np.ndarray:
-    # one entry per row: ``values`` on the stable rows, the sentinel elsewhere
+    # ``values`` at the stable points, the sentinel elsewhere
     out = np.full(stable.shape, sentinel, dtype=object)
     out[stable] = values[stable].tolist()
     return out
@@ -148,8 +177,8 @@ def _stability_cols(r, gamma_0) -> list:
     return [rep.stable.astype(int), rep.criterion.astype(int), rep.max_real_part]
 
 
-# Grid scenarios: their columns after the swept values, and how the rows
-# read them off the rates and mode decay rates of all rows at once.
+# Grid scenarios: their columns after the swept values, and how those are
+# read off the rates and mode decay rates of all points at once.
 _GRID_SCENARIOS = {
     "driving": (
         ("Omega_prime_re", "Omega_prime_im", "Omega_prime_abs"),
@@ -183,24 +212,23 @@ _GRID_SCENARIOS = {
 }
 
 
-def _grid_rows(cfg: ScenarioConfig, axes, read) -> list:
-    """One row per point of the product grid of ``axes``: the swept values,
-    then the columns ``read(rates, gamma_0)`` gives over all rows at once.
+def _grid_columns(cfg: ScenarioConfig, axes, read) -> tuple:
+    """The columns of the product grid of ``axes``: the swept values, then
+    the columns ``read(rates, gamma_0)`` gives over all points at once.
 
     The axes form an open mesh, so one ``rates_at`` call over the swept
     values other than gamma_0, which enters only the moment system, gives
     the rates once per rate point.  ``read`` gets the rates and gamma_0 on
     that mesh, and the moment layer broadcasts them against each other;
-    each column it returns is then expanded to one entry per row.
+    each column is kept at the shape it comes out at.
     """
-    shape = tuple(axis.count for axis in axes)
     mesh = np.ix_(*(axis.grid() for axis in axes))
     point = {axis.variable: values for axis, values in zip(axes, mesh)}
     gamma_0 = point.pop("gamma_0", cfg.gamma_0)
     if "Omega_B" in point:
         point["Omega_B"] = point["Omega_B"].astype(complex)
     columns = list(mesh) + read(rates_at(cfg.replace(**point)), gamma_0)
-    return list(zip(*(np.broadcast_to(c, shape).reshape(-1).tolist() for c in columns)))
+    return tuple(np.asarray(c) for c in columns)
 
 
 def _normalize_row(row) -> tuple:
@@ -225,12 +253,10 @@ def run_scenario(name: str, cfg: ScenarioConfig) -> SweepResult:
     if name == "coherence":
         if cfg.sweep.variable != "tau":
             raise ConfigError("sweep.variable: the coherence scenario sweeps tau")
-        rows = _coherence_rows(cfg)
         cols = ("tau", "g1_re", "g1_im", "g1_abs")
-        return SweepResult(name, cols, tuple(rows), meta)
+        return SweepResult(name, cols, _coherence_columns(cfg), meta)
 
     if name == "oracle-validate":
-        rows = _oracle_rows(cfg)
         cols = (
             "coupling_ratio",
             "fock_dim",
@@ -248,7 +274,7 @@ def run_scenario(name: str, cfg: ScenarioConfig) -> SweepResult:
             "pair_exact_im",
             "pair_rel_err",
         )
-        return SweepResult(name, cols, tuple(rows), meta)
+        return SweepResult.from_rows(name, cols, _oracle_rows(cfg), meta)
 
     axes = (cfg.sweep,)
     if name == "stability-map":
@@ -267,19 +293,19 @@ def run_scenario(name: str, cfg: ScenarioConfig) -> SweepResult:
         swept["Delta_0"].start if "Delta_0" in swept else cfg.Delta_0,
     )
     cols, read = _GRID_SCENARIOS[name]
-    rows = _grid_rows(cfg, axes, read)
-    return SweepResult(name, tuple(a.variable for a in axes) + cols, tuple(rows), meta)
+    names = tuple(a.variable for a in axes) + cols
+    return SweepResult(name, names, _grid_columns(cfg, axes, read), meta)
 
 
-def _coherence_rows(cfg: ScenarioConfig) -> list:
+def _coherence_columns(cfg: ScenarioConfig) -> tuple:
     tau = cfg.sweep.grid()
     ms = build_moment_system(rates_at(cfg), cfg.gamma_0)
     try:
         rep = steady_state(ms)
     except UnstableSystemError:
-        return [(t, UNSTABLE, UNSTABLE, UNSTABLE) for t in tau.tolist()]
+        return (tau,) + (np.array(UNSTABLE, dtype=object),) * 3
     series = coherence_g1(ms, rep, tau)
-    return list(zip(series.tau.tolist(), *(c.tolist() for c in _split(series.values))))
+    return (series.tau, *_split(series.values))
 
 
 def oracle_point(cfg: ScenarioConfig, ratio: float) -> tuple:
@@ -338,8 +364,44 @@ def _oracle_rows(cfg: ScenarioConfig) -> list:
     return [_normalize_row(oracle_point(cfg, ratio)) for ratio in cfg.oracle_ratios]
 
 
+def _column_text(column: np.ndarray, shape: tuple) -> list:
+    # str of each entry at the column's own shape, then one per row
+    text = list(map(str, column.reshape(-1).tolist()))
+    if column.shape == shape:
+        return text
+    text = np.array(text, dtype=object).reshape(column.shape)
+    return np.broadcast_to(text, shape).reshape(-1).tolist()
+
+
+def _table_text(result: SweepResult) -> list:
+    # the strings of each column, one per row; a float64 column reuses
+    # those of an earlier one with the same bits
+    shape = result.shape
+    columns, floats = [], []  # floats: (int64 view, strings) of each float64 column
+    for c in result.data:
+        if c.dtype != np.float64:
+            columns.append(_column_text(c, shape))
+            continue
+        bits = c.view(np.int64)
+        text = next((t for b, t in floats if np.array_equal(b, bits)), None)
+        if text is None:
+            text = _column_text(c, shape)
+            floats.append((bits, text))
+        columns.append(text)
+    return columns
+
+
 def render_csv(result: SweepResult) -> str:
-    """Comma-separated text: '#' metadata, header row, then data rows."""
+    """Comma-separated text: '#' metadata, header row, then data rows.
+
+    Each column is formatted at the shape it was computed at, with ``str``
+    of its plain Python scalars, and its strings are then broadcast to one
+    per row, so a swept value is formatted once, not once per row.  A
+    float64 column whose bits equal an earlier float64 column's (``g1_abs``
+    and ``g1_re`` where g1 is real and positive) reuses that column's
+    strings; comparing the bits keeps -0.0 and 0.0, and NaN payloads,
+    apart.  Each line is the comma join of one row of strings.
+    """
     lines = [
         f"# tlsbath {__version__}",
         f"# scenario {result.scenario}",
@@ -347,10 +409,10 @@ def render_csv(result: SweepResult) -> str:
     ]
     lines += [f"# {key} = {value}" for key, value in result.meta]
     lines.append(",".join(result.columns))
-    # rows are tuples of plain str, int and float; %s is str, repr on them
-    fmt = ",".join(["%s"] * len(result.columns))
-    lines += [fmt % row for row in result.rows]
-    return "\n".join(lines) + "\n"
+    # the column strings are freed before the lines are joined
+    lines += map(",".join, zip(*_table_text(result)))
+    lines.append("")  # the final newline, without a copy of the text
+    return "\n".join(lines)
 
 
 def render_json(result: SweepResult) -> str:

@@ -450,6 +450,23 @@ def test_extreme_override_of_oracle_validate_exits_cleanly(key, exponent, sign):
     _assert_clean_exit(code, out.getvalue(), err.getvalue())
 
 
+@settings(max_examples=150)
+@given(
+    keys=st.lists(st.sampled_from(_EXTREME_KEYS), min_size=2, max_size=2, unique=True),
+    exponents=st.tuples(st.floats(-300.0, 300.0), st.floats(-300.0, 300.0)),
+    signs=st.tuples(st.sampled_from((1.0, -1.0)), st.sampled_from((1.0, -1.0))),
+)
+def test_extreme_override_pairs_of_oracle_validate_exit_cleanly(keys, exponents, signs):
+    """Two extreme --set keys at once keep the exact oracle's contract of one."""
+    sets = []
+    for key, exponent, sign in zip(keys, exponents, signs):
+        sets += ["--set", f"{key}={sign * 10.0**exponent!r}"]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main([*_ORACLE_RUN, *sets])
+    _assert_clean_exit(code, out.getvalue(), err.getvalue())
+
+
 @pytest.mark.parametrize(
     "override", ["bath.kappa_2=1e123", "mode.Delta_0=1.99523347570821e+157"]
 )

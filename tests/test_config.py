@@ -1,5 +1,7 @@
 """Configuration grammar, defaults, overrides, validation messages."""
 
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import example, given
@@ -8,6 +10,8 @@ from hypothesis import strategies as st
 from tlsbath.config import (
     ConfigError,
     SWEEP_VARIABLES,
+    _canonical,
+    _parse_complex,
     load_config,
     resolve,
     resolved_items,
@@ -234,6 +238,28 @@ def test_resolved_items_deterministic_and_complete():
     # every scalar the physics consumes is present
     for needed in ("mode.Delta_0", "bath.Omega_B", "environment.temperature"):
         assert needed in mapping
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@given(value=st.builds(complex, _FINITE, _FINITE))
+@example(value=complex(-0.0, -0.0))
+@example(value=complex(0.0, -0.0))
+@example(value=complex(-0.0, 0.0))
+@example(value=complex(5e-324, -5e-324))
+def test_canonical_complex_parses_back_bit_for_bit(value):
+    """The metadata string of a complex value parses back to that value
+    to the bit, the sign of a zero imaginary part included."""
+    back = _parse_complex(_canonical(value), "mode.Omega_0")
+    assert struct.pack("<2d", back.real, back.imag) == struct.pack(
+        "<2d", value.real, value.imag
+    )
+
+
+def test_signed_zero_drive_keeps_its_signs_in_the_metadata():
+    cfg = resolve({"mode": {"Omega_0": "-0.0-0.0j"}})
+    assert dict(resolved_items(cfg))["mode.Omega_0"] == "-0.0-0.0j"
 
 
 def test_resolved_items_of_a_non_default_config():

@@ -14,6 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tlsbath.bath import BathEnvironment, TlsParams
+from tlsbath.cli import _rates_result
 from tlsbath.config import resolve
 from tlsbath.dynamics import (
     UnstableSystemError,
@@ -164,14 +165,29 @@ def _same(got, expected) -> bool:
     return repr(got) == repr(expected) if isinstance(got, float) else got == expected
 
 
-@settings(max_examples=120)
-@given(run=_runs())
-@example(run=("steady-state", resolve(_MARGIN)))
-def test_csv_and_json_round_trip(run):
-    """Both renderings of a random grid scenario parse back to its rows
-    exactly: floats by ``float()``, ints, and the ``unstable`` sentinel."""
-    scenario, cfg = run
-    res = run_scenario(scenario, cfg)
+@st.composite
+def _traces(draw):
+    """The coherence trace or the rates report on a random config: resonant
+    with a real drive, where g1 is real and ``g1_abs`` repeats ``g1_re``
+    bit for bit, or with a detuned mode and complex G and Omega_B, where
+    g1 is complex."""
+    kappa1 = draw(_log(-4.5, -3.5))
+    raw = {
+        "bath": {"kappa_1": repr(kappa1), "Omega_B": repr(draw(_log(-5.0, -3.5)))},
+        "mode": {"gamma_0": repr(draw(_log(-8.0, -6.0)))},
+        "environment": {"temperature": repr(draw(st.sampled_from((0.0, 0.05))))},
+        "sweep": {"variable": "tau", "start": "0", "stop": repr(draw(_log(5.0, 8.0))),
+                  "count": str(draw(st.integers(2, 8))), "scale": "linear"},
+    }
+    if draw(st.booleans()):
+        raw["bath"]["G"] = repr(draw(_complex(-8.5, -7.5)))
+        raw["bath"]["Omega_B"] = repr(draw(_complex(-5.0, -3.5)))
+        raw["mode"]["Delta_0"] = repr(draw(st.floats(0.1, 3.0)) * kappa1)
+    return draw(st.sampled_from(("coherence", "rates"))), resolve(raw)
+
+
+def _assert_round_trip(res):
+    # the CSV and the JSON of a result both parse back to its rows
     lines = [line for line in render_csv(res).splitlines() if not line.startswith("#")]
     assert lines[0] == ",".join(res.columns)
     from_csv = [tuple(_parsed(f) for f in line.split(",")) for line in lines[1:]]
@@ -184,6 +200,27 @@ def test_csv_and_json_round_trip(run):
         for got, expected in zip(parsed, res.rows):
             assert len(got) == len(expected)
             assert all(_same(a, b) for a, b in zip(got, expected)), (got, expected)
+
+
+# A resonant trace, and one at the margin drive, where every g1 cell is
+# the sentinel.
+_TAU = {"variable": "tau", "start": "0", "stop": "4e7", "count": "5", "scale": "linear"}
+_RESONANT_TRACE = {"bath": {"Omega_B": "7.1e-5"}, "sweep": _TAU}
+_MARGIN_TRACE = {"mode": _MARGIN["mode"], "bath": {"Omega_B": _MARGIN["sweep"]["start"]},
+                 "sweep": _TAU}
+
+
+@settings(max_examples=120)
+@given(run=_runs(), trace=_traces())
+@example(run=("steady-state", resolve(_MARGIN)), trace=("coherence", resolve(_RESONANT_TRACE)))
+@example(run=("squeezing", resolve(_MARGIN)), trace=("coherence", resolve(_MARGIN_TRACE)))
+def test_csv_and_json_round_trip(run, trace):
+    """Both renderings of a random grid scenario, and of a coherence trace
+    or rates report, parse back to its rows exactly: floats by ``float()``,
+    ints, and the ``unstable`` sentinel."""
+    for scenario, cfg in (run, trace):
+        res = _rates_result(cfg) if scenario == "rates" else run_scenario(scenario, cfg)
+        _assert_round_trip(res)
 
 
 ENV0 = BathEnvironment(temperature=0.0)

@@ -430,10 +430,73 @@ def test_csv_rows_match_the_join_formula(rows):
     here as the reference: signed zeros, infinities, NaN, the subnormal and
     largest floats, ints and the sentinel render as ``str`` renders them."""
     width = len(rows[0]) if rows else 3
-    res = sweeps.SweepResult("edge", tuple(f"c{k}" for k in range(width)), rows, ())
+    res = sweeps.SweepResult.from_rows("edge", tuple(f"c{k}" for k in range(width)), rows, ())
     lines = render_csv(res).splitlines()
     header = lines.index(",".join(res.columns))
     assert lines[header + 1:] == [",".join(map(str, row)) for row in rows]
+
+
+def _mesh(n, m):
+    # a 2-D grid as a sweep holds it: both axes on the open mesh, a
+    # rate-only column on the first axis, and full-size float, int and
+    # sentinel columns
+    x, y = np.ix_(np.linspace(-1.0, 1.0, n), np.geomspace(1e-9, 1e-5, m))
+    full = np.sin(7.0 * x) * y
+    stable = full > 0
+    filled = np.full(full.shape, UNSTABLE, dtype=object)
+    filled[stable] = full[stable].tolist()
+    return (x, y, x**2, full, stable.astype(int), filled)
+
+
+def _twins(kind):
+    # an earlier float column, and a later one equal to it or nearly so;
+    # only the identical pair holds a NaN, which == would never match
+    base = np.array([0.5, -0.0, 1e-300, 3.0, -2.0, np.nan if kind == "identical" else 7.0])
+    twin = base.copy()
+    if kind == "signed-zero":
+        twin[1] = 0.0  # equal to -0.0 under ==, but renders differently
+    elif kind == "nan":
+        twin[3] = np.nan
+    return (base, np.arange(6), twin, -base)
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        _mesh(3, 4),
+        _mesh(3, 1),
+        _mesh(1, 4),
+        _twins("identical"),
+        _twins("signed-zero"),
+        _twins("nan"),
+        (np.linspace(0.0, 1.0, 4), np.array(UNSTABLE, dtype=object)),
+        (np.zeros(0), np.zeros(0, dtype=int), np.zeros(0, dtype=object)),
+    ],
+    ids=["mesh", "mesh-one-column", "mesh-one-row", "twin", "twin-but-signed-zero",
+         "twin-but-nan", "sentinel-scalar", "empty"],
+)
+def test_column_wise_rendering_matches_the_join_formula(data):
+    """Columns held at their own shapes render, line for line, as the old
+    per-row ``",".join(map(str, row))`` of the rows they expand to: broadcast
+    axes, a float column bit for bit equal to an earlier one, and ones equal
+    to it but for a signed zero or a NaN."""
+    res = sweeps.SweepResult("edge", tuple(f"c{k}" for k in range(len(data))), data, ())
+    lines = render_csv(res).splitlines()
+    header = lines.index(",".join(res.columns))
+    assert lines[header + 1:] == [",".join(map(str, row)) for row in res.rows]
+
+
+def test_rows_expand_the_columns_in_c_order():
+    x, y = np.ix_(np.array([1.0, 2.0]), np.array([10.0, 20.0, 30.0]))
+    data = (x, y, x * y, np.arange(6).reshape(2, 3))
+    res = sweeps.SweepResult("grid", ("x", "y", "xy", "k"), data, ())
+    assert res.shape == (2, 3)
+    assert res.rows == (
+        (1.0, 10.0, 10.0, 0), (1.0, 20.0, 20.0, 1), (1.0, 30.0, 30.0, 2),
+        (2.0, 10.0, 20.0, 3), (2.0, 20.0, 40.0, 4), (2.0, 30.0, 60.0, 5),
+    )
+    assert [type(v) for v in res.rows[0]] == [float, float, float, int]
+    assert res.column("x") == [1.0, 1.0, 1.0, 2.0, 2.0, 2.0]
 
 
 def test_json_round_trip():
