@@ -3,25 +3,26 @@
 The package is organized bottom-up:
 
 - :mod:`tlsbath.linalg`: numerical kernel of the oracle and the checks
-  (sparse trace-row kernel vector, spectrum, expm action on dense or
-  sparse operators) with explicit failure types.
+  (block-tridiagonal trace-row kernel vector, spectrum, Padé matrix
+  exponential) with explicit failure types.
 - :mod:`tlsbath.bath`: driven-TLS Bloch machinery and the spectral
   densities of the dipole fluctuations.
 - :mod:`tlsbath.rates`: assembly of the induced master-equation rates and
   the independent closed-form limits.
 - :mod:`tlsbath.dynamics`: Gaussian moment dynamics of a single mode
   (steady state, stability, squeezing, coherence).
-- :mod:`tlsbath.oracle`: exact sparse-Liouvillian reference at small
-  Hilbert dimension.
+- :mod:`tlsbath.oracle`: exact block-tridiagonal Liouvillian reference at
+  small Hilbert dimension.
 - :mod:`tlsbath.config` / :mod:`tlsbath.sweeps` / :mod:`tlsbath.cli`:
   scenario configuration, sweep execution, serialization, command line.
 - :mod:`tlsbath.validation`: the acceptance checks, runnable from code,
   pytest, or the CLI.
 
-Every module is imported with the package, but SciPy only as its
-top-level package: its submodules load the first time the oracle, the
-linalg kernels or the acceptance checks read them, so the rate and
-moment layers run on NumPy alone.
+Every module is imported with the package, and all of it runs on NumPy
+alone: no SciPy module loads, not even in the exact oracle or the
+acceptance checks.  Only ``linalg.solve_linear`` and ``linalg.expm_apply``,
+the generic references that tests and benchmark traces use, import SciPy
+when they are called.
 """
 
 __version__ = "0.1.0"

@@ -1,33 +1,35 @@
 """Linear-algebra kernel of the exact oracle and the spectral checks.
 
-The effective theory (bath spectra, rates, Gaussian dynamics) is closed form
-and calls none of this; :func:`solve_linear` and :func:`expm_apply` are
-kept as the generic solve and propagator (dense or sparse) that tests and
-benchmark traces hold the closed forms against.  Vectorized Liouvillians
-reach sides of a few thousand at the default dimension cap and are
-sparse: their steady state is one sparse LU solve
-(:func:`trace_null_vector`).  The dense SVD
-:func:`null_vector` remains for the 4x4 single-TLS generator and as the
-reference the sparse kernel is tested against.  Only ``scipy`` itself is
-imported here: SciPy loads ``scipy.linalg`` or ``scipy.sparse`` the first
-time one of its attributes is read, so the closed-form layers never pay
-for them.
+The effective theory (bath spectra, rates, Gaussian dynamics) is closed
+form and calls none of this.  The exact oracle's vectorized Liouvillians
+reach sides of a few thousand at the default dimension cap.  The mode
+operators move the left Fock index of a density matrix by at most one,
+so a Liouvillian is block tridiagonal (:class:`BlockTridiagonal`), and
+its steady state is one block-LU solve (:func:`trace_null_vector`).  The
+dense SVD :func:`null_vector` remains for the 4x4 single-TLS generator,
+and :func:`expm` (Padé scaling and squaring) exponentiates the
+correlator's 5x5 augmented generator.  All of this runs on NumPy alone.
+:func:`solve_linear` and :func:`expm_apply` are the generic solve and
+propagator (dense or sparse) that tests and benchmark traces hold the
+closed forms against; only they use SciPy, imported in their own bodies.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
+from typing import NamedTuple
 
 import numpy as np
-import scipy
 
 __all__ = [
     "SingularMatrixError",
     "NoConvergenceError",
     "KernelDimensionError",
+    "BlockTridiagonal",
     "solve_linear",
     "eigenvalues",
+    "expm",
     "expm_apply",
     "null_vector",
     "trace_null_vector",
@@ -45,6 +47,28 @@ NULL_RTOL = 1e-10
 # Dense expm is cheaper than the action-only algorithm below this order.
 _EXPM_DENSE_MAX = 128
 
+# The degree-13 Padé approximant to exp is (V - U)^-1 (V + U), with U = A
+# (A6 (b13 A6 + b11 A4 + b9 A2) + b7 A6 + b5 A4 + b3 A2 + b1 I) and V = A6
+# (b12 A6 + b10 A4 + b8 A2) + b6 A6 + b4 A4 + b2 A2 + b0 I.  Row k of
+# _PADE13 holds the coefficients of (A2, A4, A6) in the k-th of these four
+# inner sums, and _PADE13_EYE[k] that of I; theta_13 is the largest 1-norm
+# at which the approximant is accurate to double precision (Higham, SIAM
+# J. Matrix Anal. Appl. 26, 1179 (2005), eq. (2.3) and Table 2.3).
+_B = (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+      1187353796428800.0, 129060195264000.0, 10559470521600.0, 670442572800.0,
+      33522128640.0, 1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0)
+_PADE13 = np.array([
+    [_B[9], _B[11], _B[13]],
+    [_B[8], _B[10], _B[12]],
+    [_B[3], _B[5], _B[7]],
+    [_B[2], _B[4], _B[6]],
+], dtype=complex)
+_PADE13_EYE = np.array([0.0, 0.0, _B[1], _B[0]])
+_THETA13 = 5.371920351148152
+
+# Iterations of the 1-norm estimator, as in Higham and Tisseur's itmax.
+_NORMEST_ITERATIONS = 5
+
 
 class SingularMatrixError(np.linalg.LinAlgError):
     """Linear system is singular to working precision."""
@@ -58,21 +82,30 @@ class KernelDimensionError(np.linalg.LinAlgError):
     """Matrix kernel is not one-dimensional."""
 
 
+class BlockTridiagonal(NamedTuple):
+    """Square matrix held as its three block diagonals.
+
+    ``diag`` stacks the ``n`` diagonal blocks, ``(n, b, b)``; ``lower[i]``
+    is block ``(i + 1, i)`` and ``upper[i]`` block ``(i, i + 1)``, both
+    ``(n - 1, b, b)``.  ``shape`` is the full matrix's.
+    """
+
+    lower: np.ndarray
+    diag: np.ndarray
+    upper: np.ndarray
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        side = self.diag.shape[0] * self.diag.shape[1]
+        return side, side
+
+
 def _as_matrix(a, stack: bool = False) -> np.ndarray:
     # a square matrix, or with ``stack`` a stack of them (..., n, n)
     a = np.asarray(a, dtype=complex)
     if a.ndim < 2 or (a.ndim > 2 and not stack) or a.shape[-1] != a.shape[-2]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
     if not np.all(np.isfinite(a.view(float))):
-        raise ValueError("matrix contains non-finite entries")
-    return a
-
-
-def _as_sparse(a) -> scipy.sparse.csr_array:
-    a = scipy.sparse.csr_array(a, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    if not np.all(np.isfinite(a.data.view(float))):
         raise ValueError("matrix contains non-finite entries")
     return a
 
@@ -84,6 +117,8 @@ def solve_linear(a, b) -> np.ndarray:
     :class:`SingularMatrixError` when the smallest pivot falls below
     ``1e-14 * ||a||_inf``.
     """
+    import scipy.linalg
+
     a = _as_matrix(a)
     b = np.asarray(b, dtype=complex)
     if b.shape[0] != a.shape[0]:
@@ -113,15 +148,56 @@ def eigenvalues(a) -> np.ndarray:
         raise NoConvergenceError(str(exc)) from exc
 
 
+def expm(a) -> np.ndarray:
+    """Matrix exponential by degree-13 Padé scaling and squaring.
+
+    ``a`` is scaled by ``2**-s``, the least power of two that brings its
+    1-norm to at most ``theta_13``; the approximant ``(V - U)^-1 (V + U)``
+    is then squared ``s`` times (Higham, SIAM J. Matrix Anal. Appl. 26,
+    1179 (2005), Algorithm 2.3 at degree 13).  The four sums of even
+    powers that ``U`` and ``V`` need are one matrix product.
+    """
+    a = np.asarray(a, dtype=complex)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {a.shape}")
+    n = a.shape[0]
+    norm = np.abs(a).sum(axis=0).max() if n else 0.0
+    if not math.isfinite(norm):
+        raise ValueError("matrix contains non-finite entries")
+    s = max(0, math.ceil(math.log2(norm / _THETA13))) if norm > _THETA13 else 0
+    a = a * 2.0**-s
+    powers = np.empty((3, n, n), dtype=complex)  # A2, A4, A6
+    np.matmul(a, a, out=powers[0])
+    np.matmul(powers[0], powers[0], out=powers[1])
+    np.matmul(powers[1], powers[0], out=powers[2])
+    sums = (_PADE13 @ powers.reshape(3, n * n)).reshape(4, n, n)
+    sums.reshape(4, n * n)[:, :: n + 1] += _PADE13_EYE[:, None]
+    inner = powers[2] @ sums[:2] + sums[2:]
+    u = a @ inner[0]
+    v = inner[1]
+    r = np.linalg.solve(v - u, v + u)
+    for _ in range(s):
+        r = r @ r
+    return r
+
+
 def expm_apply(a, v, t: float) -> np.ndarray:
     """Apply the propagator ``exp(a * t)`` to a vector ``v``.
 
-    Scaling-and-squaring for small systems, the action-only algorithm for
-    large ones; ``t`` must be nonnegative.  A sparse ``a`` is densified only
-    below the scaling-and-squaring cutoff.
+    Scaling-and-squaring for small systems, SciPy's action-only algorithm
+    for large ones; ``t`` must be nonnegative.  A SciPy sparse ``a`` is
+    densified only below the scaling-and-squaring cutoff.
     """
+    import scipy.linalg
+    import scipy.sparse
+    import scipy.sparse.linalg
+
     if scipy.sparse.issparse(a):
-        a = _as_sparse(a)
+        a = scipy.sparse.csr_array(a, dtype=complex)
+        if a.ndim != 2 or a.shape[0] != a.shape[1]:
+            raise ValueError(f"expected a square matrix, got shape {a.shape}")
+        if not np.all(np.isfinite(a.data.view(float))):
+            raise ValueError("matrix contains non-finite entries")
         if a.shape[0] <= _EXPM_DENSE_MAX:
             a = a.toarray()
     else:
@@ -166,60 +242,192 @@ def null_vector(a) -> np.ndarray:
     return vh[-1].conj()
 
 
-def trace_null_vector(a) -> np.ndarray:
+class _BlockLU:
+    """Block LU factors of a block tridiagonal matrix, without pivoting
+    between blocks: pivot blocks ``S_0 = D_0`` and ``S_{i+1} = D_{i+1} -
+    L_i S_i^-1 U_i``, held as their inverses, and the multipliers ``W_i =
+    L_i S_i^-1``.  An exactly singular or non-finite pivot block raises
+    :class:`KernelDimensionError`."""
+
+    def __init__(self, lower, diag, upper):
+        self.upper = upper
+        self.inv, self.elim = [], []  # one array per block
+        pivot = diag[0]
+        for i in range(len(diag)):
+            if not np.isfinite(pivot).all():
+                raise KernelDimensionError(
+                    f"the trace-row system overflows: block pivot {i} is not finite"
+                )
+            try:
+                self.inv.append(np.linalg.inv(pivot))
+            except np.linalg.LinAlgError as exc:
+                raise KernelDimensionError(
+                    f"kernel dimension >= 2: the trace-row system is exactly "
+                    f"singular (block pivot {i})"
+                ) from exc
+            if i < len(lower):
+                self.elim.append(lower[i] @ self.inv[i])
+                pivot = diag[i + 1] - self.elim[i] @ upper[i]
+
+    def solve(self, r: np.ndarray) -> np.ndarray:
+        """``x`` with ``A x = r``, both ``(n, b)`` or, for ``k`` right-hand
+        sides at once, ``(n, b, k)``."""
+        inv, elim, upper = self.inv, self.elim, self.upper
+        g = np.array(r, dtype=complex)
+        for i in range(1, len(g)):
+            g[i] -= elim[i - 1] @ g[i - 1]
+        g[-1] = inv[-1] @ g[-1]
+        for i in range(len(g) - 2, -1, -1):
+            g[i] = inv[i] @ (g[i] - upper[i] @ g[i + 1])
+        return g
+
+    def solve_transposed(self, r: np.ndarray) -> np.ndarray:
+        """``y`` with ``A^T y = r``, both ``(n, b)``, as row vectors against
+        the same blocks: the adjoint solve is ``conj(solve_transposed(conj(r)))``,
+        so no block is conjugated or copied."""
+        inv, elim, upper = self.inv, self.elim, self.upper
+        g = np.array(r, dtype=complex)
+        g[0] = g[0] @ inv[0]
+        for i in range(1, len(g)):
+            g[i] = (g[i] - g[i - 1] @ upper[i - 1]) @ inv[i]
+        for i in range(len(g) - 2, -1, -1):
+            g[i] -= g[i + 1] @ elim[i]
+        return g
+
+
+def _inverse_norm_estimate(solve, solve_adjoint, y: np.ndarray) -> float:
+    """Lower bound on ``||A^-1||_1`` from solves with ``A`` and ``A^H``.
+
+    Hager's estimator as Higham and Tisseur's block algorithm runs it with
+    one column (SIAM J. Matrix Anal. Appl. 21, 1185 (2000), Algorithm 2.4
+    at t = 1).  ``y`` is its first product, ``A^-1`` applied to the ones
+    vector over its length, so the estimate draws no random numbers and
+    repeats exactly; it stops at the first estimate that does not
+    increase.  A NaN estimate is returned as NaN.
+    """
+    side = y.size
+    est, best = 0.0, -1
+    for k in range(_NORMEST_ITERATIONS + 1):
+        if k:
+            y = solve(x)
+        new = np.abs(y).sum()
+        if k and new <= est:
+            break
+        est = new
+        if k == _NORMEST_ITERATIONS:
+            break
+        y[y == 0] = 1.0
+        z = np.abs(solve_adjoint(y / np.abs(y)))
+        j = int(z.argmax())
+        if k and z[j] == z[best]:
+            break
+        best = j
+        x = np.zeros(side, dtype=complex)
+        x[j] = 1.0
+    return float(est)
+
+
+def trace_null_vector(a: BlockTridiagonal) -> np.ndarray:
     """Unit-trace kernel vector of a vectorized Liouvillian.
 
-    ``a`` (sparse or dense) acts on row-major vectorized ``d x d`` density
-    matrices and annihilates the trace functional from the left, so its
-    ``rho_00`` row is implied by the others.  That row is replaced by the
-    trace functional, scaled to ``||a||_1``, in one system built from
-    ``a``'s index arrays (duplicates summed, ``indptr`` shifted), factored
-    once by sparse LU and solved for unit trace.  The kernel-dimension
-    contract of :func:`null_vector` is kept: an exactly singular factor, a
-    1-norm condition estimate above ``1 / NULL_RTOL`` (degenerate kernel)
-    and a relative residual ``||a x||_inf / (||a||_inf ||x||_inf)`` above
-    ``NULL_RTOL`` (no kernel) each raise :class:`KernelDimensionError`.
-    The estimate takes one column from the ones vector (``t = 1``; Higham
-    and Tisseur, SIAM J. Matrix Anal. Appl. 21, 1185 (2000)), so it draws
-    nothing from NumPy's global random stream and repeats exactly.
+    ``a`` holds the three block diagonals of a generator acting on
+    row-major vectorized ``d x d`` density matrices; it annihilates the
+    trace functional from the left, so its ``rho_00`` row is implied by
+    the others.  That row is replaced by the trace functional, scaled to
+    ``||a||_1``.  The trace entries in block 0 keep the system block
+    tridiagonal, and those outside it add a rank-one term ``e_0 u^T``,
+    taken by Sherman and Morrison: with ``z`` the block system's solution
+    for ``e_0``, the kernel vector is ``scale z / (1 + u.z)``.  The block
+    system is singular only where that vector's block-0 trace is zero,
+    and it is factored once by block LU (:class:`_BlockLU`).
+
+    The kernel-dimension contract of :func:`null_vector` is kept: an
+    exactly singular pivot block or a zero Sherman-Morrison denominator,
+    a 1-norm condition estimate of the trace-row system above ``1 /
+    NULL_RTOL`` (degenerate kernel) and a relative residual ``||a x||_inf
+    / (||a||_inf ||x||_inf)`` above ``NULL_RTOL`` (no kernel) each raise
+    :class:`KernelDimensionError`, and so does a factor that overflows.
+    The estimate (:func:`_inverse_norm_estimate`) repeats exactly and
+    leaves NumPy's global random stream alone.
     """
-    a = _as_sparse(a)
-    side = a.shape[0]
+    lower, diag, upper = (np.asarray(x, dtype=complex) for x in a)
+    n, b = diag.shape[0], diag.shape[-1]
+    off = (max(n - 1, 0), b, b)
+    if diag.shape != (n, b, b) or lower.shape != off or upper.shape != off:
+        raise ValueError(
+            f"expected n diagonal and n - 1 off-diagonal square blocks, got "
+            f"{lower.shape}, {diag.shape}, {upper.shape}"
+        )
+    side = n * b
     d = math.isqrt(side)
     if side == 0 or d * d != side:
         raise ValueError(f"Liouvillian side {side} is not a perfect square")
-    if not a.has_canonical_format:  # summed on a copy: the input may share its arrays
-        a = a.copy()
-        a.sum_duplicates()
-    col_sums = np.bincount(a.indices, weights=np.abs(a.data), minlength=side)
-    scale = max(col_sums.max(), np.finfo(float).tiny)
-    head = a.indptr[1]  # row 0 goes, the trace row takes its place
-    data = np.concatenate((np.full(d, scale, dtype=complex), a.data[head:]))
-    indices = np.concatenate((np.arange(d) * (d + 1), a.indices[head:]))
-    indptr = np.concatenate(([0], a.indptr[1:] - head + d))
-    m = scipy.sparse.csr_array((data, indices, indptr), shape=a.shape).tocsc()
-    try:
-        lu = scipy.sparse.linalg.splu(m)
-    except RuntimeError as exc:  # SuperLU met an exactly zero pivot
-        raise KernelDimensionError(
-            f"kernel dimension >= 2: the trace-row system is exactly singular ({exc})"
-        ) from exc
-    inverse = scipy.sparse.linalg.LinearOperator(
-        m.shape,
-        matvec=lu.solve,
-        rmatvec=lambda y: lu.solve(y, trans="H"),
-        dtype=complex,
-    )
-    rhs = np.zeros(side, dtype=complex)
-    rhs[0] = scale
-    # A factor that overflows gives NaN or inf here, which the checks below
-    # report, so the estimator's floating-point warnings are silenced.
+    # A factor that overflows gives NaN or inf, which the checks below
+    # report as typed errors, so floating-point warnings are silenced.
     with np.errstate(all="ignore"):
-        cond = scipy.sparse.linalg.norm(m, 1) * scipy.sparse.linalg.onenormest(inverse, t=1)
-        x = lu.solve(rhs)
-        residual = np.abs(a @ x).max() / (
-            scipy.sparse.linalg.norm(a, np.inf) * np.abs(x).max()
-        )
+        # row and column sums of |a|, from one buffer for its three parts;
+        # the column sums leave out row 0, which the trace row replaces
+        mag = np.abs(diag)
+        head = np.zeros(side)  # |a|'s row 0
+        head[:b] = mag[0, 0]
+        rows = mag.sum(axis=2)
+        mag[0, 0] = 0.0
+        cols = mag.sum(axis=1)
+        mag = np.abs(lower, out=mag[: n - 1])
+        rows[1:] += mag.sum(axis=2)
+        cols[:-1] += mag.sum(axis=1)
+        mag = np.abs(upper, out=mag)
+        head[b : 2 * b] = mag[:1, 0].ravel()
+        rows[:-1] += mag.sum(axis=2)
+        mag[:1, 0] = 0.0
+        cols[1:] += mag.sum(axis=1)
+        cols = cols.ravel()
+        # a NaN or inf entry shows in its row sum (so may a finite overflow)
+        if not np.isfinite(rows).all() and not all(
+            np.isfinite(x.view(float)).all() for x in (lower, diag, upper)
+        ):
+            raise ValueError("matrix contains non-finite entries")
+        scale = max((cols + head).max(), np.finfo(float).tiny)
+        trace = np.arange(d) * (d + 1)
+        cols[trace] += scale
+        outside = trace[trace >= b]  # u's entries, each equal to scale
+        diag0 = diag[0].copy()
+        diag0[0] = 0.0
+        diag0[0, trace[trace < b]] = scale
+        upper0 = upper[:1].copy()
+        upper0[:, 0] = 0.0
+        lu = _BlockLU(lower, [diag0, *diag[1:]], [*upper0, *upper[1:]])
+        # z solves the block system for e_0; the estimator's first vector,
+        # the ones vector over side, rides along in the same sweep
+        rhs = np.zeros((n, b, 2), dtype=complex)
+        rhs[0, 0, 0] = 1.0
+        rhs[..., 1] = 1.0 / side
+        z, first = lu.solve(rhs).reshape(side, 2).T
+        denom = 1.0 + scale * z[outside].sum()
+        if denom == 0.0:
+            raise KernelDimensionError(
+                "kernel dimension >= 2: the trace-row system is exactly singular "
+                "(zero Sherman-Morrison denominator)"
+            )
+        u = np.zeros(side)
+        u[outside] = scale
+
+        def solve(v):  # the trace-row system's inverse, applied to v
+            y = lu.solve(v.reshape(n, b)).ravel()
+            return y - z * (u @ y / denom)
+
+        def solve_adjoint(w):  # its adjoint: M0^-H (w - u z^H w / conj(denom))
+            w = w - u * (np.vdot(z, w) / np.conj(denom))
+            return lu.solve_transposed(w.conj().reshape(n, b)).conj().ravel()
+
+        first -= z * (u @ first / denom)
+        cond = cols.max() * _inverse_norm_estimate(solve, solve_adjoint, first)
+        x = z * (scale / denom)
+        xb = x.reshape(n, b, 1)
+        ax = (diag @ xb)[..., 0]
+        ax[1:] += (lower @ xb[:-1])[..., 0]
+        ax[:-1] += (upper @ xb[1:])[..., 0]
+        residual = np.abs(ax).max() / (rows.max() * np.abs(x).max())
     if not cond <= 1.0 / NULL_RTOL:
         raise KernelDimensionError(
             f"kernel dimension >= 2: condition estimate {cond:.3e} of the "

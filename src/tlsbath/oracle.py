@@ -2,15 +2,16 @@
 
 Brute-force cross-check of the effective theory: the full rotating-frame
 Liouvillian of one truncated bosonic mode coupled to a handful of driven,
-damped TLS is assembled as a sparse superoperator from the index triplets
-of its Kronecker-product terms (the Hilbert-space operators are dense, at
-most the dimension cap), its steady state extracted from the kernel by
-one sparse LU solve, and expectation values compared against the
-adiabatic elimination.  The quadrature's 4x4 TLS generator is ``theta``
-times six blocks built once from the same Hamiltonian and jumps.
-Nothing here reuses the effective-rate pipeline; the only shared code is
-the linear-algebra kernel.  ``scipy.sparse`` and ``scipy.linalg`` load
-on the first call that reads them, not when the package is imported.
+damped TLS is assembled from its Kronecker-product terms (the
+Hilbert-space operators are dense, at most the dimension cap).  The mode
+operators move the left Fock index of a density matrix by at most one, so
+the Liouvillian is held as its three block diagonals over that index; its
+steady state is one block-LU solve, and expectation values are compared
+against the adiabatic elimination.  The quadrature's 4x4 TLS generator is
+``theta`` times six blocks built once from the same Hamiltonian and jumps,
+and its regression integral one Padé matrix exponential.  Nothing here
+reuses the effective-rate pipeline; the only shared code is the
+linear-algebra kernel, and none of it uses SciPy.
 
 Matrix vectorization is row-major throughout: ``vec(A rho B) =
 kron(A, B.T) @ vec(rho)``.
@@ -24,10 +25,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy
 
 from .bath import BathEnvironment, TlsParams, bose_occupation
-from .linalg import null_vector, trace_null_vector
+from .linalg import BlockTridiagonal, expm, null_vector, trace_null_vector
 from .rates import ModeParams
 
 __all__ = [
@@ -125,29 +125,31 @@ def _liouvillian(h, jumps) -> list:
     return terms + [(c, a, b.T) for c, a, b in jumps]
 
 
-def _triplet_sum(terms, n: int) -> scipy.sparse.csr_array:
-    """Sparse sum of ``c kron(a, b)`` over ``terms`` of dense ``n x n``
-    factors, from the COO triplets of each pair's nonzeros.
+def _block_tridiagonal(terms, fock: int) -> BlockTridiagonal:
+    """Sum of ``c kron(a, b)`` over ``terms`` of dense ``n x n`` factors,
+    held as its block diagonals over the left Fock index.
 
-    A stable sort keeps the duplicates of each entry in term order, so
-    ``sum_duplicates`` adds them up as a chain of sparse sums would, and
-    an entry that cancels to zero there cancels here too and is dropped.
+    Each ``a`` moves the mode's Fock index by at most one, so its Fock
+    blocks ``a[m, m + k]`` (``n / fock`` square) vanish for ``|k| > 1``,
+    and block ``(m, m + k)`` of the sum is ``sum c kron(a[m, m + k], b)``.
+    Entry ``(i, j)`` of every such ``a`` block scales the same flattened
+    ``b`` of each term, so the ``(i, j)`` slices of all the blocks are one
+    matrix product, written in place.
     """
-    rows, cols, vals = [], [], []
-    for c, a, b in terms:
-        ia, ja = np.nonzero(a)
-        ib, jb = np.nonzero(b)
-        rows.append((ia[:, None] * n + ib).ravel())
-        cols.append((ja[:, None] * n + jb).ravel())
-        vals.append((c * (a[ia, ja][:, None] * b[ib, jb])).ravel())
-    rows, cols, vals = (np.concatenate(x) for x in (rows, cols, vals))
-    side = n * n
-    order = np.argsort(rows * side + cols, kind="stable")
-    indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=side))))
-    out = scipy.sparse.csr_array((vals[order], cols[order], indptr), shape=(side, side))
-    out.sum_duplicates()
-    out.eliminate_zeros()
-    return out
+    n = terms[0][1].shape[0]
+    q = n // fock
+    left = np.stack([c * a for c, a, _ in terms]).reshape(len(terms), fock, q, fock, q)
+    right = np.stack([b for _, _, b in terms]).reshape(len(terms), n * n)
+    m = np.arange(fock)
+    rows = np.concatenate((m[1:], m, m[:-1]))  # lower, diagonal, upper
+    cols = np.concatenate((m[:-1], m, m[1:]))
+    coef = left[:, rows, :, cols, :]  # (block, term, i, j)
+    out = np.empty((rows.size, q, n, q, n), dtype=complex)
+    for i in range(q):
+        for j in range(q):
+            out[:, i, :, j, :] = (coef[:, :, i, j] @ right).reshape(rows.size, n, n)
+    out = out.reshape(rows.size, q * n, q * n)
+    return BlockTridiagonal(out[: fock - 1], out[fock - 1 : 2 * fock - 1], out[2 * fock - 1 :])
 
 
 def _tls_coefficients(p: TlsParams, env: BathEnvironment) -> tuple:
@@ -179,8 +181,9 @@ def _tls_blocks() -> np.ndarray:
     ])
 
 
-def build_liouvillian(spec: HilbertSpec) -> scipy.sparse.csr_array:
-    """Sparse rotating-frame Liouvillian of the coupled system.
+def build_liouvillian(spec: HilbertSpec) -> BlockTridiagonal:
+    """Rotating-frame Liouvillian of the coupled system, block tridiagonal
+    over the left Fock index.
 
     Hamiltonian: detuned mode with direct drive, detuned driven TLS,
     excitation-conserving mode-TLS exchange.  Dissipators: zero-temperature
@@ -201,7 +204,7 @@ def build_liouvillian(spec: HilbertSpec) -> scipy.sparse.csr_array:
         g = complex(p.couplings[0])
         h = h + h_tls + g * (sp @ s) + np.conj(g) * (sd @ sm)
         jumps += jumps_tls
-    return _triplet_sum(_liouvillian(h, jumps), spec.dim)
+    return _block_tridiagonal(_liouvillian(h, jumps), spec.fock_dim)
 
 
 def tls_liouvillian(p: TlsParams, env: BathEnvironment) -> np.ndarray:
@@ -333,5 +336,5 @@ def bloch_correlator_numeric(
     gen = np.zeros((5, 5), dtype=complex)
     gen[:4, :4] = (liou + beta * 1j * delta_m * np.eye(4)) * tau_max
     gen[:4, 4] = (ops[beta] @ rho).reshape(4)
-    integral = tau_max * scipy.linalg.expm(gen)[:4, 4]
+    integral = tau_max * expm(gen)[:4, 4]
     return complex(ops[alpha].T.reshape(4) @ integral)

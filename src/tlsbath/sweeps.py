@@ -41,6 +41,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import json
+import math
 import sys
 from dataclasses import dataclass
 from datetime import datetime, timezone
@@ -375,7 +376,8 @@ def _column_text(column: np.ndarray, shape: tuple) -> list:
 
 def _table_text(result: SweepResult) -> list:
     # the strings of each column, one per row; a float64 column reuses
-    # those of an earlier one with the same bits
+    # those of an earlier one with the same bits, and one whose entries
+    # all have the same bits is formatted once
     shape = result.shape
     columns, floats = [], []  # floats: (int64 view, strings) of each float64 column
     for c in result.data:
@@ -385,7 +387,10 @@ def _table_text(result: SweepResult) -> list:
         bits = c.view(np.int64)
         text = next((t for b, t in floats if np.array_equal(b, bits)), None)
         if text is None:
-            text = _column_text(c, shape)
+            if bits.size and (bits == bits.flat[0]).all():
+                text = [str(c.flat[0].item())] * math.prod(shape)
+            else:
+                text = _column_text(c, shape)
             floats.append((bits, text))
         columns.append(text)
     return columns
@@ -399,8 +404,10 @@ def render_csv(result: SweepResult) -> str:
     per row, so a swept value is formatted once, not once per row.  A
     float64 column whose bits equal an earlier float64 column's (``g1_abs``
     and ``g1_re`` where g1 is real and positive) reuses that column's
-    strings; comparing the bits keeps -0.0 and 0.0, and NaN payloads,
-    apart.  Each line is the comma join of one row of strings.
+    strings, and one whose entries all have the same bits (``g1_im`` of a
+    real trace, ``pair_im`` of a steady state) is formatted once; comparing
+    the bits keeps -0.0 and 0.0, and NaN payloads, apart.  Each line is the
+    comma join of one row of strings.
     """
     lines = [
         f"# tlsbath {__version__}",

@@ -1,22 +1,25 @@
-import math
-
 import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse
 import scipy.sparse.linalg
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from oracle_matrices import as_blocks, dense, reference_trace_null_vector
 
+from tlsbath import linalg
 from tlsbath.bath import BathEnvironment, TlsParams
 from tlsbath.linalg import (
     KernelDimensionError,
     SingularMatrixError,
     eigenvalues,
+    expm,
     expm_apply,
     null_vector,
     solve_linear,
     trace_null_vector,
 )
-from tlsbath.oracle import HilbertSpec, build_liouvillian
+from tlsbath.oracle import HilbertSpec, build_liouvillian, tls_liouvillian
 from tlsbath.rates import ModeParams
 
 
@@ -101,6 +104,52 @@ def test_expm_apply_rejects_negative_time():
         expm_apply(a, np.ones(2), -1.0)
 
 
+@st.composite
+def _augmented_generators(draw):
+    """``[[(L + i delta) tau, x0], [0, 0]]`` as the correlator quadrature
+    builds it: ``L`` a drawn single-TLS generator, ``delta`` a detuning
+    of a few kappa_1, ``x0`` of order one, and ``tau`` such that the
+    top-left block's 1-norm is 10**u for u in [-2, 4]."""
+    kappa1 = 10.0 ** draw(st.floats(-5.0, -3.0))
+    drive = 10.0 ** draw(st.floats(-2.0, 1.0)) * kappa1 * np.exp(1j * draw(st.floats(0.0, 6.3)))
+    p = TlsParams(1.0, kappa1, draw(st.floats(0.0, 3.0)) * kappa1, drive,
+                  draw(st.floats(-3.0, 3.0)) * kappa1, (1e-8,))
+    env = BathEnvironment(temperature=draw(st.sampled_from([0.0, 0.05, 0.3])))
+    block = tls_liouvillian(p, env) + 1j * draw(st.floats(-5.0, 5.0)) * kappa1 * np.eye(4)
+    gen = np.zeros((5, 5), dtype=complex)
+    gen[:4, :4] = block * (10.0 ** draw(st.floats(-2.0, 4.0)) / np.abs(block).sum(axis=0).max())
+    parts = [draw(st.floats(-1.0, 1.0)) for _ in range(8)]
+    gen[:4, 4] = np.array(parts[:4]) + 1j * np.array(parts[4:])
+    return gen
+
+
+@settings(max_examples=200)
+@given(gen=_augmented_generators())
+@example(gen=np.zeros((5, 5), dtype=complex))
+def test_expm_matches_scipy_on_augmented_generators(gen):
+    """The Padé-13 exponential against SciPy's, to 2 ||A||_1 eps relative
+    (at least 1e-15): both carry a rounding error of about ||A||_1 eps
+    from the squarings, 1e-13 at a 1-norm of 400 and 2e-12 at 1e4."""
+    want = scipy.linalg.expm(gen)
+    tol = max(2.0 * np.abs(gen).sum(axis=0).max() * np.finfo(float).eps, 1e-15)
+    assert np.abs(expm(gen) - want).max() <= tol * np.abs(want).max()
+
+
+def test_expm_closed_forms():
+    """A diagonal generator entry by entry, at 1-norms below theta_13 and
+    far above it (eight squarings), and a nilpotent one, to the same
+    2 ||A||_1 eps; non-finite input is a typed error."""
+    diag = np.array([-3.0, 0.5j, 2.0 - 1.0j])
+    for scale in (1e-3, 1.0, 300.0):
+        a = np.diag(diag * scale)
+        tol = max(2.0 * np.abs(a).sum(axis=0).max() * np.finfo(float).eps, 1e-15)
+        assert np.allclose(expm(a), np.diag(np.exp(diag * scale)), rtol=tol, atol=0)
+    nilpotent = expm(np.array([[0.0, 7.0], [0.0, 0.0]]))
+    assert np.abs(nilpotent - [[1.0, 7.0], [0.0, 1.0]]).max() <= 2.0 * 49.0 * np.finfo(float).eps
+    with pytest.raises(ValueError, match="non-finite"):
+        expm(np.full((2, 2), np.nan))
+
+
 def test_null_vector_recovers_kernel():
     rng = np.random.default_rng(13)
     # build a rank-3 4x4 with one known kernel direction
@@ -149,29 +198,11 @@ def _damped_qubit():
 
 def test_trace_null_vector_matches_dense_kernel():
     liou = _damped_qubit()
-    got = trace_null_vector(liou)
+    got = trace_null_vector(as_blocks(liou))
     assert got[0] + got[3] == pytest.approx(1.0, abs=1e-14)
     want = null_vector(liou.toarray())
     want /= want[0] + want[3]
     assert np.abs(got - want).max() < 1e-13
-
-
-def _reference_trace_null_vector(a):
-    """The trace-row solve with the system assembled by slicing and
-    stacking sparse matrices: the reference for the library's index-built
-    system."""
-    a = scipy.sparse.csr_array(a, dtype=complex)
-    side = a.shape[0]
-    d = math.isqrt(side)
-    scale = max(scipy.sparse.linalg.norm(a, 1), np.finfo(float).tiny)
-    trace = scipy.sparse.csr_array(
-        (np.full(d, scale, dtype=complex), (np.zeros(d, dtype=int), np.arange(d) * (d + 1))),
-        shape=(1, side),
-    )
-    m = scipy.sparse.vstack([trace, a[1:]], format="csc")
-    rhs = np.zeros(side, dtype=complex)
-    rhs[0] = scale
-    return scipy.sparse.linalg.splu(m).solve(rhs)
 
 
 def _oracle_liouvillian(n_tls, fock):
@@ -203,32 +234,33 @@ def _unsorted_with_duplicates():
         lambda: _oracle_liouvillian(1, 8),
         lambda: _oracle_liouvillian(2, 4),
         lambda: _oracle_liouvillian(2, 8),
-        lambda: _oracle_liouvillian(1, 4).toarray(),
-        _unsorted_with_duplicates,
+        lambda: as_blocks(dense(_oracle_liouvillian(1, 4))),
+        lambda: as_blocks(_unsorted_with_duplicates()),
     ],
     ids=["N1-fock4", "N1-fock8", "N2-fock4", "N2-fock8", "dense", "unsorted-duplicates"],
 )
 def test_trace_null_vector_matches_stacked_reference(make):
-    """The index-built trace-row system is the stacked one, entry for
-    entry, so the kernel vectors agree bit for bit.  Each side gets its
-    own copy of the input: canonicalizing sums duplicates in place."""
-    assert np.array_equal(trace_null_vector(make()), _reference_trace_null_vector(make()))
+    """The block-LU kernel vector, with the trace entries outside block 0
+    taken by Sherman-Morrison, against SuperLU on the stacked trace-row
+    system of the same matrix, to 1e-12 relative.  "dense" is one block of
+    side 64, with every trace entry inside it; "unsorted-duplicates" is the
+    damped qubit stored as split, unsorted CSR entries, summed by
+    densifying it."""
+    liou = make()
+    got = trace_null_vector(liou)
+    want = reference_trace_null_vector(dense(liou))
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
 def test_trace_null_vector_leaves_its_input_alone():
-    """A CSR input with duplicate, unsorted entries is summed on a copy:
-    its own arrays keep every slot, and its kernel vector is that of the
-    canonical matrix, bit for bit, on every call."""
-    liou = _unsorted_with_duplicates()
-    assert liou.nnz == 32
-    stored = (liou.indptr, liou.indices, liou.data)
-    before = [arr.copy() for arr in stored]
+    """The trace row replaces row 0 on copies of the two blocks that hold
+    it: the input's arrays keep every byte, and the kernel vector is the
+    same, bit for bit, on every call."""
+    liou = _oracle_liouvillian(2, 4)
+    before = [block.copy() for block in liou]
     got = trace_null_vector(liou)
-    for old, new in zip(before, stored):
+    for old, new in zip(before, liou):
         assert old.tobytes() == new.tobytes()
-    canonical = _unsorted_with_duplicates()
-    canonical.sum_duplicates()
-    assert got.tobytes() == trace_null_vector(canonical).tobytes()
     assert trace_null_vector(liou).tobytes() == got.tobytes()
 
 
@@ -244,16 +276,40 @@ def test_trace_null_vector_leaves_the_global_rng_alone():
     assert before[2:] == after[2:]
 
 
+@pytest.mark.parametrize("seed", range(6))
+def test_inverse_norm_estimate_is_scipys_onenormest_at_t1(seed):
+    """The block kernel's condition estimate is Hager's estimator as
+    SciPy's ``onenormest(t=1)`` runs it, the parent's estimate: the same
+    value on random operators, and never above the exact 1-norm."""
+    rng = np.random.default_rng(seed)
+    side = 12
+    inv = rng.standard_normal((side, side)) + 1j * rng.standard_normal((side, side))
+    inv[:, rng.integers(side)] *= 10.0 ** rng.uniform(0.0, 3.0)  # one dominant column
+    ones = np.full(side, 1.0 / side, dtype=complex)
+    got = linalg._inverse_norm_estimate(lambda v: inv @ v, lambda w: inv.conj().T @ w, inv @ ones)
+    assert got == pytest.approx(scipy.sparse.linalg.onenormest(inv, t=1), rel=1e-13, abs=0)
+    assert got <= np.abs(inv).sum(axis=0).max() * (1 + 1e-13)
+
+
+def _pumped_qubit():
+    """Incoherent pumping of a qubit into level 1, cut into the two blocks
+    of rho's rows: the steady state |1><1| has no weight in block 0."""
+    raising = np.array([[0.0, 0.0], [1.0, 0.0]])
+    n = raising.T @ raising
+    eye = np.eye(2)
+    return as_blocks(np.kron(raising, raising) - 0.5 * (np.kron(n, eye) + np.kron(eye, n.T)), 2)
+
+
 @pytest.mark.parametrize(
     "liou, check",
     [
         # a pure Hamiltonian keeps every function of h stationary: rounding
         # leaves tiny pivots for a generic h, exact zeros for a diagonal one
-        (_hamiltonian_generator(_random_hermitian(3, 4)), "condition estimate"),
-        (_hamiltonian_generator(scipy.sparse.diags_array([0.0, 1.0, 3.0])),
+        (as_blocks(_hamiltonian_generator(_random_hermitian(3, 4))), "condition estimate"),
+        (as_blocks(_hamiltonian_generator(scipy.sparse.diags_array([0.0, 1.0, 3.0]))),
          "exactly singular"),
         # no kernel at all: the trace row alone is solvable, the rest is not
-        (-scipy.sparse.eye_array(16, dtype=complex, format="csr"), "relative residual"),
+        (as_blocks(-np.eye(16)), "relative residual"),
     ],
 )
 def test_trace_null_vector_wrong_kernel_dimension_raises(liou, check):
@@ -261,10 +317,20 @@ def test_trace_null_vector_wrong_kernel_dimension_raises(liou, check):
         trace_null_vector(liou)
 
 
+def test_trace_null_vector_raises_on_an_empty_vacuum_block():
+    """Without the trace entries outside block 0 the system is singular
+    exactly when the kernel vector has no trace in block 0; that zero is a
+    typed error, not a traceback or a silent NaN."""
+    with pytest.raises(KernelDimensionError, match="exactly singular"):
+        trace_null_vector(_pumped_qubit())
+
+
 def test_trace_null_vector_rejects_bad_input():
-    nan = scipy.sparse.eye_array(4, dtype=complex, format="csr")
-    nan[2, 2] = np.nan
+    liou = _oracle_liouvillian(1, 2)
+    liou.diag[1, 2, 2] = np.nan
     with pytest.raises(ValueError, match="non-finite"):
-        trace_null_vector(nan)
+        trace_null_vector(liou)
     with pytest.raises(ValueError, match="perfect square"):
-        trace_null_vector(scipy.sparse.eye_array(3, format="csr"))
+        trace_null_vector(as_blocks(np.eye(3)))
+    with pytest.raises(ValueError, match="off-diagonal"):
+        trace_null_vector(liou._replace(lower=liou.lower[:0]))

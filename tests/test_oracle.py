@@ -4,9 +4,10 @@ import functools
 
 import numpy as np
 import pytest
-import scipy
+import scipy.sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracle_matrices import dense, reference_trace_null_vector
 
 import tlsbath.oracle as oracle
 from tlsbath.bath import (
@@ -19,7 +20,7 @@ from tlsbath.bath import (
 )
 from tlsbath.config import resolve
 from tlsbath.dynamics import build_moment_system, coherence_g1, steady_state
-from tlsbath.linalg import expm_apply, null_vector
+from tlsbath.linalg import expm_apply, null_vector, trace_null_vector
 from tlsbath.oracle import (
     DimensionCapError,
     HilbertSpec,
@@ -103,7 +104,7 @@ def test_mode_operator_commutator():
 
 def test_liouvillian_annihilates_trace():
     spec = _small_spec(fock=4, s=2.0, G=1e-6)
-    liou = build_liouvillian(spec)
+    liou = dense(build_liouvillian(spec))
     trace_row = np.eye(spec.dim, dtype=complex).reshape(-1)
     residual = np.abs(trace_row @ liou).max()
     assert residual < 1e-14 * np.abs(liou).max()
@@ -112,7 +113,7 @@ def test_liouvillian_annihilates_trace():
 def _kron_chain_generator(h, jumps, kron):
     """The generator ``-i[h, .] + sum_k c_k D[a_k, b_k]`` as a chain of
     Kronecker products and additions: the reference for the library's
-    triplet assembly."""
+    block assembly."""
     k = sum(c * (b @ a) for c, a, b in jumps)
     eye = np.eye(h.shape[0])
     liou = kron(-1j * h - 0.5 * k, eye) + kron(eye, (1j * h - 0.5 * k).T)
@@ -166,19 +167,17 @@ def _every_jump_spec(n, fock=4, temperature=0.2):
 @pytest.mark.parametrize("temperature", [0.2, 0.0])
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_liouvillian_matches_kronecker_chain(n, temperature):
-    """The triplet assembly has the Kronecker chain's sparsity pattern
-    exactly, so the sparse LU sees the same structure, and its entries to
+    """The block diagonals, as a full matrix, have the Kronecker chain's
+    zero pattern exactly (so nothing lies off them) and its entries to
     rounding.  At T = 0 some diagonal entries cancel exactly (the dephasing
-    jumps against their anticommutator), and the chain's sparse additions
-    drop them."""
+    jumps against their anticommutator), and do so in the blocks too."""
     spec = _every_jump_spec(n, temperature=temperature)
     liou = build_liouvillian(spec)
-    want = _kron_chain_liouvillian(spec)
-    want.sort_indices()
+    got = dense(liou)
+    want = _kron_chain_liouvillian(spec).toarray()
     assert liou.shape == want.shape
-    assert np.array_equal(liou.indptr, want.indptr)
-    assert np.array_equal(liou.indices, want.indices)
-    assert np.abs(liou.data - want.data).max() <= 1e-15 * np.abs(want.data).max()
+    assert np.array_equal(got != 0, want != 0)
+    assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
 
 
 @pytest.mark.parametrize("i", [0, 1, 2])
@@ -223,6 +222,7 @@ def test_steady_state_full_is_stationary_and_physical():
     assert np.trace(rho).real == pytest.approx(1.0, abs=1e-12)
     assert np.abs(rho - rho.conj().T).max() < 1e-12
     assert np.linalg.eigvalsh(rho).min() > -1e-10
+    liou = dense(liou)
     flow = np.abs(liou @ rho.reshape(-1)).max()
     assert flow < 1e-12 * np.abs(liou).max()
 
@@ -283,10 +283,16 @@ def _random_specs(draw):
 
 @settings(max_examples=40)
 @given(spec=_random_specs())
-def test_sparse_kernel_matches_dense_svd(spec):
+def test_block_kernel_matches_superlu_and_dense_svd(spec):
+    """The block-LU kernel vector against SuperLU on the stacked trace-row
+    system, to 1e-12 relative, and the state against the dense SVD's
+    kernel, to 1e-12."""
     liou = build_liouvillian(spec)
+    got = trace_null_vector(liou)
+    ref = reference_trace_null_vector(dense(liou))
+    assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
     rho = steady_state_full(liou)
-    want = null_vector(liou.toarray()).reshape(spec.dim, spec.dim)
+    want = null_vector(dense(liou)).reshape(spec.dim, spec.dim)
     want = want / np.trace(want)
     want = 0.5 * (want + want.conj().T)
     assert np.abs(rho - want).max() < 1e-12
@@ -332,6 +338,7 @@ def test_evolve_preserves_trace_and_relaxes():
     spec = _small_spec(fock=4, s=1.0, G=1e-6)
     liou = build_liouvillian(spec)
     rho_ss = steady_state_full(liou)
+    liou = dense(liou)
     rho0 = np.zeros((spec.dim, spec.dim), dtype=complex)
     rho0[3, 3] = 1.0  # excited product basis state
     vec0 = rho0.reshape(-1)
@@ -461,7 +468,7 @@ def test_coherence_matches_effective_theory():
     eff = coherence_g1(ms, rep, tau)
 
     rho, spec = steady_state_autogrow(mode, (tls,), ENV0)
-    liou = build_liouvillian(spec)
+    liou = scipy.sparse.csr_array(dense(build_liouvillian(spec)))  # expm_multiply's input
     exact = coherence_g1_numeric(liou, rho, spec, tau)
 
     assert exact[0] == pytest.approx(1.0, abs=1e-10)
@@ -470,7 +477,7 @@ def test_coherence_matches_effective_theory():
 
 def test_coherence_numeric_rejects_vacuum():
     spec = _small_spec(fock=4, G=0.0, s=1.0)
-    liou = build_liouvillian(spec)
+    liou = dense(build_liouvillian(spec))
     rho = np.zeros((spec.dim, spec.dim), dtype=complex)
     rho[0, 0] = 1.0  # exact vacuum, zero occupation
     with pytest.raises(ValueError):

@@ -486,6 +486,41 @@ def test_column_wise_rendering_matches_the_join_formula(data):
     assert lines[header + 1:] == [",".join(map(str, row)) for row in res.rows]
 
 
+def _nan_with_payload(payload):
+    return np.array([0x7FF8000000000000 | payload], dtype=np.int64).view(np.float64)[0]
+
+
+@pytest.mark.parametrize(
+    "value",
+    [0.0, -0.0, _nan_with_payload(0), _nan_with_payload(0xBEEF), -_nan_with_payload(1), 2.5],
+    ids=["zero", "negative-zero", "nan", "nan-payload", "negative-nan-payload", "float"],
+)
+@pytest.mark.parametrize("shape", [(), (4,), (3, 1), (3, 4)], ids=["0d", "axis", "mesh-column", "full"])
+def test_constant_float_columns_render_as_per_cell_str(value, shape):
+    """A float64 column whose entries all have the same bits is formatted
+    once and broadcast: every line is the per-row ``",".join(map(str,
+    row))``, for signed zeros and NaNs with a payload too, next to an
+    equal-valued column of other bits that must not share its strings."""
+    x, y = np.ix_(np.linspace(0.0, 1.0, 3), np.arange(4.0))
+    const = np.full(shape, value)
+    other = np.full((3, 4), 0.0 if np.signbit(value) else -0.0)
+    res = sweeps.SweepResult("edge", ("x", "y", "c", "other"), (x, y, const, other), ())
+    lines = render_csv(res).splitlines()
+    header = lines.index(",".join(res.columns))
+    assert lines[header + 1:] == [",".join(map(str, row)) for row in res.rows]
+    assert {line.split(",")[2] for line in lines[header + 1:]} == {str(float(value))}
+
+
+def test_equal_values_of_other_bits_are_not_a_constant_column():
+    """0.0 and -0.0 compare equal, and a NaN never does: a column mixing
+    them is formatted cell by cell, as its bits differ."""
+    zeros = np.array([0.0, -0.0, 0.0, -0.0])
+    nans = np.array([np.nan, _nan_with_payload(7), np.nan, np.nan])
+    res = sweeps.SweepResult("edge", ("zeros", "nans"), (zeros, nans), ())
+    lines = render_csv(res).splitlines()
+    assert lines[-4:] == ["0.0,nan", "-0.0,nan", "0.0,nan", "-0.0,nan"]
+
+
 def test_rows_expand_the_columns_in_c_order():
     x, y = np.ix_(np.array([1.0, 2.0]), np.array([10.0, 20.0, 30.0]))
     data = (x, y, x * y, np.arange(6).reshape(2, 3))
