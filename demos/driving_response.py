@@ -31,9 +31,10 @@ def main():
         }
     )
     res = run_scenario("driving", weak)
+    res_cols = dict(zip(res.columns, zip(*res.rows)))
     write_result(res, os.path.join(OUT, "driving_vs_detuning.csv"))
-    mag = np.array(res.column("Omega_prime_abs"))
-    grid = np.array(res.column("Delta_B"))
+    mag = np.array(res_cols["Omega_prime_abs"])
+    grid = np.array(res_cols["Delta_B"])
     print(f"weak drive: response peak at Delta_B = {grid[np.argmax(mag)]:.3e}")
 
     vs_drive = resolve(
@@ -47,9 +48,10 @@ def main():
         }
     )
     res2 = run_scenario("driving", vs_drive)
+    res2_cols = dict(zip(res2.columns, zip(*res2.rows)))
     write_result(res2, os.path.join(OUT, "driving_vs_drive.csv"))
-    mag2 = np.array(res2.column("Omega_prime_abs"))
-    best = np.array(res2.column("Omega_B"))[np.argmax(mag2)]
+    mag2 = np.array(res2_cols["Omega_prime_abs"])
+    best = np.array(res2_cols["Omega_B"])[np.argmax(mag2)]
     # s = |Omega_B|^2 / (kappa_1 kappa_t) on resonance
     print(f"response maximal at Omega_B = {best:.3e} (saturation "
           f"{best**2 / (1e-4 * KAPPA_T):.3f})")

@@ -32,10 +32,11 @@ def main():
             }
         )
         res = run_scenario("decay-rate", cfg)
+        res_cols = dict(zip(res.columns, zip(*res.rows)))
         write_result(res, os.path.join(OUT, f"decay_rate_{mult}x.csv"))
 
-        gamma = np.array(res.column("gamma"))
-        grid = np.array(res.column("Delta_0"))
+        gamma = np.array(res_cols["gamma"])
+        grid = np.array(res_cols["Delta_0"])
         blue = grid[(gamma < 0) & (grid > 0)]  # amplification side
         side = mollow_sideband(omega_b, KAPPA_T)
         print(

@@ -32,8 +32,9 @@ def main():
         }
     )
     res = run_scenario("stability-map", grid)
+    res_cols = dict(zip(res.columns, zip(*res.rows)))
     write_result(res, os.path.join(OUT, "stability_map.csv"))
-    verdicts = np.array(res.column("stable"))
+    verdicts = np.array(res_cols["stable"])
     print(f"stability map: {int((1 - verdicts).sum())} unstable cells of {verdicts.size}")
 
     # resonant mode: squeezing peaks well below saturation
@@ -43,8 +44,9 @@ def main():
         }
     )
     sq = run_scenario("squeezing", squeeze)
+    sq_cols = dict(zip(sq.columns, zip(*sq.rows)))
     write_result(sq, os.path.join(OUT, "squeezing_vs_drive.csv"))
-    xi = np.array([v for v in sq.column("xi") if not isinstance(v, str)])
+    xi = np.array([v for v in sq_cols["xi"] if not isinstance(v, str)])
     drives = np.array(
         [row[0] for row in sq.rows if not isinstance(row[1], str)]
     )

@@ -24,9 +24,10 @@ def main():
         }
     )
     res = run_scenario("steady-state", drive_sweep)
+    res_cols = dict(zip(res.columns, zip(*res.rows)))
     write_result(res, os.path.join(OUT, "steady_state_vs_drive.csv"))
-    occ = np.array(res.column("occupation"), dtype=float)
-    drives = np.array(res.column("Omega_B"))
+    occ = np.array(res_cols["occupation"], dtype=float)
+    drives = np.array(res_cols["Omega_B"])
     print(f"occupation peaks at {occ.max():.3e} (Omega_B = {drives[np.argmax(occ)]:.2e})")
 
     temp = 0.5
@@ -44,6 +45,7 @@ def main():
     )
     assert thermal.Omega_B == 0  # undriven: purely thermal contact
     g1 = run_scenario("coherence", thermal)
+    g1_cols = dict(zip(g1.columns, zip(*g1.rows)))
     write_result(g1, os.path.join(OUT, "coherence_g1_thermal.csv"))
 
     kappa_t = transverse_rate(thermal.tls_params(), thermal.environment())
@@ -51,8 +53,8 @@ def main():
         thermal.n_tls, thermal.G, kappa_t, 0.0, temperature=temp
     )
     predicted = 2.0 / (thermal.gamma_0 + gamma)
-    mags = np.array(g1.column("g1_abs"))
-    taus = np.array(g1.column("tau"))
+    mags = np.array(g1_cols["g1_abs"])
+    taus = np.array(g1_cols["tau"])
     crossing = taus[mags < np.exp(-1)][0]
     print(f"|g1| 1/e time {crossing:.3e} vs predicted 2/gamma_t = {predicted:.3e}")
     print(f"long-lag |g1| = {mags[-1]:.2e} (no coherent fraction without drive)")

@@ -17,8 +17,10 @@ drive on the default (Omega_B x gamma_0) stability map, once in all for
 a sweep of gamma_0.  The moment layer broadcasts those rates against the
 gamma_0 axis itself.  The table stays column-wise, each column at the
 shape it was computed at, until it is rendered: CSV formats each column
-at its own shape, so each swept value is formatted once, and a float
-column bit for bit equal to an earlier one reuses its strings.
+at its own shape, from the one list of plain Python scalars per
+distinct column that ``rows`` shares: a swept value is one object and
+one string, and a float column bit for bit equal to an earlier one
+reuses its list.
 
 Scenario semantics:
 
@@ -42,6 +44,7 @@ import dataclasses
 import functools
 import json
 import math
+import re
 import sys
 from dataclasses import dataclass
 from datetime import datetime, timezone
@@ -75,6 +78,7 @@ SCENARIOS = (
 )
 
 UNSTABLE = "unstable"
+_SPECIAL = re.compile('[,"\r\n]')  # what a CSV cell must be quoted for
 
 
 def _timestamp() -> str:
@@ -91,7 +95,9 @@ class SweepResult:
     on the mesh of the rate axes, and the moment columns at full size.
     Row k is entry k of every column broadcast to ``shape`` and flattened
     in C order; ``rows`` is that table as a tuple of tuples of plain
-    Python scalars (str, int, float).
+    Python scalars (str, int, float).  It shares with ``render_csv`` one
+    scalar list per distinct column, converted once at the column's own
+    shape, so a broadcast column's rows share its objects.
     """
 
     scenario: str
@@ -112,14 +118,40 @@ class SweepResult:
     def shape(self) -> tuple:
         return np.broadcast_shapes(*(c.shape for c in self.data))
 
-    def column(self, name: str) -> list:
-        c = self.data[self.columns.index(name)]
-        return np.broadcast_to(c, self.shape).reshape(-1).tolist()
+    @functools.cached_property
+    def _scalars(self) -> tuple:
+        # (plain scalars in C order, own shape) of each column: a numeric one
+        # with the dtype and bits of an earlier one reuses its entry, and one
+        # whose entries all have the same bits is a single scalar; comparing
+        # bits keeps -0.0 and 0.0, and NaN payloads, apart
+        out, seen = [], []  # seen: (dtype, bits, entry) of each numeric column
+        for c in self.data:
+            if c.dtype == object:
+                out.append((c.reshape(-1).tolist(), c.shape))
+                continue
+            bits = c.view(np.int64) if c.dtype == np.float64 else c
+            entry = next((e for d, b, e in seen if d == c.dtype and np.array_equal(b, bits)), None)
+            if entry is None:
+                constant = bits.size and (bits == bits.flat[0]).all()
+                entry = ([c.flat[0].item()], ()) if constant else (c.reshape(-1).tolist(), c.shape)
+                seen.append((c.dtype, bits, entry))
+            out.append(entry)
+        return tuple(out)
 
     @functools.cached_property
     def rows(self) -> tuple:
         shape = self.shape
-        return tuple(zip(*(np.broadcast_to(c, shape).reshape(-1).tolist() for c in self.data)))
+        return tuple(zip(*(_broadcast(v, own, shape) for v, own in self._scalars)))
+
+
+def _broadcast(values: list, own: tuple, shape: tuple) -> list:
+    # the entries of shape ``own`` broadcast to one per row: the same objects
+    if own == shape:
+        return values
+    if len(values) == 1:
+        return values * math.prod(shape)
+    table = np.array(values, dtype=object).reshape(own)
+    return np.broadcast_to(table, shape).reshape(-1).tolist()
 
 
 def rates_at(cfg: ScenarioConfig):
@@ -137,7 +169,9 @@ def rates_at(cfg: ScenarioConfig):
 
 
 def _filled(stable, values, sentinel=UNSTABLE) -> np.ndarray:
-    # ``values`` at the stable points, the sentinel elsewhere
+    # ``values`` at the stable points, the sentinel elsewhere (if any)
+    if stable.all():
+        return values
     out = np.full(stable.shape, sentinel, dtype=object)
     out[stable] = values[stable].tolist()
     return out
@@ -365,49 +399,30 @@ def _oracle_rows(cfg: ScenarioConfig) -> list:
     return [_normalize_row(oracle_point(cfg, ratio)) for ratio in cfg.oracle_ratios]
 
 
-def _column_text(column: np.ndarray, shape: tuple) -> list:
-    # str of each entry at the column's own shape, then one per row
-    text = list(map(str, column.reshape(-1).tolist()))
-    if column.shape == shape:
-        return text
-    text = np.array(text, dtype=object).reshape(column.shape)
-    return np.broadcast_to(text, shape).reshape(-1).tolist()
-
-
 def _table_text(result: SweepResult) -> list:
-    # the strings of each column, one per row; a float64 column reuses
-    # those of an earlier one with the same bits, and one whose entries
-    # all have the same bits is formatted once
-    shape = result.shape
-    columns, floats = [], []  # floats: (int64 view, strings) of each float64 column
-    for c in result.data:
-        if c.dtype != np.float64:
-            columns.append(_column_text(c, shape))
-            continue
-        bits = c.view(np.int64)
-        text = next((t for b, t in floats if np.array_equal(b, bits)), None)
-        if text is None:
-            if bits.size and (bits == bits.flat[0]).all():
-                text = [str(c.flat[0].item())] * math.prod(shape)
-            else:
-                text = _column_text(c, shape)
-            floats.append((bits, text))
-        columns.append(text)
-    return columns
+    # the strings of each column, one per row, from each distinct scalar
+    # list formatted (and, for text with a separator, quoted) once
+    shape, text = result.shape, {}
+    for c, (values, own) in zip(result.data, result._scalars):
+        if id(values) not in text:
+            cells = list(map(str, values))
+            if c.dtype == object and _SPECIAL.search("".join(cells)):
+                cells = ['"%s"' % v.replace('"', '""') if _SPECIAL.search(v) else v for v in cells]
+            text[id(values)] = _broadcast(cells, own, shape)
+    return [text[id(values)] for values, _ in result._scalars]
 
 
 def render_csv(result: SweepResult) -> str:
     """Comma-separated text: '#' metadata, header row, then data rows.
 
-    Each column is formatted at the shape it was computed at, with ``str``
-    of its plain Python scalars, and its strings are then broadcast to one
-    per row, so a swept value is formatted once, not once per row.  A
-    float64 column whose bits equal an earlier float64 column's (``g1_abs``
-    and ``g1_re`` where g1 is real and positive) reuses that column's
-    strings, and one whose entries all have the same bits (``g1_im`` of a
-    real trace, ``pair_im`` of a steady state) is formatted once; comparing
-    the bits keeps -0.0 and 0.0, and NaN payloads, apart.  Each line is the
-    comma join of one row of strings.
+    Each distinct scalar list of ``result`` (see :class:`SweepResult`) is
+    formatted once, with ``str``, at its column's own shape, and its
+    strings are broadcast to one per row: a swept value, a float column of
+    one repeated bit pattern (``g1_im`` of a real trace), and ``g1_abs``
+    where it repeats ``g1_re`` bit for bit are each formatted once.  A text
+    cell holding a comma, a double quote or a line break (``validate-all``'s
+    measured values) is quoted as RFC 4180 says.  Each line is the comma
+    join of one row of strings.
     """
     lines = [
         f"# tlsbath {__version__}",
@@ -430,7 +445,7 @@ def render_json(result: SweepResult) -> str:
         "generated": result.generated,
         "config": {key: value for key, value in result.meta},
         "columns": list(result.columns),
-        "rows": [list(row) for row in result.rows],
+        "rows": result.rows,  # tuples encode as arrays
     }
     return json.dumps(payload, indent=2) + "\n"
 

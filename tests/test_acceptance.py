@@ -8,9 +8,10 @@ then once more under call counters.
 import collections
 
 import pytest
+from test_grid import _assert_round_trip
 
 from tlsbath import sweeps, validation
-from tlsbath.validation import validate_all
+from tlsbath.validation import report_rows, validate_all
 
 EXPECTED = 12
 
@@ -65,6 +66,14 @@ def test_measured_is_pinned(report, number):
 def test_overall_verdict(report):
     assert report.all_passed
     assert len(report.lines()) == EXPECTED
+
+
+def test_report_table_round_trips(report):
+    """The `validate-all` table, whose measured values hold commas, parses
+    back from its CSV and its JSON."""
+    columns, rows = report_rows(report)
+    assert any("," in row[3] for row in rows)
+    _assert_round_trip(sweeps.SweepResult.from_rows("validate-all", columns, rows, ()))
 
 
 def test_criteria_call_the_chain_once_per_line(monkeypatch):

@@ -2,6 +2,7 @@
 evaluation of that one point, and a guard that fails names the point."""
 
 import cmath
+import csv
 import dataclasses
 import importlib.util
 import json
@@ -190,7 +191,7 @@ def _assert_round_trip(res):
     # the CSV and the JSON of a result both parse back to its rows
     lines = [line for line in render_csv(res).splitlines() if not line.startswith("#")]
     assert lines[0] == ",".join(res.columns)
-    from_csv = [tuple(_parsed(f) for f in line.split(",")) for line in lines[1:]]
+    from_csv = [tuple(map(_parsed, fields)) for fields in csv.reader(lines[1:])]
     doc = json.loads(render_json(res))
     assert doc["columns"] == list(res.columns)
     assert doc["config"] == dict(res.meta)
@@ -221,6 +222,13 @@ def test_csv_and_json_round_trip(run, trace):
     for scenario, cfg in (run, trace):
         res = _rates_result(cfg) if scenario == "rates" else run_scenario(scenario, cfg)
         _assert_round_trip(res)
+
+
+def test_oracle_validate_table_round_trips():
+    cfg = resolve({"bath": {"N": "1", "Omega_B": "7.1e-5"}, "oracle": {"ratios": "0.03"}})
+    res = run_scenario("oracle-validate", cfg)
+    assert res.rows[0][0] == 0.03 and isinstance(res.rows[0][1], int)
+    _assert_round_trip(res)
 
 
 ENV0 = BathEnvironment(temperature=0.0)

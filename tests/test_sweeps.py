@@ -1,12 +1,15 @@
 """Scenario sweeps: rows, rendering, determinism, rates shared across gamma_0."""
 
 import json
+import math
+import struct
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import tlsbath
 import tlsbath.sweeps as sweeps
 from tlsbath.config import ConfigError, resolve
 from tlsbath.dynamics import build_moment_system, stability
@@ -27,6 +30,12 @@ KAPPA_T = 5e-5  # baseline kappa_1 = 1e-4, kappa_2 = 0, T = 0
 def _cfg(**sections):
     raw = {k: {kk: str(vv) for kk, vv in v.items()} for k, v in sections.items()}
     return resolve(raw)
+
+
+def _column(res, name) -> list:
+    # one column of the table, one entry per row
+    k = res.columns.index(name)
+    return [row[k] for row in res.rows]
 
 
 def _small_sweep(**extra):
@@ -64,7 +73,7 @@ def test_sweep_shapes(name):
     assert len(res.rows) == 4
     assert res.columns[0] == "Omega_B"
     grid = cfg.sweep.grid()
-    assert res.column("Omega_B") == [float(v) for v in grid]
+    assert _column(res, "Omega_B") == [float(v) for v in grid]
     for row in res.rows:
         assert len(row) == len(res.columns)
 
@@ -82,8 +91,8 @@ def test_driving_response_peaks_on_bath_resonance():
         },
     )
     res = run_scenario("driving", cfg)
-    mag = np.array(res.column("Omega_prime_abs"))
-    grid = np.array(res.column("Delta_B"))
+    mag = np.array(_column(res, "Omega_prime_abs"))
+    grid = np.array(_column(res, "Delta_B"))
     peak = int(np.argmax(mag))
     assert abs(grid[peak]) < 1e-12
     interior_maxima = np.flatnonzero(
@@ -106,7 +115,7 @@ def test_decay_rate_sweep_matches_weak_drive_closed_form():
     assert cfg.Omega_B == 0j
     res = run_scenario("decay-rate", cfg)
     for d0, gamma, gp in zip(
-        res.column("Delta_0"), res.column("gamma"), res.column("gamma_plus")
+        _column(res, "Delta_0"), _column(res, "gamma"), _column(res, "gamma_plus")
     ):
         want, _ = low_drive_limits(cfg.n_tls, cfg.G, KAPPA_T, d0)
         assert gamma == pytest.approx(want, rel=1e-12, abs=0)
@@ -124,7 +133,7 @@ def test_freq_shift_sweep_matches_weak_drive_closed_form():
         },
     )
     res = run_scenario("freq-shift", cfg)
-    for d0, delta in zip(res.column("Delta_0"), res.column("delta")):
+    for d0, delta in zip(_column(res, "Delta_0"), _column(res, "delta")):
         _, want = low_drive_limits(cfg.n_tls, cfg.G, KAPPA_T, d0)
         assert delta == pytest.approx(want, rel=1e-12, abs=1e-30)
 
@@ -135,7 +144,7 @@ def test_steady_state_marks_unstable_rows():
         sweep={"start": "1e-6", "stop": "1e-3", "count": "7"},
     )
     res = run_scenario("steady-state", cfg)
-    verdicts = res.column("stable")
+    verdicts = _column(res, "stable")
     assert set(verdicts) == {0, 1}
     for row, ok in zip(res.rows, verdicts):
         body = row[1:-1]
@@ -175,11 +184,11 @@ def test_squeezing_pair_pumping_contrast():
     res = run_scenario("squeezing", cfg)
     for row in res.rows:
         assert UNSTABLE not in row
-    xi = np.array(res.column("xi"))
-    xi_ref = np.array(res.column("xi_no_pair_pumping"))
+    xi = np.array(_column(res, "xi"))
+    xi_ref = np.array(_column(res, "xi_no_pair_pumping"))
     assert np.all(xi_ref >= xi - 1e-12)
     for v, x, p in zip(
-        res.column("var_x"), res.column("var_p"), res.column("det_sigma")
+        _column(res, "var_x"), _column(res, "var_p"), _column(res, "det_sigma")
     ):
         assert p <= v * x + 1e-15  # det includes the (negative) cross term
 
@@ -199,7 +208,7 @@ def test_coherence_rows_from_zero_lag():
     assert res.columns == ("tau", "g1_re", "g1_im", "g1_abs")
     assert res.rows[0][0] == 0.0
     assert res.rows[0][3] == pytest.approx(1.0, abs=1e-12)
-    mags = res.column("g1_abs")
+    mags = _column(res, "g1_abs")
     assert all(m <= 1 + 1e-12 for m in mags)
     assert mags[-1] < mags[0]
 
@@ -218,7 +227,7 @@ def test_coherence_log_grid_skips_zero_lag_normalization():
     res = run_scenario("coherence", cfg)
     assert res.rows[0][0] == pytest.approx(1e4)
     # normalization is still against tau = 0, so nothing reads exactly 1
-    assert all(m < 1.0 for m in res.column("g1_abs"))
+    assert all(m < 1.0 for m in _column(res, "g1_abs"))
 
 
 @settings(max_examples=5)
@@ -531,7 +540,114 @@ def test_rows_expand_the_columns_in_c_order():
         (2.0, 10.0, 20.0, 3), (2.0, 20.0, 40.0, 4), (2.0, 30.0, 60.0, 5),
     )
     assert [type(v) for v in res.rows[0]] == [float, float, float, int]
-    assert res.column("x") == [1.0, 1.0, 1.0, 2.0, 2.0, 2.0]
+    assert _column(res, "x") == [1.0, 1.0, 1.0, 2.0, 2.0, 2.0]
+
+
+_RESONANT_TAU = {"variable": "tau", "start": "0", "stop": "2e7", "count": "12", "scale": "linear"}
+
+
+def test_real_trace_shares_its_twin_and_constant_scalars():
+    """On resonance with a real drive g1 is real and positive: ``g1_abs``
+    is ``g1_re``'s list, entry for entry the same objects, and every
+    ``g1_im`` entry is one 0.0."""
+    res = run_scenario("coherence", _cfg(bath={"Omega_B": "7.1e-5"}, sweep=_RESONANT_TAU))
+    assert all(row[1] is row[3] for row in res.rows)
+    assert len({id(row[2]) for row in res.rows}) == 1
+    assert res.rows[0][2] == 0.0
+
+
+def test_stability_map_holds_one_object_per_axis_value():
+    cfg = _cfg(
+        sweep={"variable": "Omega_B", "start": "1e-6", "stop": "1e-3", "count": "5"},
+        sweep2={"variable": "gamma_0", "start": "1e-9", "stop": "1e-5", "count": "4"},
+    )
+    res = run_scenario("stability-map", cfg)
+    for k, count in ((0, 5), (1, 4)):
+        assert len({id(row[k]) for row in res.rows}) == len({row[k] for row in res.rows}) == count
+
+
+def _bits(v):
+    # a scalar's type and bits: -0.0 and 0.0, and NaN payloads, differ
+    return type(v), struct.pack("<d", v) if isinstance(v, float) else v
+
+
+_POOL = (0.0, -0.0, float(_nan_with_payload(0)), float(_nan_with_payload(0xBEEF)),
+         float(-_nan_with_payload(1)), 5e-324, 1.5, -2.0, float("inf"))
+
+
+@st.composite
+def _bit_tables(draw):
+    """Columns over a drawn table shape, each at a shape broadcastable to
+    it: drawn from signed zeros, NaNs of several payloads and the
+    subnormal whose bits are the int 1, constants, bit-equal copies of an
+    earlier column, copies with one sign bit flipped, and small ints."""
+    shape = tuple(draw(st.lists(st.integers(0, 3), max_size=2)))
+    columns = []
+    for _ in range(draw(st.integers(1, 5))):
+        kind = draw(st.sampled_from(("drawn", "constant", "twin", "flipped", "int")))
+        if kind in ("twin", "flipped") and columns:
+            col = draw(st.sampled_from(columns)).copy()
+            if kind == "flipped" and col.size:
+                col.flat[0] = -col.flat[0]
+            columns.append(col)
+            continue
+        own = tuple(draw(st.sampled_from((1, n))) for n in shape)[draw(st.integers(0, len(shape))):]
+        size = math.prod(own)
+        if kind == "constant":
+            columns.append(np.full(own, draw(st.sampled_from(_POOL))))
+        elif kind == "int":
+            ints = draw(st.lists(st.integers(0, 2), min_size=size, max_size=size))
+            columns.append(np.array(ints, dtype=np.int64).reshape(own))
+        else:
+            floats = draw(st.lists(st.sampled_from(_POOL), min_size=size, max_size=size))
+            columns.append(np.array(floats, dtype=np.float64).reshape(own))
+    return tuple(columns)
+
+
+@given(data=_bit_tables())
+def test_rows_share_scalars_only_where_bits_are_equal(data):
+    """``rows`` is the per-column ``broadcast_to(...).tolist()`` table bit
+    for bit; every entry of a column broadcast from one own-shape entry is
+    one object, and two entries are one object only where their bits are
+    equal."""
+    res = sweeps.SweepResult("edge", tuple(f"c{k}" for k in range(len(data))), data, ())
+    expected = list(zip(*(np.broadcast_to(c, res.shape).reshape(-1).tolist() for c in data)))
+    assert [tuple(map(_bits, row)) for row in res.rows] == [
+        tuple(map(_bits, row)) for row in expected
+    ]
+    for k, c in enumerate(data):
+        own = np.broadcast_to(np.arange(c.size).reshape(c.shape), res.shape).reshape(-1)
+        first = {}
+        for i, row in zip(own.tolist(), res.rows):
+            assert first.setdefault(i, row[k]) is row[k]
+    seen = {}
+    for row in res.rows:
+        for v in row:
+            assert seen.setdefault(id(v), _bits(v)) == _bits(v)
+
+
+def _json_with_row_lists(res):
+    # render_json as it was written before: each row copied to a list
+    return json.dumps({
+        "artifact": "tlsbath",
+        "version": tlsbath.__version__,
+        "scenario": res.scenario,
+        "generated": res.generated,
+        "config": dict(res.meta),
+        "columns": list(res.columns),
+        "rows": [list(row) for row in res.rows],
+    }, indent=2) + "\n"
+
+
+def test_json_encodes_row_tuples_as_the_row_lists():
+    trace = run_scenario("coherence", _cfg(bath={"Omega_B": "7.1e-5"}, sweep=_RESONANT_TAU))
+    grid = run_scenario("steady-state", _cfg(
+        mode={"Delta_0": "2.5e-4", "gamma_0": "1e-9"},
+        sweep={"start": "1e-6", "stop": "1e-3", "count": "7"},
+    ))
+    assert {row[-1] for row in grid.rows} == {0, 1}
+    for res in (trace, grid):
+        assert render_json(res) == _json_with_row_lists(res)
 
 
 def test_json_round_trip():
