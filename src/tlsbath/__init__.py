@@ -3,8 +3,8 @@
 The package is organized bottom-up:
 
 - :mod:`tlsbath.linalg`: numerical kernel of the oracle and the checks
-  (block-tridiagonal trace-row kernel vector, spectrum, Padé matrix
-  exponential) with explicit failure types.
+  (block-tridiagonal trace-row kernel vector, dense kernel vector,
+  spectrum) with explicit failure types.
 - :mod:`tlsbath.bath`: driven-TLS Bloch machinery and the spectral
   densities of the dipole fluctuations.
 - :mod:`tlsbath.rates`: assembly of the induced master-equation rates and
@@ -36,7 +36,6 @@ from .bath import (
     build_psd_table,
     correlator_integral,
     psd,
-    same_time_correlators,
     saturation,
     transverse_rate,
 )

@@ -40,7 +40,6 @@ __all__ = [
     "transverse_rate",
     "saturation",
     "bloch_steady_state",
-    "same_time_correlators",
     "correlator_integral",
     "dipole_drive",
     "psd",

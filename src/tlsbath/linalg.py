@@ -6,12 +6,11 @@ reach sides of a few thousand at the default dimension cap.  The mode
 operators move the left Fock index of a density matrix by at most one,
 so a Liouvillian is block tridiagonal (:class:`BlockTridiagonal`), and
 its steady state is one block-LU solve (:func:`trace_null_vector`).  The
-dense SVD :func:`null_vector` remains for the 4x4 single-TLS generator,
-and :func:`expm` (Padé scaling and squaring) exponentiates the
-correlator's 5x5 augmented generator.  All of this runs on NumPy alone.
-:func:`solve_linear` and :func:`expm_apply` are the generic solve and
-propagator (dense or sparse) that tests and benchmark traces hold the
-closed forms against; only they use SciPy, imported in their own bodies.
+dense SVD :func:`null_vector` remains for the 4x4 single-TLS generator.
+All of this runs on NumPy alone.  :func:`solve_linear` and
+:func:`expm_apply` are the generic solve and propagator (dense or sparse)
+that tests and benchmark traces hold the closed forms against; only they
+use SciPy, imported in their own bodies.
 """
 
 from __future__ import annotations
@@ -29,7 +28,6 @@ __all__ = [
     "BlockTridiagonal",
     "solve_linear",
     "eigenvalues",
-    "expm",
     "expm_apply",
     "null_vector",
     "trace_null_vector",
@@ -46,25 +44,6 @@ NULL_RTOL = 1e-10
 
 # Dense expm is cheaper than the action-only algorithm below this order.
 _EXPM_DENSE_MAX = 128
-
-# The degree-13 Padé approximant to exp is (V - U)^-1 (V + U), with U = A
-# (A6 (b13 A6 + b11 A4 + b9 A2) + b7 A6 + b5 A4 + b3 A2 + b1 I) and V = A6
-# (b12 A6 + b10 A4 + b8 A2) + b6 A6 + b4 A4 + b2 A2 + b0 I.  Row k of
-# _PADE13 holds the coefficients of (A2, A4, A6) in the k-th of these four
-# inner sums, and _PADE13_EYE[k] that of I; theta_13 is the largest 1-norm
-# at which the approximant is accurate to double precision (Higham, SIAM
-# J. Matrix Anal. Appl. 26, 1179 (2005), eq. (2.3) and Table 2.3).
-_B = (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
-      1187353796428800.0, 129060195264000.0, 10559470521600.0, 670442572800.0,
-      33522128640.0, 1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0)
-_PADE13 = np.array([
-    [_B[9], _B[11], _B[13]],
-    [_B[8], _B[10], _B[12]],
-    [_B[3], _B[5], _B[7]],
-    [_B[2], _B[4], _B[6]],
-], dtype=complex)
-_PADE13_EYE = np.array([0.0, 0.0, _B[1], _B[0]])
-_THETA13 = 5.371920351148152
 
 # Iterations of the 1-norm estimator, as in Higham and Tisseur's itmax.
 _NORMEST_ITERATIONS = 5
@@ -146,39 +125,6 @@ def eigenvalues(a) -> np.ndarray:
         return np.linalg.eigvals(a)
     except np.linalg.LinAlgError as exc:  # QR iteration failed
         raise NoConvergenceError(str(exc)) from exc
-
-
-def expm(a) -> np.ndarray:
-    """Matrix exponential by degree-13 Padé scaling and squaring.
-
-    ``a`` is scaled by ``2**-s``, the least power of two that brings its
-    1-norm to at most ``theta_13``; the approximant ``(V - U)^-1 (V + U)``
-    is then squared ``s`` times (Higham, SIAM J. Matrix Anal. Appl. 26,
-    1179 (2005), Algorithm 2.3 at degree 13).  The four sums of even
-    powers that ``U`` and ``V`` need are one matrix product.
-    """
-    a = np.asarray(a, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    n = a.shape[0]
-    norm = np.abs(a).sum(axis=0).max() if n else 0.0
-    if not math.isfinite(norm):
-        raise ValueError("matrix contains non-finite entries")
-    s = max(0, math.ceil(math.log2(norm / _THETA13))) if norm > _THETA13 else 0
-    a = a * 2.0**-s
-    powers = np.empty((3, n, n), dtype=complex)  # A2, A4, A6
-    np.matmul(a, a, out=powers[0])
-    np.matmul(powers[0], powers[0], out=powers[1])
-    np.matmul(powers[1], powers[0], out=powers[2])
-    sums = (_PADE13 @ powers.reshape(3, n * n)).reshape(4, n, n)
-    sums.reshape(4, n * n)[:, :: n + 1] += _PADE13_EYE[:, None]
-    inner = powers[2] @ sums[:2] + sums[2:]
-    u = a @ inner[0]
-    v = inner[1]
-    r = np.linalg.solve(v - u, v + u)
-    for _ in range(s):
-        r = r @ r
-    return r
 
 
 def expm_apply(a, v, t: float) -> np.ndarray:

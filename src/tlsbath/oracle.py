@@ -9,7 +9,7 @@ the Liouvillian is held as its three block diagonals over that index; its
 steady state is one block-LU solve, and expectation values are compared
 against the adiabatic elimination.  The quadrature's 4x4 TLS generator is
 ``theta`` times six blocks built once from the same Hamiltonian and jumps,
-and its regression integral one Padé matrix exponential.  Nothing here
+and its regression integral one 4x4 resolvent solve.  Nothing here
 reuses the effective-rate pipeline; the only shared code is the
 linear-algebra kernel, and none of it uses SciPy.
 
@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bath import BathEnvironment, TlsParams, bose_occupation
-from .linalg import BlockTridiagonal, expm, null_vector, trace_null_vector
+from .linalg import BlockTridiagonal, null_vector, trace_null_vector
 from .rates import ModeParams
 
 __all__ = [
@@ -37,7 +37,6 @@ __all__ = [
     "tls_liouvillian",
     "steady_state_full",
     "steady_state_autogrow",
-    "expectation",
     "mode_moments",
     "bloch_correlator_numeric",
 ]
@@ -244,7 +243,7 @@ def steady_state_full(liou) -> np.ndarray:
     return _normalize_density(rho)
 
 
-def expectation(rho: np.ndarray, op: np.ndarray) -> complex:
+def _expectation(rho: np.ndarray, op: np.ndarray) -> complex:
     return complex(np.trace(op @ rho))
 
 
@@ -259,8 +258,8 @@ def mode_moments(rho: np.ndarray, spec: HilbertSpec) -> tuple[float, complex, co
     ``spec``, as truncated there: :func:`steady_state_autogrow` gives
     states whose top Fock levels hold less than ``LEAK_TOL``."""
     s = mode_operator(spec)
-    occ = expectation(rho, s.conj().T @ s).real
-    return float(occ), expectation(rho, s), expectation(rho, s @ s)
+    occ = _expectation(rho, s.conj().T @ s).real
+    return float(occ), _expectation(rho, s), _expectation(rho, s @ s)
 
 
 def steady_state_autogrow(
@@ -300,7 +299,7 @@ def _sigma_ops_centered(
     """TLS generator, steady state and the centred ``sigma+``, ``sigma-``."""
     liou = tls_liouvillian(p, env)
     rho = _normalize_density(null_vector(liou).reshape(2, 2))
-    sp_avg = expectation(rho, _SP)
+    sp_avg = _expectation(rho, _SP)
     return liou, rho, _SP - sp_avg * _ID2, _SM - np.conj(sp_avg) * _ID2
 
 
@@ -314,27 +313,22 @@ def bloch_correlator_numeric(
     """Brute-force Laplace transform of a Bloch fluctuation correlator.
 
     Integrates ``<sigma~_alpha(tau) sigma~_beta(0)> exp(beta i delta_m
-    tau)`` by quantum regression on the vectorized TLS space, with one
-    matrix exponential of the augmented generator ``[[(L + beta i delta_m)
-    tau_max, x0], [0, 0]]`` (Van Loan, IEEE Trans. Autom. Control 23, 395
-    (1978)): ``tau_max`` times its last column is ``integral_0^tau_max
-    exp((L + beta i delta_m) tau) x0 dtau`` for ``x0 = sigma~_beta rho``.
-    Leaving ``x0`` unscaled keeps its column out of the norm that sets the
-    number of squarings.  On traceless operators such as ``x0`` the
-    generator is ``-diag(kappa_t, kappa_t, kappa1 (1 + 2 nbar))`` plus a
-    rotation in the Pauli basis, so ``||exp(L tau) x0||`` decays at least
-    as ``exp(-kappa1 (1 + 2 nbar) tau / 2)``; at ``tau_max = 80 / (kappa1
-    (1 + 2 nbar))`` the dropped tail is below ``exp(-40)`` at any drive or
-    dephasing.
+    tau)`` over ``tau >= 0`` by quantum regression on the vectorized TLS
+    space: for the traceless seed ``x0 = sigma~_beta rho`` the integral
+    ``x`` solves ``(L + beta i delta_m) x = -x0`` with ``tr x = 0``.  The
+    rank-one term ``c vec(rho) tr^T`` makes the 4x4 matrix ``L + beta i
+    delta_m + c vec(rho) tr^T`` nonsingular at ``delta_m = 0`` too, and
+    leaves ``x`` unchanged, so ``x`` is one linear solve; ``c``, the
+    largest entry of ``|L|``, keeps that term on the scale of ``L``.  A
+    non-finite ``delta_m`` raises :class:`ValueError`.
     """
     if alpha not in (+1, -1) or beta not in (+1, -1):
         raise ValueError("alpha and beta must be +1 or -1")
+    if not math.isfinite(delta_m):
+        raise ValueError(f"delta_m must be finite, got {delta_m}")
     liou, rho, sp, sm = _sigma_ops_centered(p, env)
     ops = {+1: sp, -1: sm}
-    nbar = bose_occupation(p.omega_B, env.temperature)
-    tau_max = 80.0 / (p.kappa1 * (1.0 + 2.0 * nbar))
-    gen = np.zeros((5, 5), dtype=complex)
-    gen[:4, :4] = (liou + beta * 1j * delta_m * np.eye(4)) * tau_max
-    gen[:4, 4] = (ops[beta] @ rho).reshape(4)
-    integral = tau_max * expm(gen)[:4, 4]
+    rank_one = np.abs(liou).max() * np.outer(rho, _ID2)
+    shifted = liou + beta * 1j * delta_m * np.eye(4) + rank_one
+    integral = -np.linalg.solve(shifted, (ops[beta] @ rho).reshape(4))
     return complex(ops[alpha].T.reshape(4) @ integral)

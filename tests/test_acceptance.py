@@ -18,7 +18,7 @@ EXPECTED = 12
 # The measured strings of the criteria that run the closed-form chain,
 # pinned, so that a change to a value the chain computes, or to the points
 # a criterion evaluates, shows here.  Criteria 10 and 11 go through the
-# block-LU steady state and the Padé exponential and keep their gate only.
+# block-LU steady state and the 4x4 resolvent solve and keep their gate only.
 MEASURED = {
     1: "max |g|, |Gamma|, |drive shift| = 0.00e+00",
     2: "gamma = 3.999992e-07 vs 4.0e-07, rel dev 2.00e-06",

@@ -642,7 +642,7 @@ def test_package_loads_no_scipy():
     """No SciPy module, not even the top-level package, is loaded by
     importing tlsbath, by the rate and moment scenarios, by an
     ``oracle-validate`` row (block-LU steady state), by the correlator
-    quadrature (NumPy Padé exponential) or by the whole acceptance suite."""
+    quadrature (NumPy 4x4 resolvent solve) or by the whole acceptance suite."""
     proc = subprocess.run(
         [sys.executable, "-c", _SCIPY_BOUNDARY],
         capture_output=True,

@@ -3,8 +3,6 @@ import pytest
 import scipy.linalg
 import scipy.sparse
 import scipy.sparse.linalg
-from hypothesis import example, given, settings
-from hypothesis import strategies as st
 from oracle_matrices import as_blocks, dense, reference_trace_null_vector
 
 from tlsbath import linalg
@@ -13,13 +11,12 @@ from tlsbath.linalg import (
     KernelDimensionError,
     SingularMatrixError,
     eigenvalues,
-    expm,
     expm_apply,
     null_vector,
     solve_linear,
     trace_null_vector,
 )
-from tlsbath.oracle import HilbertSpec, build_liouvillian, tls_liouvillian
+from tlsbath.oracle import HilbertSpec, build_liouvillian
 from tlsbath.rates import ModeParams
 
 
@@ -102,52 +99,6 @@ def test_expm_apply_rejects_negative_time():
     a = np.eye(2, dtype=complex)
     with pytest.raises(ValueError):
         expm_apply(a, np.ones(2), -1.0)
-
-
-@st.composite
-def _augmented_generators(draw):
-    """``[[(L + i delta) tau, x0], [0, 0]]`` as the correlator quadrature
-    builds it: ``L`` a drawn single-TLS generator, ``delta`` a detuning
-    of a few kappa_1, ``x0`` of order one, and ``tau`` such that the
-    top-left block's 1-norm is 10**u for u in [-2, 4]."""
-    kappa1 = 10.0 ** draw(st.floats(-5.0, -3.0))
-    drive = 10.0 ** draw(st.floats(-2.0, 1.0)) * kappa1 * np.exp(1j * draw(st.floats(0.0, 6.3)))
-    p = TlsParams(1.0, kappa1, draw(st.floats(0.0, 3.0)) * kappa1, drive,
-                  draw(st.floats(-3.0, 3.0)) * kappa1, (1e-8,))
-    env = BathEnvironment(temperature=draw(st.sampled_from([0.0, 0.05, 0.3])))
-    block = tls_liouvillian(p, env) + 1j * draw(st.floats(-5.0, 5.0)) * kappa1 * np.eye(4)
-    gen = np.zeros((5, 5), dtype=complex)
-    gen[:4, :4] = block * (10.0 ** draw(st.floats(-2.0, 4.0)) / np.abs(block).sum(axis=0).max())
-    parts = [draw(st.floats(-1.0, 1.0)) for _ in range(8)]
-    gen[:4, 4] = np.array(parts[:4]) + 1j * np.array(parts[4:])
-    return gen
-
-
-@settings(max_examples=200)
-@given(gen=_augmented_generators())
-@example(gen=np.zeros((5, 5), dtype=complex))
-def test_expm_matches_scipy_on_augmented_generators(gen):
-    """The Padé-13 exponential against SciPy's, to 2 ||A||_1 eps relative
-    (at least 1e-15): both carry a rounding error of about ||A||_1 eps
-    from the squarings, 1e-13 at a 1-norm of 400 and 2e-12 at 1e4."""
-    want = scipy.linalg.expm(gen)
-    tol = max(2.0 * np.abs(gen).sum(axis=0).max() * np.finfo(float).eps, 1e-15)
-    assert np.abs(expm(gen) - want).max() <= tol * np.abs(want).max()
-
-
-def test_expm_closed_forms():
-    """A diagonal generator entry by entry, at 1-norms below theta_13 and
-    far above it (eight squarings), and a nilpotent one, to the same
-    2 ||A||_1 eps; non-finite input is a typed error."""
-    diag = np.array([-3.0, 0.5j, 2.0 - 1.0j])
-    for scale in (1e-3, 1.0, 300.0):
-        a = np.diag(diag * scale)
-        tol = max(2.0 * np.abs(a).sum(axis=0).max() * np.finfo(float).eps, 1e-15)
-        assert np.allclose(expm(a), np.diag(np.exp(diag * scale)), rtol=tol, atol=0)
-    nilpotent = expm(np.array([[0.0, 7.0], [0.0, 0.0]]))
-    assert np.abs(nilpotent - [[1.0, 7.0], [0.0, 1.0]]).max() <= 2.0 * 49.0 * np.finfo(float).eps
-    with pytest.raises(ValueError, match="non-finite"):
-        expm(np.full((2, 2), np.nan))
 
 
 def test_null_vector_recovers_kernel():

@@ -4,6 +4,7 @@ import functools
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,6 +16,7 @@ from tlsbath.bath import (
     BathEnvironment,
     TlsParams,
     bloch_steady_state,
+    bose_occupation,
     correlator_integral,
     transverse_rate,
 )
@@ -26,7 +28,6 @@ from tlsbath.oracle import (
     HilbertSpec,
     bloch_correlator_numeric,
     build_liouvillian,
-    expectation,
     mode_moments,
     mode_operator,
     steady_state_autogrow,
@@ -48,7 +49,7 @@ def coherence_g1_numeric(liou, rho_ss, spec, tau_grid):
     stationary occupation.
     """
     s = mode_operator(spec)
-    occ = expectation(rho_ss, s.conj().T @ s).real
+    occ = np.trace(s.conj().T @ s @ rho_ss).real
     if occ <= 0:
         raise ValueError("coherence undefined for an unoccupied mode")
     seed = (rho_ss @ s.conj().T).reshape(-1)
@@ -386,9 +387,9 @@ def test_bloch_correlator_matches_resolvent():
 def test_bloch_correlator_at_mollow_exceptional_point(delta_m):
     """At |Omega_B| = kappa1 / 4, resonant, T = 0 and kappa2 = 0 two
     eigenvalues of the TLS Liouvillian coalesce, so a recipe that
-    diagonalizes it loses digits there (cond(V) ~ 1e8).  The augmented
-    matrix exponential inverts no eigenvector matrix and must still meet
-    the closed-form resolvent."""
+    diagonalizes it loses digits there (cond(V) ~ 1e8).  The resolvent
+    solve inverts no eigenvector matrix and must still meet the
+    closed-form resolvent."""
     p = _tls(KAPPA_1 / 4, 0.0)
     row = {+1: 0, -1: 1}
     for beta in (+1, -1):
@@ -400,8 +401,8 @@ def test_bloch_correlator_at_mollow_exceptional_point(delta_m):
 
 def test_bloch_correlator_when_inversion_decays_slowest():
     """With kappa2 >> kappa1 the inversion, at rate kappa1, outlives the
-    coherences, at kappa_t ~ 2 kappa2: a horizon of 40 / kappa_t would
-    leave exp(-2) of the longitudinal tail."""
+    coherences, at kappa_t ~ 2 kappa2, so the two parts of the integral
+    live on time scales 20 apart; the solve must resolve both."""
     p = TlsParams(1.0, 1e-5, 1e-4, 3e-5 * np.exp(0.7j), 2e-5, (1e-8,))
     row = {+1: 0, -1: 1}
     for beta in (+1, -1):
@@ -410,6 +411,53 @@ def test_bloch_correlator_when_inversion_decays_slowest():
             for alpha in (+1, -1):
                 got = bloch_correlator_numeric(p, ENV0, alpha, beta, delta_m)
                 assert got == pytest.approx(complex(ref[row[alpha]]), rel=1e-10, abs=0)
+
+
+def _correlator_by_time_domain(p, env, alpha, beta, delta_m):
+    """``integral_0^tau_max <sigma~_alpha(tau) sigma~_beta(0)> exp(beta i
+    delta_m tau) dtau`` from SciPy's exponential of the augmented generator
+    ``[[(L + beta i delta_m) tau_max, x0], [0, 0]]`` (Van Loan, IEEE Trans.
+    Autom. Control 23, 395 (1978)), with ``x0 = sigma~_beta rho``.  On
+    traceless operators ``exp(L tau)`` decays at least as ``exp(-kappa1 (1
+    + 2 nbar) tau / 2)``, so at ``tau_max = 80 / (kappa1 (1 + 2 nbar))`` the
+    dropped tail is below ``exp(-40)``."""
+    liou = oracle.tls_liouvillian(p, env)
+    rho = null_vector(liou).reshape(2, 2)
+    rho = rho / np.trace(rho)
+    sigma = {+1: np.array([[0.0, 0.0], [1.0, 0.0]]), -1: np.array([[0.0, 1.0], [0.0, 0.0]])}
+    centred = {b: op - np.trace(op @ rho) * np.eye(2) for b, op in sigma.items()}
+    tau_max = 80.0 / (p.kappa1 * (1.0 + 2.0 * bose_occupation(p.omega_B, env.temperature)))
+    gen = np.zeros((5, 5), dtype=complex)
+    gen[:4, :4] = (liou + beta * 1j * delta_m * np.eye(4)) * tau_max
+    gen[:4, 4] = (centred[beta] @ rho).reshape(4)
+    integral = tau_max * scipy.linalg.expm(gen)[:4, 4]
+    return complex(centred[alpha].T.reshape(4) @ integral)
+
+
+@pytest.mark.parametrize(
+    "p, env, delta_m",
+    [
+        (_tls(8e-5, 0.0, Delta_B=3e-5, kappa2=2e-5), BathEnvironment(temperature=0.3), 0.0),
+        (_tls(KAPPA_1 / 4, 0.0), ENV0, 3e-5),
+        (TlsParams(1.0, 1e-5, 1e-4, 3e-5 * np.exp(0.7j), 2e-5, (1e-8,)), ENV0, 1e-5),
+    ],
+    ids=["resonant-mode", "mollow-exceptional-point", "kappa2-dominant"],
+)
+def test_bloch_correlator_matches_time_domain_integral(p, env, delta_m):
+    """The Laplace sign convention, exp(+beta i delta_m tau), pinned in the
+    time domain: the resolvent solve against a propagated regression, for
+    both signs beta."""
+    for beta in SIGNS:
+        for alpha in SIGNS:
+            want = _correlator_by_time_domain(p, env, alpha, beta, delta_m)
+            got = bloch_correlator_numeric(p, env, alpha, beta, delta_m)
+            assert got == pytest.approx(want, rel=1e-10, abs=0)
+
+
+@pytest.mark.parametrize("delta_m", [np.nan, np.inf, -np.inf])
+def test_bloch_correlator_rejects_non_finite_detuning(delta_m):
+    with pytest.raises(ValueError, match="finite"):
+        bloch_correlator_numeric(_tls(1e-5, 0.0), ENV0, +1, -1, delta_m)
 
 
 @st.composite
