@@ -16,6 +16,7 @@ use SciPy, imported in their own bodies.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from typing import NamedTuple
 
@@ -41,6 +42,9 @@ PIVOT_RTOL = 1e-14
 # kernel in null_vector; trace_null_vector refuses condition estimates above
 # 1 / NULL_RTOL and relative residuals above NULL_RTOL.
 NULL_RTOL = 1e-10
+
+# Smallest normal float: the floor of a scale that must stay positive.
+_TINY = sys.float_info.min
 
 # Dense expm is cheaper than the action-only algorithm below this order.
 _EXPM_DENSE_MAX = 128
@@ -79,13 +83,23 @@ class BlockTridiagonal(NamedTuple):
         return side, side
 
 
-def _as_matrix(a, stack: bool = False) -> np.ndarray:
+def _square(a, stack: bool = False) -> np.ndarray:
     # a square matrix, or with ``stack`` a stack of them (..., n, n)
     a = np.asarray(a, dtype=complex)
     if a.ndim < 2 or (a.ndim > 2 and not stack) or a.shape[-1] != a.shape[-2]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    if not np.all(np.isfinite(a.view(float))):
+    return a
+
+
+def _check_finite(a) -> None:
+    if not np.isfinite(a.view(float)).all():
         raise ValueError("matrix contains non-finite entries")
+
+
+def _as_matrix(a, stack: bool = False) -> np.ndarray:
+    # a finite square matrix, or with ``stack`` a stack of them
+    a = _square(a, stack)
+    _check_finite(a)
     return a
 
 
@@ -167,14 +181,18 @@ def null_vector(a) -> np.ndarray:
     if the two smallest singular values both fall below
     ``1e-10 * ||a||_inf`` the kernel is degenerate, and if the smallest
     one stays above the threshold there is no numerical kernel at all;
-    both conditions raise :class:`KernelDimensionError`.
+    both conditions raise :class:`KernelDimensionError`.  A NaN or
+    infinite entry raises :class:`ValueError`.
     """
-    a = _as_matrix(a)
+    a = _square(a)
     if a.shape[0] < 2:
         raise ValueError("kernel extraction needs at least a 2x2 matrix")
-    norm = np.linalg.norm(a, np.inf)
+    norm = np.abs(a).sum(axis=1).max()
+    # a NaN or inf entry shows in the norm (so may a finite overflow)
+    if not math.isfinite(norm):
+        _check_finite(a)
     _, sing, vh = np.linalg.svd(a)
-    tol = NULL_RTOL * max(norm, np.finfo(float).tiny)
+    tol = NULL_RTOL * max(norm, _TINY)
     if sing[-1] > tol:
         raise KernelDimensionError(
             f"no numerical kernel: smallest singular value {sing[-1]:.3e} "
@@ -333,7 +351,7 @@ def trace_null_vector(a: BlockTridiagonal) -> np.ndarray:
             np.isfinite(x.view(float)).all() for x in (lower, diag, upper)
         ):
             raise ValueError("matrix contains non-finite entries")
-        scale = max((cols + head).max(), np.finfo(float).tiny)
+        scale = max((cols + head).max(), _TINY)
         trace = np.arange(d) * (d + 1)
         cols[trace] += scale
         outside = trace[trace >= b]  # u's entries, each equal to scale

@@ -9,9 +9,12 @@ the Liouvillian is held as its three block diagonals over that index; its
 steady state is one block-LU solve, and expectation values are compared
 against the adiabatic elimination.  The quadrature's 4x4 TLS generator is
 ``theta`` times six blocks built once from the same Hamiltonian and jumps,
-and its regression integral one 4x4 resolvent solve.  Nothing here
-reuses the effective-rate pipeline; the only shared code is the
-linear-algebra kernel, and none of it uses SciPy.
+and its regression integral one 4x4 resolvent solve, written on the
+4-vector ``vec(rho)`` by index: trace, Hermitian part, ``<sigma+->``,
+the seed ``sigma~_beta rho`` and the contraction are picked entries of
+it, not 2x2 operator products.  Nothing here reuses the effective-rate
+pipeline; the only shared code is the linear-algebra kernel, and none of
+it uses SciPy.
 
 Matrix vectorization is row-major throughout: ``vec(A rho B) =
 kron(A, B.T) @ vec(rho)``.
@@ -293,14 +296,9 @@ def steady_state_autogrow(
         spec = dataclasses.replace(spec, fock_dim=2 * spec.fock_dim)
 
 
-def _sigma_ops_centered(
-    p: TlsParams, env: BathEnvironment
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """TLS generator, steady state and the centred ``sigma+``, ``sigma-``."""
-    liou = tls_liouvillian(p, env)
-    rho = _normalize_density(null_vector(liou).reshape(2, 2))
-    sp_avg = _expectation(rho, _SP)
-    return liou, rho, _SP - sp_avg * _ID2, _SM - np.conj(sp_avg) * _ID2
+# Row-major vec(rho) = (rho00, rho01, rho10, rho11) in the (ground,
+# excited) basis: the Hermitian conjugate swaps the middle entries.
+_ADJOINT = np.array([0, 2, 1, 3])
 
 
 def bloch_correlator_numeric(
@@ -319,16 +317,40 @@ def bloch_correlator_numeric(
     rank-one term ``c vec(rho) tr^T`` makes the 4x4 matrix ``L + beta i
     delta_m + c vec(rho) tr^T`` nonsingular at ``delta_m = 0`` too, and
     leaves ``x`` unchanged, so ``x`` is one linear solve; ``c``, the
-    largest entry of ``|L|``, keeps that term on the scale of ``L``.  A
-    non-finite ``delta_m`` raises :class:`ValueError`.
+    largest entry of ``|L|``, keeps that term on the scale of ``L``.
+
+    Everything acts on 4-vectors, row-major ``v = (rho00, rho01, rho10,
+    rho11)`` in the (ground, excited) basis: ``tr v = v[0] + v[3]``, the
+    Hermitian conjugate swaps ``v[1]`` and ``v[2]``, and ``<sigma+> =
+    v[1]``, ``<sigma-> = v[2]``.  The kernel vector of ``L``, scaled to
+    unit trace and Hermitized, is ``vec(rho)``; ``sigma+ rho = (0, 0,
+    rho00, rho01)`` and ``sigma- rho = (rho10, rho11, 0, 0)`` give the
+    seed, and ``tr(sigma~_alpha x) = x[k] - <sigma_alpha> (x[0] + x[3])``
+    with ``k = 1`` for ``alpha = +1``, 2 for -1.  A non-finite
+    ``delta_m`` raises :class:`ValueError`.
     """
     if alpha not in (+1, -1) or beta not in (+1, -1):
         raise ValueError("alpha and beta must be +1 or -1")
     if not math.isfinite(delta_m):
         raise ValueError(f"delta_m must be finite, got {delta_m}")
-    liou, rho, sp, sm = _sigma_ops_centered(p, env)
-    ops = {+1: sp, -1: sm}
-    rank_one = np.abs(liou).max() * np.outer(rho, _ID2)
-    shifted = liou + beta * 1j * delta_m * np.eye(4) + rank_one
-    integral = -np.linalg.solve(shifted, (ops[beta] @ rho).reshape(4))
-    return complex(ops[alpha].T.reshape(4) @ integral)
+    liou = tls_liouvillian(p, env)
+    vec = null_vector(liou)
+    trace = vec[0] + vec[3]
+    if abs(trace) < 1e-12:
+        raise ArithmeticError("kernel vector carries no trace weight")
+    vec = vec / trace
+    rho = 0.5 * (vec + vec[_ADJOINT].conj())
+    rank_one = np.abs(liou).max() * rho
+    liou.flat[::5] += beta * 1j * delta_m  # the diagonal
+    liou[:, 0] += rank_one  # c vec(rho) tr^T: columns 0 and 3
+    liou[:, 3] += rank_one
+    # -x0 = <sigma_beta> rho - sigma_beta rho
+    if beta > 0:
+        rhs = rho[1] * rho
+        rhs[2:] -= rho[:2]
+    else:
+        rhs = rho[2] * rho
+        rhs[:2] -= rho[2:]
+    x = np.linalg.solve(liou, rhs)
+    k = 1 if alpha > 0 else 2
+    return complex(x[k] - rho[k] * (x[0] + x[3]))

@@ -159,6 +159,33 @@ def test_params_validation():
         BathEnvironment(temperature=-1e-3)
 
 
+_NAN = float("nan")
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: TlsParams(_NAN, 1e-4, 0.0, 1e-5, 0.0, (1e-8,)), "frequency"),
+        (lambda: TlsParams(1.0, _NAN, 0.0, 1e-5, 0.0, (1e-8,)), "kappa1"),
+        (lambda: TlsParams(1.0, np.array([1e-4, _NAN]), 0.0, 1e-5, 0.0, (1e-8,)), "kappa1"),
+        (lambda: TlsParams(1.0, 1e-4, _NAN, 1e-5, 0.0, (1e-8,)), "kappa2"),
+        (lambda: TlsParams(1.0, 1e-4, np.array([0.0, _NAN]), 1e-5, 0.0, (1e-8,)), "kappa2"),
+        (lambda: BathEnvironment(temperature=_NAN), "temperature"),
+        (lambda: bose_occupation(_NAN, 0.1), "frequency"),
+        (lambda: bose_occupation(1.0, _NAN), "temperature"),
+    ],
+    ids=[
+        "omega_B", "kappa1", "kappa1-grid", "kappa2", "kappa2-grid", "temperature",
+        "bose-frequency", "bose-temperature",
+    ],
+)
+def test_nan_parameters_are_refused(make, message):
+    """A NaN rate, frequency or temperature fails its own check, instead
+    of surfacing later as an overflow or as a finite spectrum."""
+    with pytest.raises(ValueError, match=message):
+        make()
+
+
 def test_bloch_steady_state_against_liouvillian_kernel():
     """Stationary dipole and inversion must match the 4x4 null vector."""
     rng = np.random.default_rng(42)

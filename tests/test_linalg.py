@@ -125,6 +125,16 @@ def test_null_vector_degenerate_kernel_raises():
         null_vector(a)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
+@pytest.mark.parametrize("where", [(0, 0), (2, 1)])
+def test_null_vector_rejects_non_finite_input(bad, where):
+    a = np.zeros((3, 3), dtype=complex)
+    a[0, 0] = a[1, 1] = 1.0
+    a[where] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        null_vector(a)
+
+
 def _random_hermitian(seed, n):
     x = _random_complex(np.random.default_rng(seed), (n, n))
     return x + x.conj().T

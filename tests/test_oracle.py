@@ -1,5 +1,6 @@
 """Exact small-dimension reference dynamics and its cross-checks."""
 
+import dataclasses
 import functools
 
 import numpy as np
@@ -487,6 +488,86 @@ def test_bloch_correlator_matches_resolvent_property(point):
         want = ref[b, :2]
         got = [bloch_correlator_numeric(p, env, alpha, beta, delta_m) for alpha in SIGNS]
         assert np.abs(got - want).max() <= 1e-9 * np.abs(want).max()
+
+
+def _correlator_by_operators(p, env, alpha, beta, delta_m):
+    """The same resolvent solve, written with 2x2 operators: the centred
+    ``sigma~_+-`` from ``<sigma+> = tr(sigma+ rho)``, the seed
+    ``sigma~_beta rho`` as a matrix product, the rank-one term as
+    ``outer(vec(rho), vec(1))`` and the contraction as ``tr(sigma~_alpha
+    x)``.  It shares only the generator and its kernel vector with the
+    vec-form indices it checks."""
+    liou = oracle.tls_liouvillian(p, env)
+    rho = null_vector(liou).reshape(2, 2)
+    rho = rho / np.trace(rho)
+    rho = 0.5 * (rho + rho.conj().T)
+    sp = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)
+    sp_avg = np.trace(sp @ rho)
+    ops = {+1: sp - sp_avg * np.eye(2), -1: sp.conj().T - np.conj(sp_avg) * np.eye(2)}
+    rank_one = np.abs(liou).max() * np.outer(rho, np.eye(2))
+    shifted = liou + beta * 1j * delta_m * np.eye(4) + rank_one
+    integral = -np.linalg.solve(shifted, (ops[beta] @ rho).reshape(4))
+    return complex(np.trace(ops[alpha] @ integral.reshape(2, 2)))
+
+
+def _assert_matches_operator_algebra(p, env, delta_m):
+    for beta in SIGNS:
+        for alpha in SIGNS:
+            want = _correlator_by_operators(p, env, alpha, beta, delta_m)
+            got = bloch_correlator_numeric(p, env, alpha, beta, delta_m)
+            assert abs(got - want) <= 1e-14 * abs(want)
+
+
+@settings(max_examples=100)
+@given(point=_criterion_11_points(), resonant=st.booleans())
+def test_bloch_correlator_matches_operator_algebra(point, resonant):
+    p, env, delta_m = point
+    _assert_matches_operator_algebra(p, env, 0.0 if resonant else delta_m)
+
+
+@pytest.mark.parametrize(
+    "p, delta_m",
+    [
+        (_tls(KAPPA_1 / 4, 0.0), 0.0),
+        (_tls(KAPPA_1 / 4, 0.0), 3e-5),
+        (TlsParams(1.0, 1e-5, 1e-4, 3e-5 * np.exp(0.7j), 2e-5, (1e-8,)), 0.0),
+        (TlsParams(1.0, 1e-5, 1e-4, 3e-5 * np.exp(0.7j), 2e-5, (1e-8,)), 1e-5),
+    ],
+    ids=["mollow-resonant", "mollow-detuned", "kappa2-dominant-resonant", "kappa2-dominant-detuned"],
+)
+def test_bloch_correlator_matches_operator_algebra_at_hard_points(p, delta_m):
+    """The Mollow exceptional point and kappa2 >> kappa1, as in the
+    resolvent tests above."""
+    _assert_matches_operator_algebra(p, ENV0, delta_m)
+
+
+@settings(max_examples=50)
+@given(point=_criterion_11_points(), phi=st.floats(-np.pi, np.pi))
+def test_bloch_correlator_drive_phase_covariance(point, phi):
+    """Omega_B -> Omega_B exp(i phi) is the frame change sigma+- ->
+    sigma+- exp(-+i phi), so component (alpha, beta) picks up exp(-i
+    (alpha + beta) phi).  The resolvent is not consulted, so this pins
+    the vec-form indices of <sigma+->, the seed and the contraction on
+    their own."""
+    p, env, delta_m = point
+    turned = dataclasses.replace(p, Omega_B=p.Omega_B * np.exp(1j * phi))
+    want = np.array([
+        bloch_correlator_numeric(p, env, alpha, beta, delta_m) * np.exp(-1j * (alpha + beta) * phi)
+        for alpha in SIGNS for beta in SIGNS
+    ])
+    got = np.array([
+        bloch_correlator_numeric(turned, env, alpha, beta, delta_m)
+        for alpha in SIGNS for beta in SIGNS
+    ])
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_bloch_correlator_refuses_a_traceless_kernel_vector(monkeypatch):
+    """A kernel vector without trace weight cannot be scaled to a state."""
+    traceless = np.array([1.0, 0.3, 0.3, -1.0], dtype=complex) / 2.0
+    monkeypatch.setattr(oracle, "null_vector", lambda liou: traceless)
+    with pytest.raises(ArithmeticError, match="no trace weight"):
+        bloch_correlator_numeric(_tls(1e-5, 0.0), ENV0, +1, -1, 0.0)
 
 
 def test_bloch_correlator_rejects_bad_sign():
