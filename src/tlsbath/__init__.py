@@ -15,14 +15,20 @@ The package is organized bottom-up:
   small Hilbert dimension.
 - :mod:`tlsbath.config` / :mod:`tlsbath.sweeps` / :mod:`tlsbath.cli`:
   scenario configuration, sweep execution, serialization, command line.
-- :mod:`tlsbath.validation`: the acceptance checks, runnable from code,
-  pytest, or the CLI.
+- :mod:`tlsbath.validation`: the acceptance checks
+  (``tlsbath.validation.validate_all``), runnable from code, pytest, or
+  the CLI.
 
-Every module is imported with the package, and all of it runs on NumPy
-alone: no SciPy module loads, not even in the exact oracle or the
-acceptance checks.  Only ``linalg.solve_linear`` and ``linalg.expm_apply``,
-the generic references that tests and benchmark traces use, import SciPy
-when they are called.
+``import tlsbath`` imports every module above except ``validation`` and
+``cli``, which load on first use (``tlsbath validate-all`` imports the
+suite when it runs), as do :mod:`configparser` for an INI file and
+:mod:`json` for JSON output.  The other modules stay eager: the
+benchmark's traced run wraps their functions by reading
+``sys.modules["tlsbath.<module>"]`` after a bare ``import tlsbath``.
+All of it runs on NumPy alone: no SciPy module loads, not even in the
+exact oracle or the acceptance checks.  Only ``linalg.solve_linear`` and
+``linalg.expm_apply``, the generic references that tests and benchmark
+traces use, import SciPy when they are called.
 """
 
 __version__ = "0.1.0"
@@ -96,4 +102,3 @@ from .sweeps import (
     run_scenario,
     write_result,
 )
-from .validation import CriterionResult, ValidationReport, validate_all

@@ -27,6 +27,7 @@ Units: hbar = k_B = 1 throughout; rates and frequencies share the same unit.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -54,6 +55,11 @@ __all__ = [
 SIGNS = (+1, -1)
 # i times the signs, for the exponent s = i beta delta_m
 _SIGNS_I = np.array(SIGNS) * 1j
+
+
+def _finite(x) -> bool:
+    # NaN fails too.  A scalar costs no NumPy call; a grid one reduction.
+    return cmath.isfinite(x) if np.isscalar(x) else bool(np.isfinite(x).all())
 
 
 @dataclass(frozen=True)
@@ -97,8 +103,12 @@ class TlsParams:
             raise ValueError("TLS relaxation rate kappa1 must be positive")
         if not np.asarray(self.kappa2).min(initial=0) >= 0:
             raise ValueError("pure dephasing kappa2 must be nonnegative")
+        if not _finite(self.Delta_B):
+            raise ValueError("TLS detuning Delta_B must be finite")
         drive = self.Omega_B
         drive = complex(drive) if np.isscalar(drive) else np.asarray(drive, dtype=complex)
+        if not _finite(drive):
+            raise ValueError("TLS drive Omega_B must be finite")
         object.__setattr__(self, "Omega_B", drive)
         object.__setattr__(self, "couplings", tuple(map(complex, self.couplings)))
 

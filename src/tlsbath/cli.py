@@ -20,7 +20,6 @@ from .config import ConfigError, load_config
 from .oracle import DimensionCapError
 from .rates import BelowThresholdError
 from .sweeps import SCENARIOS, SweepResult, rates_at, run_scenario, write_result
-from .validation import report_rows, validate_all
 from .config import resolved_items
 
 EXIT_OK = 0
@@ -140,6 +139,9 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_validate(args) -> int:
+    # the suite loads only for this command
+    from .validation import report_rows, validate_all
+
     cfg = load_config(args.config, args.overrides)
     report = validate_all(cfg)
     for line in report.lines():

@@ -59,7 +59,6 @@ parsers; the last value given for a key wins, whatever its case.
 
 from __future__ import annotations
 
-import configparser
 import dataclasses
 import math
 from dataclasses import dataclass
@@ -332,6 +331,8 @@ def _read_ini(text: str) -> list:
     """The ``(section, key, value)`` entries of INI text, in file order.
     No section is configparser's shared default section, so a
     ``[DEFAULT]`` header is an unknown section like any other."""
+    import configparser  # only an INI file needs it
+
     parser = configparser.ConfigParser(
         interpolation=None, inline_comment_prefixes=(";", "#"), default_section=""
     )

@@ -92,7 +92,7 @@ def _square(a, stack: bool = False) -> np.ndarray:
 
 
 def _check_finite(a) -> None:
-    if not np.isfinite(a.view(float)).all():
+    if not np.isfinite(a).all():  # both parts; any memory layout
         raise ValueError("matrix contains non-finite entries")
 
 
@@ -182,15 +182,23 @@ def null_vector(a) -> np.ndarray:
     ``1e-10 * ||a||_inf`` the kernel is degenerate, and if the smallest
     one stays above the threshold there is no numerical kernel at all;
     both conditions raise :class:`KernelDimensionError`.  A NaN or
-    infinite entry raises :class:`ValueError`.
+    infinite entry raises :class:`ValueError`.  The kernel and both
+    checks are scale-invariant, so ``a`` is first scaled by a power of
+    two to a largest entry below 1: a finite matrix near the overflow
+    threshold has a finite norm.  The singular values and the threshold
+    that an error message quotes are those of the scaled matrix.
     """
     a = _square(a)
     if a.shape[0] < 2:
         raise ValueError("kernel extraction needs at least a 2x2 matrix")
-    norm = np.abs(a).sum(axis=1).max()
-    # a NaN or inf entry shows in the norm (so may a finite overflow)
-    if not math.isfinite(norm):
+    peak = np.abs(a).max()
+    if not math.isfinite(peak):
+        # a NaN or inf entry, or finite parts whose modulus overflows
         _check_finite(a)
+        peak = max(np.abs(a.real).max(), np.abs(a.imag).max())
+    # 2**-e is exact; its exponent stays inside the normal range
+    a = a * math.ldexp(1.0, -max(math.frexp(peak)[1], -1022))
+    norm = np.abs(a).sum(axis=1).max()
     _, sing, vh = np.linalg.svd(a)
     tol = NULL_RTOL * max(norm, _TINY)
     if sing[-1] > tol:

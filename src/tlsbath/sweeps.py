@@ -42,7 +42,6 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-import json
 import math
 import re
 import sys
@@ -438,6 +437,8 @@ def render_csv(result: SweepResult) -> str:
 
 
 def render_json(result: SweepResult) -> str:
+    import json  # only JSON output needs it
+
     payload = {
         "artifact": "tlsbath",
         "version": __version__,

@@ -170,18 +170,26 @@ _NAN = float("nan")
         (lambda: TlsParams(1.0, np.array([1e-4, _NAN]), 0.0, 1e-5, 0.0, (1e-8,)), "kappa1"),
         (lambda: TlsParams(1.0, 1e-4, _NAN, 1e-5, 0.0, (1e-8,)), "kappa2"),
         (lambda: TlsParams(1.0, 1e-4, np.array([0.0, _NAN]), 1e-5, 0.0, (1e-8,)), "kappa2"),
+        (lambda: TlsParams(1.0, 1e-4, 0.0, 1e-5, _NAN, (1e-8,)), "Delta_B"),
+        (lambda: TlsParams(1.0, 1e-4, 0.0, 1e-5, -math.inf, (1e-8,)), "Delta_B"),
+        (lambda: TlsParams(1.0, 1e-4, 0.0, 1e-5, np.array([0.0, _NAN]), (1e-8,)), "Delta_B"),
+        (lambda: TlsParams(1.0, 1e-4, 0.0, _NAN, 0.0, (1e-8,)), "Omega_B"),
+        (lambda: TlsParams(1.0, 1e-4, 0.0, complex(1e-5, math.inf), 0.0, (1e-8,)), "Omega_B"),
+        (lambda: TlsParams(1.0, 1e-4, 0.0, np.array([1e-5, _NAN]), 0.0, (1e-8,)), "Omega_B"),
         (lambda: BathEnvironment(temperature=_NAN), "temperature"),
         (lambda: bose_occupation(_NAN, 0.1), "frequency"),
         (lambda: bose_occupation(1.0, _NAN), "temperature"),
     ],
     ids=[
-        "omega_B", "kappa1", "kappa1-grid", "kappa2", "kappa2-grid", "temperature",
-        "bose-frequency", "bose-temperature",
+        "omega_B", "kappa1", "kappa1-grid", "kappa2", "kappa2-grid", "Delta_B",
+        "Delta_B-inf", "Delta_B-grid", "Omega_B", "Omega_B-inf", "Omega_B-grid",
+        "temperature", "bose-frequency", "bose-temperature",
     ],
 )
 def test_nan_parameters_are_refused(make, message):
-    """A NaN rate, frequency or temperature fails its own check, instead
-    of surfacing later as an overflow or as a finite spectrum."""
+    """A NaN rate, frequency or temperature, or a NaN or infinite detuning
+    or drive, fails its own check, instead of surfacing later as an
+    overflow, a NaN Bloch vector or a finite spectrum."""
     with pytest.raises(ValueError, match=message):
         make()
 

@@ -541,7 +541,6 @@ def test_validate_all_reports_failure_exit(monkeypatch, capsys):
     monkeypatch.setattr(
         validation, "validate_all", lambda cfg=None: ValidationReport((fail,))
     )
-    monkeypatch.setattr(cli, "validate_all", validation.validate_all)
     code, out, err = _run(capsys, "validate-all")
     assert code == cli.EXIT_VALIDATION
     assert "[FAIL] 01" in out
@@ -558,7 +557,7 @@ def test_validate_all_success_path(monkeypatch, tmp_path, capsys):
         runtime=0.02,
         budget=5.0,
     )
-    monkeypatch.setattr(cli, "validate_all", lambda cfg=None: ValidationReport((ok,)))
+    monkeypatch.setattr(validation, "validate_all", lambda cfg=None: ValidationReport((ok,)))
     out = tmp_path / "report.csv"
     code, text, _ = _run(capsys, "validate-all", "--out", str(out))
     assert code == 0
@@ -579,7 +578,7 @@ def test_validate_all_honours_output_path(monkeypatch, tmp_path, capsys):
         tolerance="rel < 1e-4",
         runtime=0.02,
     )
-    monkeypatch.setattr(cli, "validate_all", lambda cfg=None: ValidationReport((ok,)))
+    monkeypatch.setattr(validation, "validate_all", lambda cfg=None: ValidationReport((ok,)))
     out = tmp_path / "report.json"
     code, text, _ = _run(
         capsys, "validate-all", "--set", f"output.path={out}", "--set", "output.format=json"
@@ -636,6 +635,39 @@ print(scipy_modules())
 print(validate_all().all_passed)
 print(scipy_modules())
 """
+
+
+# `import tlsbath` and a rendered CSV scenario leave out the acceptance
+# suite, the command line and the parsers only an INI file or JSON output
+# needs; each loads when its first caller runs.
+_LAZY_BOUNDARY = """
+import sys
+import tlsbath
+from tlsbath.config import load_config
+from tlsbath.sweeps import render_csv, render_json, run_scenario
+
+LAZY = ("tlsbath.validation", "tlsbath.cli", "configparser", "json")
+result = run_scenario("steady-state", load_config(overrides=["sweep.count=3"]))
+render_csv(result)
+print([m for m in LAZY if m in sys.modules])
+print(render_json(result).startswith("{"))
+print(load_config(path=sys.argv[1]).n_tls)
+import tlsbath.validation
+print(tlsbath.validation.validate_all().all_passed)
+"""
+
+
+def test_package_import_leaves_out_unused_modules(tmp_path):
+    ini = tmp_path / "bath.ini"
+    ini.write_text("[bath]\nN = 7\n", encoding="utf-8")
+    proc = subprocess.run(
+        [sys.executable, "-c", _LAZY_BOUNDARY, str(ini)],
+        capture_output=True,
+        text=True,
+        check=False,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["[]", "True", "7.0", "True"]
 
 
 def test_package_loads_no_scipy():

@@ -125,6 +125,26 @@ def test_null_vector_degenerate_kernel_raises():
         null_vector(a)
 
 
+@pytest.mark.parametrize("entry", [1e308, 1.5e308 * (1 + 1j), 1e-320])
+def test_null_vector_at_the_ends_of_the_float_range(entry):
+    """A finite matrix whose row sum (or entry modulus) overflows, or whose
+    entries are subnormal, keeps its one-dimensional kernel."""
+    # a transposed view: a complex one reaches null_vector not C-contiguous
+    v = null_vector(np.array([[entry, 0.0], [entry, 0.0]]).T)
+    want = np.array([1.0, -1.0]) / np.sqrt(2.0)
+    assert abs(abs(v @ want) - 1.0) < 1e-12
+
+
+def test_kernel_accepts_a_transposed_complex_matrix():
+    """A complex view that is not C-contiguous is checked and solved like
+    its contiguous copy."""
+    m = _random_complex(np.random.default_rng(5), (3, 3)).T
+    c = np.ascontiguousarray(m)
+    assert not m.flags["C_CONTIGUOUS"]
+    assert np.array_equal(eigenvalues(m), eigenvalues(c))
+    assert np.array_equal(solve_linear(m, np.ones(3)), solve_linear(c, np.ones(3)))
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
 @pytest.mark.parametrize("where", [(0, 0), (2, 1)])
 def test_null_vector_rejects_non_finite_input(bad, where):
