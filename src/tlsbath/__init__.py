@@ -35,9 +35,7 @@ __version__ = "0.1.0"
 
 from .bath import (
     BathEnvironment,
-    BlochSteadyState,
     TlsParams,
-    bloch_steady_state,
     bose_occupation,
     build_psd_table,
     correlator_integral,
@@ -79,7 +77,6 @@ from .rates import (
     ModeParams,
     SingleModeRates,
     assemble_rates,
-    effective_driving,
     low_drive_limits,
     mollow_sideband,
     optimal_detuning,

@@ -36,11 +36,9 @@ import numpy as np
 __all__ = [
     "TlsParams",
     "BathEnvironment",
-    "BlochSteadyState",
     "bose_occupation",
     "transverse_rate",
     "saturation",
-    "bloch_steady_state",
     "correlator_integral",
     "dipole_drive",
     "psd",
@@ -99,10 +97,10 @@ class TlsParams:
         # capped by an ``initial`` that passes, so an empty grid passes.
         if not self.omega_B > 0:
             raise ValueError("TLS transition frequency must be positive")
-        if not np.asarray(self.kappa1).min(initial=1) > 0:
-            raise ValueError("TLS relaxation rate kappa1 must be positive")
-        if not np.asarray(self.kappa2).min(initial=0) >= 0:
-            raise ValueError("pure dephasing kappa2 must be nonnegative")
+        if not (_finite(self.kappa1) and np.asarray(self.kappa1).min(initial=1) > 0):
+            raise ValueError("TLS relaxation rate kappa1 must be positive and finite")
+        if not (_finite(self.kappa2) and np.asarray(self.kappa2).min(initial=0) >= 0):
+            raise ValueError("pure dephasing kappa2 must be nonnegative and finite")
         if not _finite(self.Delta_B):
             raise ValueError("TLS detuning Delta_B must be finite")
         drive = self.Omega_B
@@ -110,7 +108,10 @@ class TlsParams:
         if not _finite(drive):
             raise ValueError("TLS drive Omega_B must be finite")
         object.__setattr__(self, "Omega_B", drive)
-        object.__setattr__(self, "couplings", tuple(map(complex, self.couplings)))
+        couplings = tuple(map(complex, self.couplings))
+        if not all(map(cmath.isfinite, couplings)):
+            raise ValueError("TLS couplings must be finite")
+        object.__setattr__(self, "couplings", couplings)
 
     @property
     def grid_shape(self) -> tuple:
@@ -128,16 +129,8 @@ class BathEnvironment:
     temperature: float = 0.0
 
     def __post_init__(self):
-        if not self.temperature >= 0:  # NaN fails too
-            raise ValueError("temperature must be nonnegative")
-
-
-@dataclass(frozen=True)
-class BlochSteadyState:
-    """Stationary Bloch vector of a single driven TLS."""
-
-    sigma_plus: complex
-    sigma_z: float
+        if not 0 <= self.temperature < math.inf:  # NaN fails too
+            raise ValueError("temperature must be nonnegative and finite")
 
 
 def bose_occupation(omega: float, temperature: float) -> float:
@@ -147,8 +140,8 @@ def bose_occupation(omega: float, temperature: float) -> float:
     """
     if not omega > 0:  # NaN fails each check
         raise ValueError("frequency must be positive")
-    if not temperature >= 0:
-        raise ValueError("temperature must be nonnegative")
+    if not 0 <= temperature < math.inf:
+        raise ValueError("temperature must be nonnegative and finite")
     if temperature == 0.0:
         return 0.0
     x = omega / temperature
@@ -201,14 +194,22 @@ def _named(index) -> str:
 
 
 def _statics(p: TlsParams, env: BathEnvironment):
-    """``(kappa_t, nbar, unit, drive, |drive|^2, BlochSteadyState, s)``
-    over the grid of ``p``, read by :func:`bloch_steady_state`,
-    :func:`saturation` and the resolvent.  ``unit`` is the power of two
-    that brings the largest of kappa_t, ``|Delta_B|`` and ``|Omega_B|``
-    into ``[1, 2)``: dividing by it rounds nothing.  ``drive`` is Omega_B
-    in that unit.  Everything is real arithmetic, which rounds a grid and
-    a single TLS alike.  The caller holds the floating-point error state:
-    an overflow leaves inf."""
+    """``(kappa_t, nbar, unit, drive, |drive|^2, sigma+, sigma_z, s)``
+    over the grid of ``p``, read by :func:`saturation`, :func:`dipole_drive`
+    and the resolvent.  ``unit`` is the power of two that brings the
+    largest of kappa_t, ``|Delta_B|`` and ``|Omega_B|`` into ``[1, 2)``:
+    dividing by it rounds nothing.  ``drive`` is Omega_B in that unit.
+    Everything is real arithmetic, which rounds a grid and a single TLS
+    alike.  The caller holds the floating-point error state: an overflow
+    leaves inf.
+
+    ``sigma+`` and ``sigma_z`` are the stationary point of the driven,
+    damped Bloch equations.  ``sigma+ = -Omega_B* (Delta_B - i kappa_t) /
+    (2 [(kappa_t^2 + Delta_B^2) (1 + 2 nbar) + (kappa_t / kappa1)
+    |Omega_B|^2])``, formed in ``unit``, never overflows.  ``sigma_z = -1 /
+    (1 + 2 nbar + s)`` keeps the rounding that the weak-drive cancellation
+    in ``(1 + sigma_z)/2 - |sigma+|^2`` passes on to the spectra; where
+    ``s`` overflows it is -0."""
     kt = transverse_rate(p, env)
     nbar = bose_occupation(p.omega_B, env.temperature)
     ob = p.Omega_B
@@ -225,8 +226,7 @@ def _statics(p: TlsParams, env: BathEnvironment):
     den = 2.0 * (lorentz * (1.0 + 2.0 * nbar) + pump)
     # -conj(drive) (d - i k) / den
     sigma_plus = _complex((di * k - dr * d) / den, (dr * k + di * d) / den)
-    state = BlochSteadyState(sigma_plus=sigma_plus, sigma_z=-1.0 / (1.0 + 2.0 * nbar + s))
-    return kt, nbar, unit, drive, drive2, state, s
+    return kt, nbar, unit, drive, drive2, sigma_plus, -1.0 / (1.0 + 2.0 * nbar + s), s
 
 
 def saturation(p: TlsParams, env: BathEnvironment):
@@ -234,11 +234,11 @@ def saturation(p: TlsParams, env: BathEnvironment):
 
     Zero without drive, unity at the knee where the drive starts to bleach
     the TLS response, large when the transition is fully saturated.
-    Formed in the power-of-two unit of :func:`bloch_steady_state`, so
-    it raises :class:`OverflowError` only when it exceeds the float range.
+    Formed in the power-of-two unit of the Bloch statics, so it raises
+    :class:`OverflowError` only when it exceeds the float range.
     """
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        s = _statics(p, env)[6]
+        s = _statics(p, env)[7]
     bad = ~np.isfinite(s)
     if bad.any():
         index = _first(bad)
@@ -247,32 +247,18 @@ def saturation(p: TlsParams, env: BathEnvironment):
     return s
 
 
-def bloch_steady_state(p: TlsParams, env: BathEnvironment) -> BlochSteadyState:
-    """Stationary point of the driven, damped Bloch equations, over the
-    grid of ``p``.
-
-    ``sigma+ = -Omega_B* (Delta_B - i kappa_t) / (2 [(kappa_t^2 + Delta_B^2)
-    (1 + 2 nbar) + (kappa_t / kappa1) |Omega_B|^2])``, in units of the power
-    of two that brings the largest rate or drive into ``[1, 2)`` (rounding
-    nothing), never overflows.  ``sigma_z = -1 / (1 + 2 nbar + s)`` keeps the
-    rounding that the weak-drive cancellation in ``(1 + sigma_z)/2 -
-    |sigma+|^2`` passes on to the spectra; where ``s`` overflows it is -0.
-    """
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        return _statics(p, env)[5]
-
-
-def same_time_correlators(state: BlochSteadyState) -> np.ndarray:
-    """Equal-time correlators of the centered Bloch operators.
+def same_time_correlators(sigma_plus, sigma_z) -> np.ndarray:
+    """Equal-time correlators of the centered Bloch operators in the
+    stationary state ``sigma_plus``, ``sigma_z``.
 
     Returns ``c[b, row] = <sigma~_row sigma~_beta>`` of shape ``(2, 3)``
-    plus the grid shape of ``state``, sign first: ``b`` is the position in
+    plus the grid shape of the state, sign first: ``b`` is the position in
     ``SIGNS`` of the fluctuation beta on the right (0 raising, 1 lowering)
     and ``row`` runs over (raising, lowering, inversion).  Obtained from
     the Pauli algebra with the stationary single-operator averages
     subtracted.
     """
-    sp, sz = state.sigma_plus, state.sigma_z
+    sp, sz = sigma_plus, sigma_z
     mean = np.array([sp, sp.conjugate(), sz], dtype=complex)
     # <sigma_vec sigma_beta>: the squares of sigma+ and sigma- vanish,
     # sigma+ sigma- = (1 + sz)/2, sigma- sigma+ = (1 - sz)/2, sz sigma+- = +-sigma+-
@@ -316,11 +302,11 @@ def correlator_integral(p: TlsParams, env: BathEnvironment, delta_m) -> np.ndarr
     the table, it runs under the caller's ``np.errstate``: inputs that
     overflow warn before the :class:`OverflowError`.
     """
-    kt, nbar, unit, ob, ob2, state, _ = _statics(p, env)
+    kt, nbar, unit, ob, ob2, sigma_plus, sigma_z, _ = _statics(p, env)
     delta_m = np.asarray(delta_m, dtype=float)
     # (sign, grid) arrays: the grid of p aligns with the last axes of delta_m
     grid = (1,) * (delta_m.ndim - unit.ndim) + unit.shape
-    c = same_time_correlators(state).reshape((2, 3) + grid)
+    c = same_time_correlators(sigma_plus, sigma_z).reshape((2, 3) + grid)
     c1, c2, c3 = c[:, 0], c[:, 1], c[:, 2]
     oc = ob.conjugate()
     s = _SIGNS_I.reshape((2,) + (1,) * max(delta_m.ndim, unit.ndim)) * delta_m / unit
@@ -376,7 +362,7 @@ def dipole_drive(tls_list, env: BathEnvironment, n_modes: int, counts=None) -> n
     # an overflow leaves inf or NaN, with no warning, for the caller to raise
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for p, weight in _grouped(tls_list, counts, n_modes):
-            sigma_plus = _statics(p, env)[5].sigma_plus
+            sigma_plus = _statics(p, env)[5]
             out = out + weight * np.array(p.couplings) * sigma_plus[..., None]
     return out
 

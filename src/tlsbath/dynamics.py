@@ -119,8 +119,8 @@ def build_moment_system(rates: SingleModeRates, gamma0) -> MomentSystem:
     rates and ``gamma0`` may be arrays that broadcast to a grid.
     """
     gamma0 = np.asarray(gamma0, dtype=float)
-    if np.any(gamma0 < 0):
-        raise ValueError("gamma0 must be nonnegative")
+    if not (np.isfinite(gamma0).all() and (gamma0 >= 0).all()):
+        raise ValueError("gamma0 must be nonnegative and finite")
     return MomentSystem(
         rates=rates,
         gamma0=gamma0[()],

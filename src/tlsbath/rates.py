@@ -15,19 +15,19 @@ arrays over a grid, which then leads every rate.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .bath import BathEnvironment, _first, _named, build_psd_table, dipole_drive
+from .bath import BathEnvironment, _finite, _first, _named, build_psd_table, dipole_drive
 
 __all__ = [
     "ModeParams",
     "MasterEqRates",
     "SingleModeRates",
     "BelowThresholdError",
-    "effective_driving",
     "assemble_rates",
     "single_mode_rates",
     "resonant_closed_form",
@@ -50,9 +50,15 @@ class ModeParams:
     Omega: complex = 0.0
 
     def __post_init__(self):
-        if self.gamma0 < 0:
-            raise ValueError("intrinsic mode linewidth must be nonnegative")
-        object.__setattr__(self, "Omega", complex(self.Omega))
+        # each check fails on NaN
+        if not _finite(self.detuning):
+            raise ValueError("mode detuning must be finite")
+        if not 0 <= self.gamma0 < math.inf:
+            raise ValueError("intrinsic mode linewidth gamma0 must be nonnegative and finite")
+        drive = complex(self.Omega)
+        if not cmath.isfinite(drive):
+            raise ValueError("mode drive Omega must be finite")
+        object.__setattr__(self, "Omega", drive)
 
 
 @dataclass(frozen=True, eq=False)
@@ -94,20 +100,6 @@ class SingleModeRates:
         return self.gamma_minus - self.gamma_plus
 
 
-def effective_driving(
-    modes, tls_list, env: BathEnvironment, counts=None
-) -> np.ndarray:
-    """Coherent drive on each mode including the stationary TLS dipoles.
-
-    The bare mode drives plus :func:`~tlsbath.bath.dipole_drive`, the
-    stationary TLS raising amplitudes weighted by their couplings; without
-    TLS drive the bare mode drives are returned unchanged.  Modes are the
-    last axis, after the grid of the bath.
-    """
-    bare = np.array([complex(m.Omega) for m in modes], dtype=complex)
-    return bare + dipole_drive(tls_list, env, len(bare), counts)
-
-
 def _adjoint(mat: np.ndarray) -> np.ndarray:
     return mat.swapaxes(-1, -2).conj()
 
@@ -139,7 +131,9 @@ def assemble_rates(
     modes = list(modes)
     detunings = tuple(m.detuning for m in modes)
     table = build_psd_table(tls_list, env, detunings, counts=counts)
-    omega_prime = effective_driving(modes, tls_list, env, counts=counts)
+    # the bare mode drives plus the stationary TLS dipoles, modes last
+    bare = np.array([complex(m.Omega) for m in modes], dtype=complex)
+    omega_prime = bare + dipole_drive(tls_list, env, len(bare), counts)
     _check_finite(table, "spectral-density table", (-4, -3, -2, -1))
     _check_finite(omega_prime, "effective drive", -1)
     # pm is the (alpha, beta) = (+1, -1) block, and so on (see bath.SIGNS)

@@ -11,6 +11,7 @@ import pytest
 from test_grid import _assert_round_trip
 
 from tlsbath import sweeps, validation
+from tlsbath.config import resolve
 from tlsbath.validation import report_rows, validate_all
 
 EXPECTED = 12
@@ -66,6 +67,50 @@ def test_measured_is_pinned(report, number):
 def test_overall_verdict(report):
     assert report.all_passed
     assert len(report.lines()) == EXPECTED
+
+
+# The criteria that carry a wall-clock budget, and the rest.
+BUDGETED = (1, 2, 4, 8, 10, 11)
+UNBUDGETED = (3, 5, 6, 7, 9, 12)
+
+
+def test_dimension_cap_skips_the_oracle_criterion():
+    """A cap too small for the oracle's Fock space is a skip with its
+    reason, keeps the criterion's budget, and fails the suite."""
+    report = validate_all(resolve({"oracle": {"dim_cap": "16"}}))
+    result = report.results[9]
+    assert (result.number, result.status, result.budget) == (10, "skip", 60.0)
+    assert result.measured.startswith("dimension cap:")
+    assert "[SKIP] 10 oracle-equivalence" in result.line()
+    assert not report.all_passed
+
+
+class _SlowClock:
+    """A stand-in for the ``time`` module whose clock moves 100 s a read."""
+
+    def __init__(self):
+        self.now = 0.0
+
+    def perf_counter(self):
+        self.now += 100.0
+        return self.now
+
+
+def test_budget_overrun_fails_only_budgeted_criteria(monkeypatch):
+    """Every criterion is timed: past its budget it fails with the
+    overrun appended to what it measured; without a budget it passes."""
+    monkeypatch.setattr(validation, "time", _SlowClock())
+    results = {r.number: r for r in validate_all().results}
+    for number in BUDGETED:
+        r = results[number]
+        assert r.status == "fail", r.line()
+        assert r.runtime == 100.0
+        assert r.measured.endswith("; runtime 100.00s exceeded budget"), r.line()
+    for number in UNBUDGETED:
+        r = results[number]
+        assert r.status == "pass" and r.budget is None, r.line()
+        assert "exceeded budget" not in r.measured
+    assert results[12].measured == MEASURED[12]
 
 
 def test_report_table_round_trips(report):

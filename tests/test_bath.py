@@ -14,7 +14,6 @@ from tlsbath.bath import (
     SIGNS,
     BathEnvironment,
     TlsParams,
-    bloch_steady_state,
     bose_occupation,
     build_psd_table,
     correlator_integral,
@@ -23,10 +22,20 @@ from tlsbath.bath import (
     saturation,
     transverse_rate,
 )
+from tlsbath.dynamics import build_moment_system
 from tlsbath.linalg import null_vector
 from tlsbath.oracle import tls_liouvillian
+from tlsbath.rates import ModeParams, SingleModeRates
 
 ENV0 = BathEnvironment(temperature=0.0)
+_ZERO_RATES = SingleModeRates(0.0, 0j, 0.0, 0j, 0.0, 0.0, 0j)
+
+
+def bloch_state(p, env):
+    """The stationary ``(sigma+, sigma_z)`` of ``p``, as the spectral
+    densities and the dipole drive read them."""
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        return bath._statics(p, env)[5:7]
 
 
 def bloch_matrix(p, env):
@@ -179,17 +188,36 @@ _NAN = float("nan")
         (lambda: BathEnvironment(temperature=_NAN), "temperature"),
         (lambda: bose_occupation(_NAN, 0.1), "frequency"),
         (lambda: bose_occupation(1.0, _NAN), "temperature"),
+        (lambda: TlsParams(1.0, math.inf, 0.0, 1e-5, 0.0, (1e-8,)), "kappa1"),
+        (lambda: TlsParams(1.0, np.array([1e-4, math.inf]), 0.0, 1e-5, 0.0, (1e-8,)), "kappa1"),
+        (lambda: TlsParams(1.0, 1e-4, math.inf, 1e-5, 0.0, (1e-8,)), "kappa2"),
+        (lambda: TlsParams(1.0, 1e-4, 0.0, 1e-5, 0.0, (_NAN,)), "couplings"),
+        (lambda: TlsParams(1.0, 1e-4, 0.0, 1e-5, 0.0, (1e-8, complex(0, math.inf))), "couplings"),
+        (lambda: BathEnvironment(temperature=math.inf), "temperature"),
+        (lambda: bose_occupation(1.0, math.inf), "temperature"),
+        (lambda: ModeParams(detuning=_NAN, gamma0=1e-7), "detuning"),
+        (lambda: ModeParams(detuning=math.inf, gamma0=1e-7), "detuning"),
+        (lambda: ModeParams(detuning=np.array([0.0, -math.inf]), gamma0=1e-7), "detuning"),
+        (lambda: ModeParams(detuning=0.0, gamma0=_NAN), "gamma0"),
+        (lambda: ModeParams(detuning=0.0, gamma0=math.inf), "gamma0"),
+        (lambda: ModeParams(detuning=0.0, gamma0=1e-7, Omega=_NAN), "Omega"),
+        (lambda: build_moment_system(_ZERO_RATES, _NAN), "gamma0"),
+        (lambda: build_moment_system(_ZERO_RATES, np.array([1e-7, math.inf])), "gamma0"),
     ],
     ids=[
         "omega_B", "kappa1", "kappa1-grid", "kappa2", "kappa2-grid", "Delta_B",
         "Delta_B-inf", "Delta_B-grid", "Omega_B", "Omega_B-inf", "Omega_B-grid",
-        "temperature", "bose-frequency", "bose-temperature",
+        "temperature", "bose-frequency", "bose-temperature", "kappa1-inf",
+        "kappa1-grid-inf", "kappa2-inf", "couplings", "couplings-inf", "temperature-inf",
+        "bose-temperature-inf", "mode-detuning", "mode-detuning-inf", "mode-detuning-grid",
+        "gamma0", "gamma0-inf", "mode-Omega", "moment-gamma0", "moment-gamma0-grid",
     ],
 )
 def test_nan_parameters_are_refused(make, message):
-    """A NaN rate, frequency or temperature, or a NaN or infinite detuning
-    or drive, fails its own check, instead of surfacing later as an
-    overflow, a NaN Bloch vector or a finite spectrum."""
+    """A NaN or infinite rate, frequency, temperature, coupling, detuning
+    or drive fails its own check, instead of surfacing later as an
+    overflow that blames another input, a NaN Bloch vector or a finite
+    spectrum."""
     with pytest.raises(ValueError, match=message):
         make()
 
@@ -199,24 +227,24 @@ def test_bloch_steady_state_against_liouvillian_kernel():
     rng = np.random.default_rng(42)
     for _ in range(25):
         p, env = _random_tls(rng, with_temp=True)
-        state = bloch_steady_state(p, env)
+        sigma_plus, sigma_z = bloch_state(p, env)
         liou = tls_liouvillian(p, env)
         rho = null_vector(liou).reshape(2, 2)
         rho = rho / np.trace(rho)
         # basis [ground, excited]; sigma+ = |e><g|
         sp = rho[0, 1]  # tr(rho sigma+) picks the ge coherence
         sz = (rho[1, 1] - rho[0, 0]).real
-        assert abs(state.sigma_plus - sp) < 1e-12
-        assert abs(state.sigma_z - sz) < 1e-12
+        assert abs(sigma_plus - sp) < 1e-12
+        assert abs(sigma_z - sz) < 1e-12
 
 
 def test_bloch_steady_state_is_stationary():
     rng = np.random.default_rng(9)
     for _ in range(10):
         p, env = _random_tls(rng, with_temp=True)
-        st = bloch_steady_state(p, env)
+        sigma_plus, sigma_z = bloch_state(p, env)
         a = bloch_matrix(p, env)
-        v = np.array([st.sigma_plus, np.conj(st.sigma_plus), st.sigma_z])
+        v = np.array([sigma_plus, np.conj(sigma_plus), sigma_z])
         inhom = np.array([0.0, 0.0, -p.kappa1], dtype=complex)
         residual = a @ v + inhom
         assert np.max(np.abs(residual)) < 1e-12 * max(p.kappa1, abs(p.Omega_B))
@@ -224,9 +252,9 @@ def test_bloch_steady_state_is_stationary():
 
 def test_bloch_steady_state_undriven():
     p = TlsParams(1.0, 1e-4, 0.0, 0j, 0.0, (0j,))
-    st = bloch_steady_state(p, ENV0)
-    assert st.sigma_plus == 0
-    assert st.sigma_z == pytest.approx(-1.0, abs=1e-15)
+    sigma_plus, sigma_z = bloch_state(p, ENV0)
+    assert sigma_plus == 0
+    assert sigma_z == pytest.approx(-1.0, abs=1e-15)
     assert saturation(p, ENV0) == 0.0
 
 
@@ -238,16 +266,16 @@ def test_same_time_correlators_against_exact_state():
     sz_op = np.diag([-1.0, 1.0]).astype(complex)
     for _ in range(10):
         p, env = _random_tls(rng, with_temp=True)
-        st = bloch_steady_state(p, env)
+        sigma_plus, sigma_z = st = bloch_state(p, env)
         rho = null_vector(tls_liouvillian(p, env)).reshape(2, 2)
         rho = rho / np.trace(rho)
         ops = {
-            +1: sp_op - st.sigma_plus * np.eye(2),
-            -1: sm_op - np.conj(st.sigma_plus) * np.eye(2),
-            "z": sz_op - st.sigma_z * np.eye(2),
+            +1: sp_op - sigma_plus * np.eye(2),
+            -1: sm_op - np.conj(sigma_plus) * np.eye(2),
+            "z": sz_op - sigma_z * np.eye(2),
         }
         for beta in (+1, -1):
-            got = same_time_correlators(st)[SIGNS.index(beta)]
+            got = same_time_correlators(*st)[SIGNS.index(beta)]
             # row order (raising, lowering, inversion), beta on the right
             want = np.array(
                 [
@@ -266,7 +294,7 @@ def test_correlator_integral_solves_shifted_system():
         delta = 3.7 * p.kappa1
         integ = correlator_integral(p, env, delta)[SIGNS.index(beta)]
         a = bloch_matrix(p, env) + beta * 1j * delta * np.eye(3)
-        c0 = same_time_correlators(bloch_steady_state(p, env))[SIGNS.index(beta)]
+        c0 = same_time_correlators(*bloch_state(p, env))[SIGNS.index(beta)]
         assert np.allclose(a @ integ, -c0, atol=1e-13)
 
 
@@ -276,7 +304,7 @@ def test_correlator_integral_carries_the_sign_axis_first(delta_m):
     the equal-time correlators likewise (2, 3), sign first."""
     p, env = _random_tls(np.random.default_rng(6))
     assert correlator_integral(p, env, delta_m).shape == (2, 3) + np.shape(delta_m)
-    assert same_time_correlators(bloch_steady_state(p, env)).shape == (2, 3)
+    assert same_time_correlators(*bloch_state(p, env)).shape == (2, 3)
 
 
 @pytest.mark.parametrize("species", [1, 2])
@@ -340,7 +368,7 @@ def _integral_by_mpmath(p, env, beta, delta_m):
     about eps times it, and it is large only on a Mollow sideband or at
     the TLS resonance under a drive far above the linewidth."""
     a = bloch_matrix(p, env)
-    c = same_time_correlators(bloch_steady_state(p, env))[SIGNS.index(beta)]
+    c = same_time_correlators(*bloch_state(p, env))[SIGNS.index(beta)]
     with mpmath.workdps(50):
         shifted = mpmath.matrix([[mpmath.mpc(z.real, z.imag) for z in row] for row in a])
         for k in range(3):
@@ -398,7 +426,7 @@ def test_correlator_integral_finite_at_extreme_detuning():
     for beta in (+1, -1):
         x = correlator_integral(p, env, grid)[SIGNS.index(beta)]
         assert np.isfinite(x).all()
-        c = same_time_correlators(bloch_steady_state(p, env))[SIGNS.index(beta)]
+        c = same_time_correlators(*bloch_state(p, env))[SIGNS.index(beta)]
         assert np.allclose(x * (beta * 1j * grid), -c[:, None], rtol=1e-12, atol=0.0)
 
 
@@ -409,9 +437,9 @@ def test_saturation_overflow_raises():
     p = TlsParams(1.0, 1e-4, 0.0, 1e150 + 0j, 0.0, (1e-8,))
     with pytest.raises(OverflowError, match="saturation"):
         saturation(p, ENV0)
-    state = bloch_steady_state(p, ENV0)
-    assert state.sigma_plus == pytest.approx(0.5j * 1e-4 / 1e150, rel=1e-12, abs=0)
-    assert -1e-300 < state.sigma_z <= 0.0
+    sigma_plus, sigma_z = bloch_state(p, ENV0)
+    assert sigma_plus == pytest.approx(0.5j * 1e-4 / 1e150, rel=1e-12, abs=0)
+    assert -1e-300 < sigma_z <= 0.0
 
 
 def test_psd_table_matches_single_entries():

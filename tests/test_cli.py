@@ -547,6 +547,14 @@ def test_validate_all_reports_failure_exit(monkeypatch, capsys):
     assert "validation failures present" in err
 
 
+def test_validate_all_dimension_cap_skip_exits_validation(capsys):
+    code, out, err = _run(capsys, "validate-all", "--set", "oracle.dim_cap=16")
+    assert code == cli.EXIT_VALIDATION
+    assert "[SKIP] 10 oracle-equivalence: dimension cap:" in out
+    assert out.count("[PASS]") == 11
+    assert "validation failures present" in err
+
+
 def test_validate_all_success_path(monkeypatch, tmp_path, capsys):
     ok = CriterionResult(
         number=2,

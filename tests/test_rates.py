@@ -7,11 +7,12 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from test_bath import bloch_state
 
 from tlsbath.bath import (
     BathEnvironment,
     TlsParams,
-    bloch_steady_state,
+    dipole_drive,
     psd,
     transverse_rate,
 )
@@ -19,7 +20,6 @@ from tlsbath.rates import (
     BelowThresholdError,
     ModeParams,
     assemble_rates,
-    effective_driving,
     low_drive_limits,
     mollow_sideband,
     optimal_detuning,
@@ -71,10 +71,10 @@ def test_effective_driving_reference_magnitude():
 def test_effective_driving_keeps_bare_drive_additive():
     mode = ModeParams(detuning=0.0, gamma0=1e-7, Omega=3e-6 + 0j)
     tls = TlsParams(1.0, KAPPA_1, 0.0, _drive(1.0) + 0j, 0.0, (G,))
-    out = effective_driving([mode], [tls], ENV0, counts=[N_TLS])
-    out0 = effective_driving(
+    out = assemble_rates([mode], [tls], ENV0, counts=[N_TLS]).Omega_prime
+    out0 = assemble_rates(
         [ModeParams(detuning=0.0, gamma0=1e-7, Omega=0j)], [tls], ENV0, counts=[N_TLS]
-    )
+    ).Omega_prime
     assert out[0] - out0[0] == pytest.approx(3e-6, rel=1e-12, abs=0)
 
 
@@ -349,7 +349,7 @@ def test_one_coupling_per_mode_is_required(couplings):
     ]
     tls = TlsParams(1.0, KAPPA_1, 0.0, _drive(2.0), 0.0, couplings)
     with pytest.raises(ValueError):
-        effective_driving(modes, [tls], ENV0)
+        dipole_drive([tls], ENV0, len(modes))
     with pytest.raises(ValueError):
         assemble_rates(modes, [tls], ENV0)
 
@@ -389,7 +389,7 @@ def test_two_mode_rates_match_entrywise_formulas():
         assert rates.g[m, n] != pytest.approx(rates.g[n, m], rel=1e-6, abs=0)
     for n, mode in enumerate(modes):
         dipoles = sum(
-            c * p.couplings[n] * bloch_steady_state(p, env).sigma_plus
+            c * p.couplings[n] * bloch_state(p, env)[0]
             for p, c in zip(tls_list, counts)
         )
         assert rates.Omega_prime[n] == pytest.approx(mode.Omega + dipoles, rel=1e-12, abs=0)
