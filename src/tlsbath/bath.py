@@ -95,8 +95,8 @@ class TlsParams:
     def __post_init__(self):
         # Each check fails on NaN.  A grid is checked by its least entry,
         # capped by an ``initial`` that passes, so an empty grid passes.
-        if not self.omega_B > 0:
-            raise ValueError("TLS transition frequency must be positive")
+        if not 0 < self.omega_B < math.inf:
+            raise ValueError("TLS transition frequency must be positive and finite")
         if not (_finite(self.kappa1) and np.asarray(self.kappa1).min(initial=1) > 0):
             raise ValueError("TLS relaxation rate kappa1 must be positive and finite")
         if not (_finite(self.kappa2) and np.asarray(self.kappa2).min(initial=0) >= 0):
@@ -138,8 +138,8 @@ def bose_occupation(omega: float, temperature: float) -> float:
 
     Exactly zero at zero temperature.
     """
-    if not omega > 0:  # NaN fails each check
-        raise ValueError("frequency must be positive")
+    if not 0 < omega < math.inf:  # NaN fails each check
+        raise ValueError("frequency must be positive and finite")
     if not 0 <= temperature < math.inf:
         raise ValueError("temperature must be nonnegative and finite")
     if temperature == 0.0:
@@ -293,14 +293,14 @@ def correlator_integral(p: TlsParams, env: BathEnvironment, delta_m) -> np.ndarr
     1e300 finite.  Frequencies are in units of the power of two that brings
     kappa_t, ``|Delta_B|`` and ``|Omega_B|`` below 2 (rounding nothing), so
     D overflows, raising :class:`OverflowError`, only where ``|Omega_B| /
-    kappa_t`` does.
+    kappa_t`` does; a NaN or infinite detuning raises :class:`ValueError`.
 
     The grid of ``p`` and the detunings broadcast together; ``x[b, row]``
     has shape ``(2, 3)`` plus that broadcast shape, sign first, rows as in
     :func:`same_time_correlators`.  A single TLS and detuning take the same
     array loops, so they round as one point of a grid.  Like the rest of
     the table, it runs under the caller's ``np.errstate``: inputs that
-    overflow warn before the :class:`OverflowError`.
+    give non-finite values warn before either error.
     """
     kt, nbar, unit, ob, ob2, sigma_plus, sigma_z, _ = _statics(p, env)
     delta_m = np.asarray(delta_m, dtype=float)
@@ -316,6 +316,9 @@ def correlator_integral(p: TlsParams, env: BathEnvironment, delta_m) -> np.ndarr
     w = s - p.kappa1 * (1.0 + 2.0 * nbar) / unit
     d = w + 0.5 * ob2 * (1.0 / u + 1.0 / v)
     if not np.isfinite(d).all():
+        if not np.isfinite(delta_m).all():
+            bad = delta_m[~np.isfinite(delta_m)].flat[0]
+            raise ValueError(f"mode detuning delta_m must be finite, got {bad}")
         # the overflow is the TLS's: name its point on the grid of p
         bad = ~np.isfinite(d).all(axis=tuple(range(d.ndim - unit.ndim)))
         index = _first(bad)

@@ -1,16 +1,15 @@
 """Linear-algebra kernel of the exact oracle and the spectral checks.
 
-The effective theory (bath spectra, rates, Gaussian dynamics) is closed
-form and calls none of this.  The exact oracle's vectorized Liouvillians
-reach sides of a few thousand at the default dimension cap.  The mode
-operators move the left Fock index of a density matrix by at most one,
-so a Liouvillian is block tridiagonal (:class:`BlockTridiagonal`), and
-its steady state is one block-LU solve (:func:`trace_null_vector`).  The
-dense SVD :func:`null_vector` remains for the 4x4 single-TLS generator.
-All of this runs on NumPy alone.  :func:`solve_linear` and
-:func:`expm_apply` are the generic solve and propagator (dense or sparse)
-that tests and benchmark traces hold the closed forms against; only they
-use SciPy, imported in their own bodies.
+The effective theory calls none of this.  The exact oracle's vectorized
+Liouvillians reach sides of a few thousand, a few percent of their
+entries nonzero at most, and those entries lie on three block diagonals
+over the mode's left Fock index (:class:`BlockTridiagonal`).  Their
+steady state is one block-LU solve that keeps only its pivot inverses
+dense (:func:`trace_null_vector`); the dense SVD :func:`null_vector`
+takes the 4x4 single-TLS generator; all of it runs on NumPy alone.
+:func:`solve_linear` and :func:`expm_apply`, the generic solve and
+propagator that tests and benchmark traces hold the closed forms
+against, import SciPy in their own bodies.
 """
 
 from __future__ import annotations
@@ -66,41 +65,35 @@ class KernelDimensionError(np.linalg.LinAlgError):
 
 
 class BlockTridiagonal(NamedTuple):
-    """Square matrix held as its three block diagonals.
+    """Square matrix of side ``side`` as its nonzero entries ``vals[k]`` at
+    ``(rows[k], cols[k])``, in row-major order, each position once.  Cut into
+    square blocks of side ``block``, it vanishes off the three block diagonals."""
 
-    ``diag`` stacks the ``n`` diagonal blocks, ``(n, b, b)``; ``lower[i]``
-    is block ``(i + 1, i)`` and ``upper[i]`` block ``(i, i + 1)``, both
-    ``(n - 1, b, b)``.  ``shape`` is the full matrix's.
-    """
-
-    lower: np.ndarray
-    diag: np.ndarray
-    upper: np.ndarray
+    rows: np.ndarray
+    cols: np.ndarray
+    vals: np.ndarray
+    side: int
+    block: int
 
     @property
     def shape(self) -> tuple[int, int]:
-        side = self.diag.shape[0] * self.diag.shape[1]
-        return side, side
+        return self.side, self.side
 
 
-def _square(a, stack: bool = False) -> np.ndarray:
-    # a square matrix, or with ``stack`` a stack of them (..., n, n)
+def _square(a, stack: bool = False, finite: bool = True) -> np.ndarray:
+    # a square matrix, or with ``stack`` a stack of them (..., n, n),
+    # refused for a NaN or inf entry unless ``finite`` is false
     a = np.asarray(a, dtype=complex)
     if a.ndim < 2 or (a.ndim > 2 and not stack) or a.shape[-1] != a.shape[-2]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
+    if finite:
+        _check_finite(a)
     return a
 
 
 def _check_finite(a) -> None:
     if not np.isfinite(a).all():  # both parts; any memory layout
         raise ValueError("matrix contains non-finite entries")
-
-
-def _as_matrix(a, stack: bool = False) -> np.ndarray:
-    # a finite square matrix, or with ``stack`` a stack of them
-    a = _square(a, stack)
-    _check_finite(a)
-    return a
 
 
 def solve_linear(a, b) -> np.ndarray:
@@ -112,7 +105,7 @@ def solve_linear(a, b) -> np.ndarray:
     """
     import scipy.linalg
 
-    a = _as_matrix(a)
+    a = _square(a)
     b = np.asarray(b, dtype=complex)
     if b.shape[0] != a.shape[0]:
         raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
@@ -134,7 +127,7 @@ def solve_linear(a, b) -> np.ndarray:
 def eigenvalues(a) -> np.ndarray:
     """All eigenvalues of a square complex matrix (unordered), or of each
     matrix of a stack ``(..., n, n)``, as ``(..., n)``."""
-    a = _as_matrix(a, stack=True)
+    a = _square(a, stack=True)
     try:
         return np.linalg.eigvals(a)
     except np.linalg.LinAlgError as exc:  # QR iteration failed
@@ -161,7 +154,7 @@ def expm_apply(a, v, t: float) -> np.ndarray:
         if a.shape[0] <= _EXPM_DENSE_MAX:
             a = a.toarray()
     else:
-        a = _as_matrix(a)
+        a = _square(a)
     v = np.asarray(v, dtype=complex)
     if v.shape[0] != a.shape[0]:
         raise ValueError(f"shape mismatch: {a.shape} vs {v.shape}")
@@ -188,7 +181,7 @@ def null_vector(a) -> np.ndarray:
     threshold has a finite norm.  The singular values and the threshold
     that an error message quotes are those of the scaled matrix.
     """
-    a = _square(a)
+    a = _square(a, finite=False)
     if a.shape[0] < 2:
         raise ValueError("kernel extraction needs at least a 2x2 matrix")
     peak = np.abs(a).max()
@@ -214,18 +207,48 @@ def null_vector(a) -> np.ndarray:
     return vh[-1].conj()
 
 
-class _BlockLU:
-    """Block LU factors of a block tridiagonal matrix, without pivoting
-    between blocks: pivot blocks ``S_0 = D_0`` and ``S_{i+1} = D_{i+1} -
-    L_i S_i^-1 U_i``, held as their inverses, and the multipliers ``W_i =
-    L_i S_i^-1``.  An exactly singular or non-finite pivot block raises
-    :class:`KernelDimensionError`."""
+def _padded(group, index, vals, n: int, b: int):
+    """Entries grouped by ``group``, sorted in ``[0, n b)``, as ``n`` pairs of
+    index and value arrays ``(k, b)``: slot ``j`` of group ``i b + r`` is at
+    ``[j, r]`` of pair ``i``, and empty slots hold index 0 and value 0."""
+    counts = np.bincount(group, minlength=n * b)
+    slot = np.arange(group.size) - (np.cumsum(counts) - counts)[group]
+    idx = np.zeros((max(counts.max(initial=0), 1), n * b), dtype=np.intp)
+    val = np.zeros(idx.shape, dtype=complex)
+    idx[slot, group], val[slot, group] = index, vals
+    return list(zip(*(x.reshape(len(x), n, b).transpose(1, 0, 2) for x in (idx, val))))
 
-    def __init__(self, lower, diag, upper):
-        self.upper = upper
-        self.inv, self.elim = [], []  # one array per block
-        pivot = diag[0]
-        for i in range(len(diag)):
+
+def _gather(x: np.ndarray, idx: np.ndarray, val: np.ndarray) -> np.ndarray:
+    """``x @ M`` for a block ``M`` padded by columns, ``(M x^T)^T`` by rows."""
+    x = x.take(idx, axis=-1)
+    x *= val
+    return np.add.reduce(x, axis=-2)
+
+
+class _BlockLU:
+    """Block LU factors, without pivoting between blocks, of a block
+    tridiagonal matrix given by its entries in row-major order.  Pivots
+    ``S_0 = D_0 + pivot`` (``pivot`` is overwritten) and ``S_{i+1} =
+    D_{i+1} - L_i S_i^-1 U_i`` are built one at a time and held as their
+    inverses, the only dense storage; the off-diagonal blocks are padded
+    by rows and by columns (:func:`_padded`) and multiply by gathers.  An
+    exactly singular or non-finite pivot raises :class:`KernelDimensionError`."""
+
+    def __init__(self, rows, cols, vals, n: int, b: int, pivot: np.ndarray):
+        offset = cols // b - rows // b
+        lo, up = offset == -1, offset == 1
+        self.lower = _padded(rows[lo] - b, cols[lo] % b, vals[lo], n - 1, b)
+        self.upper = _padded(rows[up], cols[up] % b, vals[up], n - 1, b)
+        lo, up = (np.flatnonzero(m)[np.argsort(cols[m], kind="stable")] for m in (lo, up))
+        self.lower_t = _padded(cols[lo], rows[lo] % b, vals[lo], n - 1, b)
+        self.upper_t = _padded(cols[up] - b, rows[up] % b, vals[up], n - 1, b)
+        dg = np.flatnonzero(offset == 0)
+        flat, v = rows[dg] % b * b + cols[dg] % b, vals[dg]
+        ends = np.searchsorted(rows[dg], np.arange(n + 1) * b)
+        self.inv = []  # one dense array per block
+        for i in range(n):
+            pivot.reshape(-1)[flat[ends[i] : ends[i + 1]]] += v[ends[i] : ends[i + 1]]
             if not np.isfinite(pivot).all():
                 raise KernelDimensionError(
                     f"the trace-row system overflows: block pivot {i} is not finite"
@@ -237,33 +260,41 @@ class _BlockLU:
                     f"kernel dimension >= 2: the trace-row system is exactly "
                     f"singular (block pivot {i})"
                 ) from exc
-            if i < len(lower):
-                self.elim.append(lower[i] @ self.inv[i])
-                pivot = diag[i + 1] - self.elim[i] @ upper[i]
+            if i < n - 1:  # -L_i (S_i^-1 U_i), one padded slot at a time
+                idx, val = self.upper_t[i]
+                p = self.inv[i].take(idx[0], axis=1) * val[0]
+                for k, w in zip(idx[1:], val[1:]):
+                    p += self.inv[i].take(k, axis=1) * w
+                idx, val = self.lower[i]
+                pivot = p.take(idx[0], axis=0) * -val[0, :, None]
+                for k, w in zip(idx[1:], val[1:]):
+                    pivot -= p.take(k, axis=0) * w[:, None]
 
     def solve(self, r: np.ndarray) -> np.ndarray:
         """``x`` with ``A x = r``, both ``(n, b)`` or, for ``k`` right-hand
-        sides at once, ``(n, b, k)``."""
-        inv, elim, upper = self.inv, self.elim, self.upper
+        sides at once, ``(n, k, b)``, each right-hand side a row."""
+        inv, lower, upper = self.inv, self.lower, self.upper
         g = np.array(r, dtype=complex)
         for i in range(1, len(g)):
-            g[i] -= elim[i - 1] @ g[i - 1]
-        g[-1] = inv[-1] @ g[-1]
+            g[i - 1] = g[i - 1] @ inv[i - 1].T
+            g[i] -= _gather(g[i - 1], *lower[i - 1])
+        g[-1] = g[-1] @ inv[-1].T
         for i in range(len(g) - 2, -1, -1):
-            g[i] = inv[i] @ (g[i] - upper[i] @ g[i + 1])
+            g[i] -= _gather(g[i + 1], *upper[i]) @ inv[i].T
         return g
 
     def solve_transposed(self, r: np.ndarray) -> np.ndarray:
-        """``y`` with ``A^T y = r``, both ``(n, b)``, as row vectors against
-        the same blocks: the adjoint solve is ``conj(solve_transposed(conj(r)))``,
-        so no block is conjugated or copied."""
-        inv, elim, upper = self.inv, self.elim, self.upper
+        """``y`` with ``A^T y = r``, both ``(n, b)``: the adjoint solve is
+        ``conj(solve_transposed(conj(r)))``, so no block is conjugated."""
+        inv, lower_t, upper_t = self.inv, self.lower_t, self.upper_t
         g = np.array(r, dtype=complex)
-        g[0] = g[0] @ inv[0]
+        t = g[0] @ inv[0]
         for i in range(1, len(g)):
-            g[i] = (g[i] - g[i - 1] @ upper[i - 1]) @ inv[i]
+            g[i] -= _gather(t, *upper_t[i - 1])
+            t = g[i] @ inv[i]
+        g[-1] = t
         for i in range(len(g) - 2, -1, -1):
-            g[i] -= g[i + 1] @ elim[i]
+            g[i] = (g[i] - _gather(g[i + 1], *lower_t[i])) @ inv[i]
         return g
 
 
@@ -302,10 +333,10 @@ def _inverse_norm_estimate(solve, solve_adjoint, y: np.ndarray) -> float:
 def trace_null_vector(a: BlockTridiagonal) -> np.ndarray:
     """Unit-trace kernel vector of a vectorized Liouvillian.
 
-    ``a`` holds the three block diagonals of a generator acting on
-    row-major vectorized ``d x d`` density matrices; it annihilates the
-    trace functional from the left, so its ``rho_00`` row is implied by
-    the others.  That row is replaced by the trace functional, scaled to
+    ``a`` holds the nonzero entries of a generator acting on row-major
+    vectorized ``d x d`` density matrices; it annihilates the trace
+    functional from the left, so its ``rho_00`` row is implied by the
+    others.  That row is replaced by the trace functional, scaled to
     ``||a||_1``.  The trace entries in block 0 keep the system block
     tridiagonal, and those outside it add a rank-one term ``e_0 u^T``,
     taken by Sherman and Morrison: with ``z`` the block system's solution
@@ -318,63 +349,46 @@ def trace_null_vector(a: BlockTridiagonal) -> np.ndarray:
     a 1-norm condition estimate of the trace-row system above ``1 /
     NULL_RTOL`` (degenerate kernel) and a relative residual ``||a x||_inf
     / (||a||_inf ||x||_inf)`` above ``NULL_RTOL`` (no kernel) each raise
-    :class:`KernelDimensionError`, and so does a factor that overflows.
-    The estimate (:func:`_inverse_norm_estimate`) repeats exactly and
-    leaves NumPy's global random stream alone.
+    :class:`KernelDimensionError`, and so does a factor that overflows;
+    entries off the block diagonals or out of order, or non-finite,
+    raise :class:`ValueError`.  The estimate (:func:`_inverse_norm_estimate`)
+    repeats exactly and leaves NumPy's global random stream alone.
     """
-    lower, diag, upper = (np.asarray(x, dtype=complex) for x in a)
-    n, b = diag.shape[0], diag.shape[-1]
-    off = (max(n - 1, 0), b, b)
-    if diag.shape != (n, b, b) or lower.shape != off or upper.shape != off:
-        raise ValueError(
-            f"expected n diagonal and n - 1 off-diagonal square blocks, got "
-            f"{lower.shape}, {diag.shape}, {upper.shape}"
-        )
-    side = n * b
-    d = math.isqrt(side)
-    if side == 0 or d * d != side:
+    side, b = int(a.side), int(a.block)
+    rows, cols = (np.asarray(x, dtype=np.intp).ravel() for x in a[:2])
+    vals = np.asarray(a.vals, dtype=complex).ravel()
+    d, n = math.isqrt(side), side // max(b, 1)
+    if side <= 0 or d * d != side:
         raise ValueError(f"Liouvillian side {side} is not a perfect square")
+    if b <= 0 or side % b or not rows.size == cols.size == vals.size:
+        raise ValueError(f"expected entries of a side-{side} matrix cut into blocks of side {b}")
+    if rows.size and not (0 <= min(rows.min(), cols.min()) <= max(rows.max(), cols.max()) < side
+                          and np.abs(cols // b - rows // b).max() <= 1):
+        raise ValueError(f"an entry lies outside the three block diagonals of side {b}")
+    if not (np.diff(rows * side + cols) > 0).all():
+        raise ValueError("entries are not in row-major order, each position once")
+    _check_finite(vals)
     # A factor that overflows gives NaN or inf, which the checks below
     # report as typed errors, so floating-point warnings are silenced.
     with np.errstate(all="ignore"):
-        # row and column sums of |a|, from one buffer for its three parts;
-        # the column sums leave out row 0, which the trace row replaces
-        mag = np.abs(diag)
-        head = np.zeros(side)  # |a|'s row 0
-        head[:b] = mag[0, 0]
-        rows = mag.sum(axis=2)
-        mag[0, 0] = 0.0
-        cols = mag.sum(axis=1)
-        mag = np.abs(lower, out=mag[: n - 1])
-        rows[1:] += mag.sum(axis=2)
-        cols[:-1] += mag.sum(axis=1)
-        mag = np.abs(upper, out=mag)
-        head[b : 2 * b] = mag[:1, 0].ravel()
-        rows[:-1] += mag.sum(axis=2)
-        mag[:1, 0] = 0.0
-        cols[1:] += mag.sum(axis=1)
-        cols = cols.ravel()
-        # a NaN or inf entry shows in its row sum (so may a finite overflow)
-        if not np.isfinite(rows).all() and not all(
-            np.isfinite(x.view(float)).all() for x in (lower, diag, upper)
-        ):
-            raise ValueError("matrix contains non-finite entries")
-        scale = max((cols + head).max(), _TINY)
+        # |a|'s row sums, and the trace-row system's column sums: row 0's
+        # entries, a prefix, give way to the trace functional
+        mag = np.abs(vals)
+        scale = max(np.bincount(cols, mag, side).max(), _TINY)
+        head = np.searchsorted(rows, 1)
+        col_sums = np.bincount(cols[head:], mag[head:], side)
         trace = np.arange(d) * (d + 1)
-        cols[trace] += scale
+        col_sums[trace] += scale
         outside = trace[trace >= b]  # u's entries, each equal to scale
-        diag0 = diag[0].copy()
-        diag0[0] = 0.0
-        diag0[0, trace[trace < b]] = scale
-        upper0 = upper[:1].copy()
-        upper0[:, 0] = 0.0
-        lu = _BlockLU(lower, [diag0, *diag[1:]], [*upper0, *upper[1:]])
+        pivot = np.zeros((b, b), dtype=complex)
+        pivot[0, trace[trace < b]] = scale
+        lu = _BlockLU(rows[head:], cols[head:], vals[head:], n, b, pivot)
         # z solves the block system for e_0; the estimator's first vector,
         # the ones vector over side, rides along in the same sweep
-        rhs = np.zeros((n, b, 2), dtype=complex)
+        rhs = np.zeros((n, 2, b), dtype=complex)
         rhs[0, 0, 0] = 1.0
-        rhs[..., 1] = 1.0 / side
-        z, first = lu.solve(rhs).reshape(side, 2).T
+        rhs[:, 1] = 1.0 / side
+        z, first = lu.solve(rhs).transpose(1, 0, 2).reshape(2, side)
         denom = 1.0 + scale * z[outside].sum()
         if denom == 0.0:
             raise KernelDimensionError(
@@ -393,13 +407,11 @@ def trace_null_vector(a: BlockTridiagonal) -> np.ndarray:
             return lu.solve_transposed(w.conj().reshape(n, b)).conj().ravel()
 
         first -= z * (u @ first / denom)
-        cond = cols.max() * _inverse_norm_estimate(solve, solve_adjoint, first)
+        cond = col_sums.max() * _inverse_norm_estimate(solve, solve_adjoint, first)
         x = z * (scale / denom)
-        xb = x.reshape(n, b, 1)
-        ax = (diag @ xb)[..., 0]
-        ax[1:] += (lower @ xb[:-1])[..., 0]
-        ax[:-1] += (upper @ xb[1:])[..., 0]
-        residual = np.abs(ax).max() / (rows.max() * np.abs(x).max())
+        ax = vals * x[cols]
+        ax = np.bincount(rows, ax.real, side) + 1j * np.bincount(rows, ax.imag, side)
+        residual = np.abs(ax).max() / (np.bincount(rows, mag, side).max() * np.abs(x).max())
     if not cond <= 1.0 / NULL_RTOL:
         raise KernelDimensionError(
             f"kernel dimension >= 2: condition estimate {cond:.3e} of the "

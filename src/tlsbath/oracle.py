@@ -2,12 +2,12 @@
 
 Brute-force cross-check of the effective theory: the full rotating-frame
 Liouvillian of one truncated bosonic mode coupled to a handful of driven,
-damped TLS is assembled from its Kronecker-product terms (the
-Hilbert-space operators are dense, at most the dimension cap).  The mode
-operators move the left Fock index of a density matrix by at most one, so
-the Liouvillian is held as its three block diagonals over that index; its
-steady state is one block-LU solve, and expectation values are compared
-against the adiabatic elimination.  The quadrature's 4x4 TLS generator is
+damped TLS is its nonzero entries, the outer products of the nonzeros of
+its Kronecker-product terms' dense factors.  The mode operators move the
+left Fock index of a density matrix by at most one, so the entries lie
+on three block diagonals over that index; the steady state is one
+block-LU solve, and expectation values are compared against the
+adiabatic elimination.  The quadrature's 4x4 TLS generator is
 ``theta`` times six blocks built once from the same Hamiltonian and jumps,
 and its regression integral one 4x4 resolvent solve, written on the
 4-vector ``vec(rho)`` by index: trace, Hermitian part, ``<sigma+->``,
@@ -95,9 +95,8 @@ _ID2 = np.eye(2, dtype=complex)
 
 def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Dense Kronecker product, as one broadcast multiply."""
-    return (a[:, None, :, None] * b[None, :, None, :]).reshape(
-        a.shape[0] * b.shape[0], a.shape[1] * b.shape[1]
-    )
+    out = a[:, None, :, None] * b[None, :, None, :]
+    return out.reshape(a.shape[0] * b.shape[0], a.shape[1] * b.shape[1])
 
 
 def mode_operator(spec: HilbertSpec) -> np.ndarray:
@@ -127,31 +126,25 @@ def _liouvillian(h, jumps) -> list:
     return terms + [(c, a, b.T) for c, a, b in jumps]
 
 
-def _block_tridiagonal(terms, fock: int) -> BlockTridiagonal:
+def _entries(terms, fock: int) -> BlockTridiagonal:
     """Sum of ``c kron(a, b)`` over ``terms`` of dense ``n x n`` factors,
-    held as its block diagonals over the left Fock index.
-
-    Each ``a`` moves the mode's Fock index by at most one, so its Fock
-    blocks ``a[m, m + k]`` (``n / fock`` square) vanish for ``|k| > 1``,
-    and block ``(m, m + k)`` of the sum is ``sum c kron(a[m, m + k], b)``.
-    Entry ``(i, j)`` of every such ``a`` block scales the same flattened
-    ``b`` of each term, so the ``(i, j)`` slices of all the blocks are one
-    matrix product, written in place.
-    """
+    as its nonzero entries in row-major order: entries ``(i, j)`` of ``a``
+    and ``(k, l)`` of ``b`` give entry ``(i n + k, j n + l)``, and the
+    positions that terms share are summed once.  Each ``a`` moves the mode's
+    Fock index by at most one, so the blocks have side ``n^2 / fock``."""
     n = terms[0][1].shape[0]
-    q = n // fock
-    left = np.stack([c * a for c, a, _ in terms]).reshape(len(terms), fock, q, fock, q)
-    right = np.stack([b for _, _, b in terms]).reshape(len(terms), n * n)
-    m = np.arange(fock)
-    rows = np.concatenate((m[1:], m, m[:-1]))  # lower, diagonal, upper
-    cols = np.concatenate((m[:-1], m, m[1:]))
-    coef = left[:, rows, :, cols, :]  # (block, term, i, j)
-    out = np.empty((rows.size, q, n, q, n), dtype=complex)
-    for i in range(q):
-        for j in range(q):
-            out[:, i, :, j, :] = (coef[:, :, i, j] @ right).reshape(rows.size, n, n)
-    out = out.reshape(rows.size, q * n, q * n)
-    return BlockTridiagonal(out[: fock - 1], out[fock - 1 : 2 * fock - 1], out[2 * fock - 1 :])
+    keys, vals = [], []
+    for c, a, b in terms:
+        (ia, ja), (ib, jb) = np.nonzero(a), np.nonzero(b)
+        keys.append((((ia * n)[:, None] + ib) * n * n + (ja * n)[:, None] + jb).ravel())
+        vals.append(((c * a[ia, ja])[:, None] * b[ib, jb]).ravel())
+    keys = np.concatenate(keys)
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    start = np.flatnonzero(np.diff(keys, prepend=-1))
+    vals = np.add.reduceat(np.concatenate(vals)[order], start)
+    rows, cols = np.divmod(keys[start[vals != 0]], n * n)
+    return BlockTridiagonal(rows, cols, vals[vals != 0], n * n, n * n // fock)
 
 
 def _tls_coefficients(p: TlsParams, env: BathEnvironment) -> tuple:
@@ -206,7 +199,7 @@ def build_liouvillian(spec: HilbertSpec) -> BlockTridiagonal:
         g = complex(p.couplings[0])
         h = h + h_tls + g * (sp @ s) + np.conj(g) * (sd @ sm)
         jumps += jumps_tls
-    return _block_tridiagonal(_liouvillian(h, jumps), spec.fock_dim)
+    return _entries(_liouvillian(h, jumps), spec.fock_dim)
 
 
 def tls_liouvillian(p: TlsParams, env: BathEnvironment) -> np.ndarray:
@@ -240,8 +233,7 @@ def steady_state_full(liou) -> np.ndarray:
     validated as it comes from the solve, and only then Hermitized.
     """
     vec = trace_null_vector(liou)
-    dim = math.isqrt(vec.size)
-    rho = vec.reshape(dim, dim)
+    rho = vec.reshape(2 * (math.isqrt(vec.size),))
     assert_physical_state(rho)
     return _normalize_density(rho)
 
@@ -251,9 +243,7 @@ def _expectation(rho: np.ndarray, op: np.ndarray) -> complex:
 
 
 def _fock_populations(rho: np.ndarray, spec: HilbertSpec) -> np.ndarray:
-    probs = np.diag(rho).real
-    per_level = probs.reshape(spec.fock_dim, -1).sum(axis=1)
-    return per_level
+    return np.diag(rho).real.reshape(spec.fock_dim, -1).sum(axis=1)
 
 
 def mode_moments(rho: np.ndarray, spec: HilbertSpec) -> tuple[float, complex, complex]:
@@ -279,9 +269,7 @@ def steady_state_autogrow(
     exceeds the cap (from :class:`HilbertSpec`), or when a measured leak
     calls for a doubling that the cap forbids.
     """
-    spec = HilbertSpec(
-        fock_dim=fock_start, mode=mode, tls=tuple(tls), env=env, dim_cap=dim_cap
-    )
+    spec = HilbertSpec(fock_start, mode, tuple(tls), env, dim_cap)
     while True:
         rho = steady_state_full(build_liouvillian(spec))
         leak = _fock_populations(rho, spec)[-2:].sum()

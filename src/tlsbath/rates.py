@@ -193,6 +193,13 @@ def single_mode_rates(
     )
 
 
+def _require_finite(**args) -> None:
+    """Refuse a NaN or infinite argument of a closed form by its name."""
+    for name, value in args.items():
+        if not cmath.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
+
+
 def resonant_closed_form(
     n_tls: float,
     coupling: float,
@@ -206,8 +213,10 @@ def resonant_closed_form(
     pure dephasing, zero temperature.  Returns ``(g, Gamma)`` as explicit
     rational functions of the saturation ``s`` and of
     ``d = delta_0 / kappa1``; this path shares no code with the assembly
-    pipeline and anchors its sign conventions.
+    pipeline and anchors its sign conventions.  A NaN or infinite argument
+    raises :class:`ValueError` naming it, as in the other closed forms.
     """
+    _require_finite(n_tls=n_tls, coupling=coupling, kappa1=kappa1, s=s, delta_0=delta_0)
     if kappa1 <= 0:
         raise ValueError("kappa1 must be positive")
     if s < 0:
@@ -245,6 +254,8 @@ def low_drive_limits(
     ``(gamma, delta)`` is a thermally weighted Lorentzian of the TLS
     absorption line; separate code path from the assembly pipeline.
     """
+    _require_finite(n_tls=n_tls, coupling=coupling, kappa_t=kappa_t, detuning=detuning,
+                    omega_B=omega_B, temperature=temperature)
     if kappa_t <= 0:
         raise ValueError("kappa_t must be positive")
     therm = _thermal_coherence_factor(omega_B, temperature)
@@ -257,6 +268,7 @@ def mollow_sideband(drive: complex, kappa_t: float) -> float:
 
     Exists only when the drive beats half the coherence decay rate.
     """
+    _require_finite(drive=drive, kappa_t=kappa_t)
     if kappa_t <= 0:
         raise ValueError("kappa_t must be positive")
     rabi2 = abs(drive) ** 2 - (0.5 * kappa_t) ** 2
@@ -274,6 +286,7 @@ def optimal_detuning(drive: complex, kappa_t: float) -> float:
     threshold ``|drive|^2 >= 2 kappa_t^2`` the response is single-peaked
     at zero detuning and a :class:`BelowThresholdError` is raised.
     """
+    _require_finite(drive=drive, kappa_t=kappa_t)
     if kappa_t <= 0:
         raise ValueError("kappa_t must be positive")
     arg = 0.5 * abs(drive) ** 2 - kappa_t**2

@@ -1,7 +1,8 @@
 """Matrix forms of the exact oracle's block-tridiagonal Liouvillians, for
-the tests: the full matrix of the block diagonals, a matrix cut into
-blocks, and the SuperLU solve of the stacked trace-row system that the
-library's block kernel replaced, kept as its reference."""
+the tests: the full matrix of the nonzero entries, a matrix's nonzero
+entries cut into blocks, and the SuperLU solve of the stacked trace-row
+system that the library's block kernel replaced, kept as its
+reference."""
 
 import math
 
@@ -13,25 +14,23 @@ from tlsbath.linalg import BlockTridiagonal
 
 
 def dense(liou) -> np.ndarray:
-    """The full matrix of a :class:`BlockTridiagonal`."""
-    lower, diag, upper = liou
-    n, b = diag.shape[:2]
-    out = np.zeros((n, b, n, b), dtype=complex)
-    i = np.arange(n)
-    out[i, :, i, :] = diag
-    out[i[1:], :, i[:-1], :] = lower
-    out[i[:-1], :, i[1:], :] = upper
-    return out.reshape(n * b, n * b)
+    """The full matrix of a :class:`BlockTridiagonal`, which must hold each
+    position once and nothing off its three block diagonals."""
+    rows, cols, vals, side, b = liou
+    assert np.unique(rows * side + cols).size == rows.size
+    assert np.abs(cols // b - rows // b).max(initial=0) <= 1
+    out = np.zeros(liou.shape, dtype=complex)
+    out[rows, cols] = vals
+    return out
 
 
 def as_blocks(a, n: int = 1) -> BlockTridiagonal:
-    """A dense or SciPy sparse matrix cut into ``n`` x ``n`` square blocks,
-    which must vanish off the three block diagonals."""
+    """The nonzero entries of a dense or SciPy sparse matrix cut into ``n``
+    x ``n`` square blocks, which must vanish off the three block
+    diagonals."""
     a = a.toarray() if scipy.sparse.issparse(a) else np.asarray(a)
-    b = a.shape[0] // n
-    grid = a.reshape(n, b, n, b).transpose(0, 2, 1, 3)
-    i = np.arange(n)
-    out = BlockTridiagonal(grid[i[1:], i[:-1]], grid[i, i], grid[i[:-1], i[1:]])
+    rows, cols = np.nonzero(a)
+    out = BlockTridiagonal(rows, cols, a[rows, cols].astype(complex), a.shape[0], a.shape[0] // n)
     assert np.array_equal(dense(out), a)
     return out
 

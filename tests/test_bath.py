@@ -169,6 +169,13 @@ def test_params_validation():
 
 
 _NAN = float("nan")
+_TLS = TlsParams(1.0, 1e-4, 0.0, 1e-5, 0.0, (1e-8,))
+
+
+def _quiet(fn, *args):
+    # correlator_integral runs under its caller's errstate (see its docstring)
+    with np.errstate(all="ignore"):
+        return fn(*args)
 
 
 @pytest.mark.parametrize(
@@ -203,6 +210,14 @@ _NAN = float("nan")
         (lambda: ModeParams(detuning=0.0, gamma0=1e-7, Omega=_NAN), "Omega"),
         (lambda: build_moment_system(_ZERO_RATES, _NAN), "gamma0"),
         (lambda: build_moment_system(_ZERO_RATES, np.array([1e-7, math.inf])), "gamma0"),
+        (lambda: TlsParams(math.inf, 1e-4, 0.0, 1e-5, 0.0, (1e-8,)), "frequency"),
+        (lambda: bose_occupation(math.inf, 0.1), "frequency"),
+        (lambda: build_psd_table([_TLS], BathEnvironment(0.1), [_NAN]), "detuning"),
+        (lambda: psd([_TLS], BathEnvironment(0.1), [math.inf], 1, -1, 0, 0), "detuning"),
+        (lambda: build_psd_table([_TLS], ENV0, [-math.inf]), "detuning"),
+        (lambda: build_psd_table([_TLS], ENV0, [np.array([1e-5, _NAN])]), "detuning"),
+        (lambda: _quiet(correlator_integral, _TLS, ENV0, _NAN), "detuning"),
+        (lambda: _quiet(correlator_integral, _TLS, ENV0, np.array([[0.0, -math.inf]])), "detuning"),
     ],
     ids=[
         "omega_B", "kappa1", "kappa1-grid", "kappa2", "kappa2-grid", "Delta_B",
@@ -211,6 +226,9 @@ _NAN = float("nan")
         "kappa1-grid-inf", "kappa2-inf", "couplings", "couplings-inf", "temperature-inf",
         "bose-temperature-inf", "mode-detuning", "mode-detuning-inf", "mode-detuning-grid",
         "gamma0", "gamma0-inf", "mode-Omega", "moment-gamma0", "moment-gamma0-grid",
+        "omega_B-inf", "bose-frequency-inf", "psd-table-detuning", "psd-detuning-inf",
+        "psd-table-detuning-minus-inf", "psd-table-detuning-grid", "correlator-detuning",
+        "correlator-detuning-grid-minus-inf",
     ],
 )
 def test_nan_parameters_are_refused(make, message):

@@ -234,13 +234,13 @@ def test_trace_null_vector_matches_stacked_reference(make):
 
 
 def test_trace_null_vector_leaves_its_input_alone():
-    """The trace row replaces row 0 on copies of the two blocks that hold
-    it: the input's arrays keep every byte, and the kernel vector is the
-    same, bit for bit, on every call."""
+    """The trace row replaces row 0 on copies of the entries: the input's
+    entry arrays keep every byte, and the kernel vector is the same, bit
+    for bit, on every call."""
     liou = _oracle_liouvillian(2, 4)
-    before = [block.copy() for block in liou]
+    before = [x.copy() for x in liou[:3]]
     got = trace_null_vector(liou)
-    for old, new in zip(before, liou):
+    for old, new in zip(before, liou[:3]):
         assert old.tobytes() == new.tobytes()
     assert trace_null_vector(liou).tobytes() == got.tobytes()
 
@@ -308,10 +308,20 @@ def test_trace_null_vector_raises_on_an_empty_vacuum_block():
 
 def test_trace_null_vector_rejects_bad_input():
     liou = _oracle_liouvillian(1, 2)
-    liou.diag[1, 2, 2] = np.nan
+    vals = liou.vals.copy()
+    vals[7] = np.nan
     with pytest.raises(ValueError, match="non-finite"):
-        trace_null_vector(liou)
+        trace_null_vector(liou._replace(vals=vals))
     with pytest.raises(ValueError, match="perfect square"):
         trace_null_vector(as_blocks(np.eye(3)))
-    with pytest.raises(ValueError, match="off-diagonal"):
-        trace_null_vector(liou._replace(lower=liou.lower[:0]))
+    wide = _oracle_liouvillian(1, 4)  # four blocks of side 16
+    outside = wide._replace(rows=np.append(wide.rows, 48), cols=np.append(wide.cols, 0),
+                            vals=np.append(wide.vals, 1.0))  # in block (3, 0)
+    with pytest.raises(ValueError, match="outside the three block diagonals"):
+        trace_null_vector(outside)
+    twice = liou._replace(rows=np.insert(liou.rows, 4, liou.rows[3]),
+                          cols=np.insert(liou.cols, 4, liou.cols[3]), vals=np.insert(liou.vals, 4, 1.0))
+    reversed_ = liou._replace(rows=liou.rows[::-1], cols=liou.cols[::-1], vals=liou.vals[::-1])
+    for bad in (twice, reversed_):
+        with pytest.raises(ValueError, match="row-major order"):
+            trace_null_vector(bad)

@@ -169,17 +169,30 @@ def _every_jump_spec(n, fock=4, temperature=0.2):
 @pytest.mark.parametrize("temperature", [0.2, 0.0])
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_liouvillian_matches_kronecker_chain(n, temperature):
-    """The block diagonals, as a full matrix, have the Kronecker chain's
-    zero pattern exactly (so nothing lies off them) and its entries to
-    rounding.  At T = 0 some diagonal entries cancel exactly (the dephasing
-    jumps against their anticommutator), and do so in the blocks too."""
+    """The nonzero entries, in row-major order and as a full matrix, have
+    the Kronecker chain's zero pattern exactly (so nothing lies off the
+    three block diagonals) and its entries to rounding.  At T = 0 some
+    diagonal entries cancel exactly (the dephasing jumps against their
+    anticommutator), and are left out of the entries too."""
     spec = _every_jump_spec(n, temperature=temperature)
     liou = build_liouvillian(spec)
+    assert (np.diff(liou.rows * liou.side + liou.cols) > 0).all() and liou.vals.all()
     got = dense(liou)
     want = _kron_chain_liouvillian(spec).toarray()
     assert liou.shape == want.shape
     assert np.array_equal(got != 0, want != 0)
     assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
+
+
+def test_liouvillian_holds_only_its_nonzeros():
+    """At N = 3, Fock 8 (side 4096), as criterion 10 and the linearity
+    test below solve it, the Liouvillian is its 56 383 nonzero entries,
+    1.8 MB, where its three dense block diagonals took 92 MB."""
+    tls = (TlsParams(1.0, KAPPA_1, 0.0, complex(KAPPA_1 / np.sqrt(2.0)), 0.0, (1e-6,)),) * 3
+    spec = HilbertSpec(8, ModeParams(detuning=0.0, gamma0=1e-6), tls, ENV0)
+    liou = build_liouvillian(spec)
+    assert liou.shape == (4096, 4096)
+    assert sum(x.nbytes for x in liou[:3]) < 2e6
 
 
 @pytest.mark.parametrize("i", [0, 1, 2])

@@ -2,6 +2,7 @@
 
 import cmath
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -410,3 +411,31 @@ def test_detuning_frame_consistency():
     assert r_c.g == pytest.approx(r_a.g, rel=1e-12, abs=0)
     assert r_c.Gamma == pytest.approx(r_a.Gamma, rel=1e-12, abs=0)
     assert r_c.delta == pytest.approx(r_a.delta, rel=1e-12, abs=0)
+
+
+_CLOSED_FORMS = {
+    "mollow_sideband": (mollow_sideband, {"drive": 10 * KAPPA_T, "kappa_t": KAPPA_T}),
+    "optimal_detuning": (optimal_detuning, {"drive": 4 * KAPPA_T, "kappa_t": KAPPA_T}),
+    "low_drive_limits": (low_drive_limits, {
+        "n_tls": N_TLS, "coupling": G, "kappa_t": KAPPA_T, "detuning": KAPPA_T,
+        "omega_B": 1.0, "temperature": 0.1}),
+    "resonant_closed_form": (resonant_closed_form, {
+        "n_tls": N_TLS, "coupling": G, "kappa1": KAPPA_1, "s": 1.0, "delta_0": 0.0}),
+}
+
+
+@pytest.mark.parametrize(
+    "form, argument, bad",
+    [
+        (form, name, bad)
+        for form, (_, kwargs) in _CLOSED_FORMS.items()
+        for name, bad in zip(kwargs, [math.nan, math.inf, -math.inf] * 3)
+    ],
+)
+def test_closed_forms_refuse_non_finite_arguments(form, argument, bad):
+    """Each argument of each closed form, NaN or infinite, raises a
+    ValueError that names it, where the formula gave NaN or inf."""
+    fn, kwargs = _CLOSED_FORMS[form]
+    fn(**kwargs)  # the finite point is accepted
+    with pytest.raises(ValueError, match=f"{argument} must be finite"):
+        fn(**{**kwargs, argument: bad})

@@ -64,3 +64,18 @@ def test_package_import_registers_traced_modules():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split("\n")[:3] == ["[]", "True", "True"]
+
+
+def test_liouvillian_note_reads_a_real_liouvillian():
+    """The traced run counts the Fock dimension and the Liouvillian side
+    from what `build_liouvillian` returns, so a change of its type shows
+    here rather than as a failed `--trace 1` run."""
+    from tlsbath.bath import BathEnvironment, TlsParams
+    from tlsbath.oracle import HilbertSpec, build_liouvillian
+    from tlsbath.rates import ModeParams
+
+    tls = (TlsParams(1.0, 1e-4, 0.0, 7e-5 + 0j, 0.0, (1e-6,)),)
+    spec = HilbertSpec(8, ModeParams(detuning=0.0, gamma0=1e-5), tls, BathEnvironment())
+    counters = {}
+    _spans()._note_liouvillian(counters, (spec,), build_liouvillian(spec))
+    assert counters == {"fock_dim_max": 8, "liouvillian_side_max": 256}
