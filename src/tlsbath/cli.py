@@ -1,6 +1,7 @@
 """Command-line front end.
 
-Exit codes: 0 success, 1 configuration error, 2 numerical failure,
+Exit codes: 0 success, 1 configuration error (an unwritable output
+path and a run too large for memory included), 2 numerical failure,
 3 validation failures present.  Every subcommand accepts `--config
 <ini-file>` plus repeatable `--set section.key=value` overrides; sweep
 output goes to `--out` (or the config's output path, or stdout).
@@ -16,11 +17,10 @@ import numpy as np
 
 from . import __version__
 from .bath import saturation, transverse_rate
-from .config import ConfigError, load_config
+from .config import FORMATS, ConfigError, load_config, resolved_items
 from .oracle import DimensionCapError
 from .rates import BelowThresholdError
 from .sweeps import SCENARIOS, SweepResult, rates_at, run_scenario, write_result
-from .config import resolved_items
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -45,7 +45,7 @@ def _add_common(sub):
         help="override one config value (repeatable)",
     )
     sub.add_argument("--out", metavar="PATH", help="output file (default: config/stdout)")
-    sub.add_argument("--format", choices=("csv", "json"), help="output format")
+    sub.add_argument("--format", choices=FORMATS, help="output format")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -175,6 +175,11 @@ def main(argv=None) -> int:
     except ValueError as exc:
         # ConfigError, and parameter checks the library makes itself
         print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except MemoryError as exc:
+        # a run's memory is set by its config: grid counts, tau samples and
+        # oracle.dim_cap
+        print(f"config error: out of memory: {str(exc) or 'allocation failed'}", file=sys.stderr)
         return EXIT_CONFIG
 
 

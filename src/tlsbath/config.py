@@ -5,48 +5,8 @@ key has a default, so an empty file (or no file at all) resolves to the
 baseline parameter set used throughout: temperature 0, coupling
 G = 1e-8, N = 1e5 two-level systems, kappa_1 = 1e-4, kappa_2 = 0,
 gamma_0 = 1e-7, all rates in units of the TLS frequency (omega_B = 1).
-
-Grammar::
-
-    [mode]
-    Delta_0 = 0.0        # mode detuning from the drive, omega_0 - omega_d
-    gamma_0 = 1e-7       # bare mode energy decay rate
-    Omega_0 = 0.0        # direct mode drive amplitude (complex allowed)
-
-    [bath]
-    N = 1e5              # number of identical TLS
-    G = 1e-8             # mode-TLS coupling (complex allowed)
-    kappa_1 = 1e-4       # TLS energy decay rate
-    kappa_2 = 0.0        # TLS pure-dephasing rate
-    Omega_B = 0.0        # TLS drive amplitude (complex allowed)
-    Delta_B = 0.0        # TLS detuning from the drive, omega_B - omega_d
-
-    [environment]
-    temperature = 0.0
-
-    [sweep]
-    variable = Omega_B   # one of Omega_B, Delta_B, Delta_0, gamma_0, tau
-    start = 1e-6
-    stop = 1e-3
-    count = 100
-    scale = log          # or linear
-
-    [sweep2]             # second axis, stability-map only
-    variable = gamma_0
-    start = 1e-9
-    stop = 1e-5
-    count = 100
-    scale = log
-
-    [output]
-    path =               # empty means stdout
-    format = csv         # or json
-
-    [oracle]
-    fock_start = 8
-    dim_cap = 64
-    gamma_0 = 3e-6       # mode decay used for the oracle comparison
-    ratios = 0.1, 0.03, 0.01   # coupling-to-linewidth ratios G/kappa_t
+The keys, their defaults and their checks are the rows of ``_KEYS``;
+the README's INI block lists them with comments.
 
 Sections and keys match case-insensitively; `[DEFAULT]` is an unknown
 section like any other name outside the grammar.  A comment runs from `;` or
@@ -54,7 +14,11 @@ section like any other name outside the grammar.  A comment runs from `;` or
 `out#1.csv` is a value.  Complex values use Python syntax ("1e-4",
 "1e-4+5e-5j").  The file is read first, in file order, then each `--set
 section.key=value` override in command-line order, with the same
-parsers; the last value given for a key wins, whatever its case.
+parsers; the last value given for a key wins, whatever its case.  Of
+several errors, the first one met is reported: an unknown section or key,
+then a key that fails its parser or bound, in grammar order, then the
+checks that relate keys (the drive frame, the sweep ranges, the oracle's
+dimension cap).
 """
 
 from __future__ import annotations
@@ -75,46 +39,6 @@ FORMATS = ("csv", "json")
 
 class ConfigError(ValueError):
     """Invalid configuration; the message names the offending field."""
-
-
-# Defaults for every recognized key, as grammar strings.  Resolution
-# never consults anything else, so a config is reproducible from the
-# resolved key set alone.
-DEFAULTS = {
-    "mode": {"Delta_0": "0.0", "gamma_0": "1e-7", "Omega_0": "0.0"},
-    "bath": {
-        "N": "1e5",
-        "G": "1e-8",
-        "kappa_1": "1e-4",
-        "kappa_2": "0.0",
-        "Omega_B": "0.0",
-        "Delta_B": "0.0",
-    },
-    "environment": {"temperature": "0.0"},
-    "sweep": {
-        "variable": "Omega_B",
-        "start": "1e-6",
-        "stop": "1e-3",
-        "count": "100",
-        "scale": "log",
-    },
-    "sweep2": {
-        "variable": "gamma_0",
-        "start": "1e-9",
-        "stop": "1e-5",
-        "count": "100",
-        "scale": "log",
-    },
-    "output": {"path": "", "format": "csv"},
-    "oracle": {
-        "fock_start": "8",
-        "dim_cap": "64",
-        "gamma_0": "3e-6",
-        "ratios": "0.1, 0.03, 0.01",
-    },
-}
-# lowercased section -> (section, {lowercased key -> key})
-_GRAMMAR = {s.lower(): (s, {k.lower(): k for k in kv}) for s, kv in DEFAULTS.items()}
 
 
 def _parse_float(raw, field):
@@ -148,11 +72,66 @@ def _parse_int(raw, field):
     return int(value)
 
 
-def _parse_choice(raw, field, choices):
-    value = raw.strip()
-    if value not in choices:
-        raise ConfigError(f"{field}: {value!r} not in {choices}")
-    return value
+def _choice(choices):
+    def parse(raw, field):
+        value = raw.strip()
+        if value not in choices:
+            raise ConfigError(f"{field}: {value!r} not in {choices}")
+        return value
+
+    return parse
+
+
+def _parse_ratios(raw, field):
+    parts = raw.replace(",", " ").split()
+    if not parts:
+        raise ConfigError(f"{field}: need at least one ratio")
+    ratios = tuple(_parse_float(p, field) for p in parts)
+    if any(r <= 0 for r in ratios):
+        raise ConfigError(f"{field}: ratios must be > 0, got {ratios}")
+    return ratios
+
+
+# The sections whose keys are the fields of a SweepAxis.
+_AXES = ("sweep", "sweep2")
+# One row per key, in grammar order: section, key, default as a grammar
+# string, the field it fills (of the SweepAxis in a sweep section, else
+# of ScenarioConfig), parser, and a bound (op, low) or None.  Resolution
+# never consults anything else, so a config is reproducible from the
+# resolved key set alone.
+_KEYS = (
+    ("mode", "Delta_0", "0.0", "Delta_0", _parse_float, None),
+    ("mode", "gamma_0", "1e-7", "gamma_0", _parse_float, (">=", 0)),
+    ("mode", "Omega_0", "0.0", "Omega_0", _parse_complex, None),
+    ("bath", "N", "1e5", "n_tls", _parse_float, (">", 0)),
+    ("bath", "G", "1e-8", "G", _parse_complex, None),
+    ("bath", "kappa_1", "1e-4", "kappa_1", _parse_float, (">", 0)),
+    ("bath", "kappa_2", "0.0", "kappa_2", _parse_float, (">=", 0)),
+    ("bath", "Omega_B", "0.0", "Omega_B", _parse_complex, None),
+    ("bath", "Delta_B", "0.0", "Delta_B", _parse_float, None),
+    ("environment", "temperature", "0.0", "temperature", _parse_float, (">=", 0)),
+    ("sweep", "variable", "Omega_B", "variable", _choice(SWEEP_VARIABLES), None),
+    ("sweep", "start", "1e-6", "start", _parse_float, None),
+    ("sweep", "stop", "1e-3", "stop", _parse_float, None),
+    ("sweep", "count", "100", "count", _parse_int, None),
+    ("sweep", "scale", "log", "scale", _choice(SCALES), None),
+    ("sweep2", "variable", "gamma_0", "variable", _choice(SWEEP_VARIABLES), None),
+    ("sweep2", "start", "1e-9", "start", _parse_float, None),
+    ("sweep2", "stop", "1e-5", "stop", _parse_float, None),
+    ("sweep2", "count", "100", "count", _parse_int, None),
+    ("sweep2", "scale", "log", "scale", _choice(SCALES), None),
+    ("output", "path", "", "out_path", lambda raw, field: raw.strip(), None),
+    ("output", "format", "csv", "out_format", _choice(FORMATS), None),
+    ("oracle", "fock_start", "8", "oracle_fock_start", _parse_int, (">=", 2)),
+    ("oracle", "dim_cap", "64", "oracle_dim_cap", _parse_int, None),
+    ("oracle", "gamma_0", "3e-6", "oracle_gamma_0", _parse_float, (">", 0)),
+    ("oracle", "ratios", "0.1, 0.03, 0.01", "oracle_ratios", _parse_ratios, None),
+)
+DEFAULTS = {}  # section -> {key -> default}, in grammar order
+for _row in _KEYS:
+    DEFAULTS.setdefault(_row[0], {})[_row[1]] = _row[2]
+# lowercased section -> (section, {lowercased key -> key})
+_GRAMMAR = {s.lower(): (s, {k.lower(): k for k in kv}) for s, kv in DEFAULTS.items()}
 
 
 @dataclass(frozen=True)
@@ -223,21 +202,6 @@ class ScenarioConfig:
         return dataclasses.replace(self, **changes)
 
 
-def _validate_axis(section, values) -> SweepAxis:
-    variable = _parse_choice(values["variable"], f"{section}.variable", SWEEP_VARIABLES)
-    start = _parse_float(values["start"], f"{section}.start")
-    stop = _parse_float(values["stop"], f"{section}.stop")
-    count = _parse_int(values["count"], f"{section}.count")
-    scale = _parse_choice(values["scale"], f"{section}.scale", SCALES)
-    if count < 2:
-        raise ConfigError(f"{section}.count: need at least 2 points, got {count}")
-    if not start < stop:
-        raise ConfigError(f"{section}.start: must be < {section}.stop ({start} vs {stop})")
-    if scale == "log" and start <= 0:
-        raise ConfigError(f"{section}.start: log scale requires start > 0, got {start}")
-    return SweepAxis(variable, start, stop, count, scale)
-
-
 def check_frame(delta_b: float, delta_0: float) -> None:
     """Both absolute frequencies positive: the drive's, omega_d = 1 -
     Delta_B, and the mode's, omega_d + Delta_0.  Both fall as Delta_B
@@ -263,8 +227,9 @@ def resolve(raw: dict) -> ScenarioConfig:
 def _resolve(entries) -> ScenarioConfig:
     """Write ``(section, key, value)`` entries over the defaults in order,
     under the grammar's names (sections and keys match case-insensitively,
-    so the last value of a key wins whatever its case), then validate."""
-    merged = {s: dict(kv) for s, kv in DEFAULTS.items()}
+    so the last value of a key wins whatever its case), then check each key
+    in grammar order, then the checks that relate keys."""
+    given = {}  # dotted key -> the last value given
     for section, key, value in entries:
         found = _GRAMMAR.get(section.lower())
         if found is None:
@@ -272,59 +237,36 @@ def _resolve(entries) -> ScenarioConfig:
         name, keys = found
         if key.lower() not in keys:
             raise ConfigError(f"{name}.{key}: unknown key")
-        merged[name][keys[key.lower()]] = value
+        given[f"{name}.{keys[key.lower()]}"] = value
 
-    def get(field, parse=_parse_float, op=None, low=0):
-        section, key = field.split(".")
-        value = parse(merged[section][key], field)
-        if op is not None and not (value > low if op == ">" else value >= low):
-            raise ConfigError(f"{field}: must be {op} {low}, got {value}")
-        return value
+    fields, axes = {}, {s: {} for s in _AXES}
+    for section, key, default, field, parse, bound in _KEYS:
+        name = f"{section}.{key}"
+        value = parse(given.get(name, default), name)
+        if bound is not None:
+            op, low = bound
+            if not (value > low if op == ">" else value >= low):
+                raise ConfigError(f"{name}: must be {op} {low}, got {value}")
+        axes.get(section, fields)[field] = value
 
-    gamma_0 = get("mode.gamma_0", op=">=")
-    n_tls = get("bath.N", op=">")
-    kappa_1 = get("bath.kappa_1", op=">")
-    kappa_2 = get("bath.kappa_2", op=">=")
-    delta_b = get("bath.Delta_B")
-    delta_0 = get("mode.Delta_0")
-    check_frame(delta_b, delta_0)
-    temperature = get("environment.temperature", op=">=")
-    fock_start = get("oracle.fock_start", _parse_int, ">=", 2)
-    dim_cap = get("oracle.dim_cap", _parse_int)
+    check_frame(fields["Delta_B"], fields["Delta_0"])
+    for section, values in axes.items():
+        axis = fields[section] = SweepAxis(**values)
+        if axis.count < 2:
+            raise ConfigError(f"{section}.count: need at least 2 points, got {axis.count}")
+        if not axis.start < axis.stop:
+            raise ConfigError(
+                f"{section}.start: must be < {section}.stop ({axis.start} vs {axis.stop})"
+            )
+        if axis.scale == "log" and axis.start <= 0:
+            raise ConfigError(f"{section}.start: log scale requires start > 0, got {axis.start}")
+    fock_start, dim_cap = fields["oracle_fock_start"], fields["oracle_dim_cap"]
     if dim_cap < 2 * fock_start:
         raise ConfigError(
             f"oracle.dim_cap: must allow at least fock_start x one TLS "
             f"({2 * fock_start}), got {dim_cap}"
         )
-    oracle_gamma_0 = get("oracle.gamma_0", op=">")
-    ratio_parts = merged["oracle"]["ratios"].replace(",", " ").split()
-    if not ratio_parts:
-        raise ConfigError("oracle.ratios: need at least one ratio")
-    ratios = tuple(_parse_float(p, "oracle.ratios") for p in ratio_parts)
-    if any(r <= 0 for r in ratios):
-        raise ConfigError(f"oracle.ratios: ratios must be > 0, got {ratios}")
-
-    out = merged["output"]
-    return ScenarioConfig(
-        Delta_0=delta_0,
-        gamma_0=gamma_0,
-        Omega_0=get("mode.Omega_0", _parse_complex),
-        n_tls=n_tls,
-        G=get("bath.G", _parse_complex),
-        kappa_1=kappa_1,
-        kappa_2=kappa_2,
-        Omega_B=get("bath.Omega_B", _parse_complex),
-        Delta_B=delta_b,
-        temperature=temperature,
-        sweep=_validate_axis("sweep", merged["sweep"]),
-        sweep2=_validate_axis("sweep2", merged["sweep2"]),
-        out_path=out["path"].strip(),
-        out_format=_parse_choice(out["format"], "output.format", FORMATS),
-        oracle_fock_start=fock_start,
-        oracle_dim_cap=dim_cap,
-        oracle_gamma_0=oracle_gamma_0,
-        oracle_ratios=ratios,
-    )
+    return ScenarioConfig(**fields)
 
 
 def _read_ini(text: str) -> list:
@@ -367,11 +309,6 @@ def load_config(path=None, overrides=()) -> ScenarioConfig:
     return _resolve(entries + [_set_entry(item) for item in overrides])
 
 
-# ScenarioConfig fields whose names differ from their keys; the keys of
-# a sweep section are the fields of its SweepAxis.
-_FIELDS = {"bath.N": "n_tls", **{f"oracle.{k}": f"oracle_{k}" for k in DEFAULTS["oracle"]}}
-
-
 def _canonical(value) -> str:
     if isinstance(value, complex):
         # the sign of the imaginary part, that of a zero included, so that
@@ -387,12 +324,8 @@ def resolved_items(cfg: ScenarioConfig):
     """Flat (dotted key, canonical string) pairs for metadata, in grammar
     order; ``[output]`` says where a result goes, not what it is, and is
     left out."""
-    items = []
-    for section, keys in DEFAULTS.items():
-        if section == "output":
-            continue
-        owner = getattr(cfg, section) if section.startswith("sweep") else cfg
-        for key in keys:
-            field = _FIELDS.get(f"{section}.{key}", key)
-            items.append((f"{section}.{key}", _canonical(getattr(owner, field))))
-    return items
+    return [
+        (f"{s}.{k}", _canonical(getattr(getattr(cfg, s) if s in _AXES else cfg, field)))
+        for s, k, _, field, _, _ in _KEYS
+        if s != "output"
+    ]

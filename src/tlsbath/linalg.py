@@ -45,6 +45,10 @@ NULL_RTOL = 1e-10
 # Smallest normal float: the floor of a scale that must stay positive.
 _TINY = sys.float_info.min
 
+# Largest entry moduli that null_vector takes unscaled: its row sums stay
+# finite and its threshold a normal float.
+_SAFE_PEAK = (1e-100, 1e100)
+
 # Dense expm is cheaper than the action-only algorithm below this order.
 _EXPM_DENSE_MAX = 128
 
@@ -176,22 +180,27 @@ def null_vector(a) -> np.ndarray:
     one stays above the threshold there is no numerical kernel at all;
     both conditions raise :class:`KernelDimensionError`.  A NaN or
     infinite entry raises :class:`ValueError`.  The kernel and both
-    checks are scale-invariant, so ``a`` is first scaled by a power of
-    two to a largest entry below 1: a finite matrix near the overflow
-    threshold has a finite norm.  The singular values and the threshold
-    that an error message quotes are those of the scaled matrix.
+    checks are scale-invariant, so a matrix whose largest entry modulus
+    is not finite or lies outside [1e-100, 1e100] is first scaled by a
+    power of two to a largest entry below 1: a finite matrix near the
+    overflow threshold has a finite norm.  The singular values and the
+    threshold that an error message quotes are those of ``a`` itself, or
+    of the scaled matrix where ``a`` was scaled.
     """
     a = _square(a, finite=False)
     if a.shape[0] < 2:
         raise ValueError("kernel extraction needs at least a 2x2 matrix")
-    peak = np.abs(a).max()
-    if not math.isfinite(peak):
-        # a NaN or inf entry, or finite parts whose modulus overflows
-        _check_finite(a)
-        peak = max(np.abs(a.real).max(), np.abs(a.imag).max())
-    # 2**-e is exact; its exponent stays inside the normal range
-    a = a * math.ldexp(1.0, -max(math.frexp(peak)[1], -1022))
-    norm = np.abs(a).sum(axis=1).max()
+    mag = np.abs(a)
+    peak = mag.max()
+    if not _SAFE_PEAK[0] <= peak <= _SAFE_PEAK[1]:
+        if not math.isfinite(peak):
+            # a NaN or inf entry, or finite parts whose modulus overflows
+            _check_finite(a)
+            peak = max(np.abs(a.real).max(), np.abs(a.imag).max())
+        # 2**-e is exact; its exponent stays inside the normal range
+        a = a * math.ldexp(1.0, -max(math.frexp(peak)[1], -1022))
+        mag = np.abs(a)
+    norm = mag.sum(axis=1).max()
     _, sing, vh = np.linalg.svd(a)
     tol = NULL_RTOL * max(norm, _TINY)
     if sing[-1] > tol:

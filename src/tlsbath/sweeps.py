@@ -291,24 +291,7 @@ def run_scenario(name: str, cfg: ScenarioConfig) -> SweepResult:
         return SweepResult(name, cols, _coherence_columns(cfg), meta)
 
     if name == "oracle-validate":
-        cols = (
-            "coupling_ratio",
-            "fock_dim",
-            "occupation_eff",
-            "occupation_exact",
-            "occupation_rel_err",
-            "amplitude_eff_re",
-            "amplitude_eff_im",
-            "amplitude_exact_re",
-            "amplitude_exact_im",
-            "amplitude_rel_err",
-            "pair_eff_re",
-            "pair_eff_im",
-            "pair_exact_re",
-            "pair_exact_im",
-            "pair_rel_err",
-        )
-        return SweepResult.from_rows(name, cols, _oracle_rows(cfg), meta)
+        return SweepResult.from_rows(name, ORACLE_COLUMNS, _oracle_rows(cfg), meta)
 
     axes = (cfg.sweep,)
     if name == "stability-map":
@@ -342,8 +325,28 @@ def _coherence_columns(cfg: ScenarioConfig) -> tuple:
     return (series.tau, *_split(series.values))
 
 
+ORACLE_COLUMNS = (
+    "coupling_ratio",
+    "fock_dim",
+    "occupation_eff",
+    "occupation_exact",
+    "occupation_rel_err",
+    "amplitude_eff_re",
+    "amplitude_eff_im",
+    "amplitude_exact_re",
+    "amplitude_exact_im",
+    "amplitude_rel_err",
+    "pair_eff_re",
+    "pair_eff_im",
+    "pair_exact_re",
+    "pair_exact_im",
+    "pair_rel_err",
+)
+
+
 def oracle_point(cfg: ScenarioConfig, ratio: float) -> tuple:
-    """Effective-model and exact moments at one coupling ratio (one row)."""
+    """Effective-model and exact moments at one coupling ratio: one row
+    of :data:`ORACLE_COLUMNS`."""
     n = int(round(cfg.n_tls))
     tls = cfg.tls_params()
     env = cfg.environment()
@@ -452,10 +455,14 @@ def render_json(result: SweepResult) -> str:
 
 
 def write_result(result: SweepResult, path=None, fmt: str = "csv") -> None:
-    """Render ``result`` as CSV or JSON into ``path``, or to stdout without one."""
+    """Render ``result`` as CSV or JSON into ``path``, or to stdout without
+    one.  A path that cannot be written raises :class:`ConfigError`."""
     text = render_csv(result) if fmt == "csv" else render_json(result)
     if not path:
         sys.stdout.write(text)
         return
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
+    try:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ConfigError(f"output file {path}: {exc.strerror or exc}") from None

@@ -42,7 +42,7 @@ from .dynamics import (
 from .linalg import eigenvalues
 from .oracle import DimensionCapError, bloch_correlator_numeric
 from .rates import mollow_sideband, optimal_detuning, resonant_closed_form
-from .sweeps import oracle_point, rates_at
+from .sweeps import ORACLE_COLUMNS, oracle_point, rates_at
 
 N_TLS = 1e5
 COUPLING = 1e-8
@@ -297,7 +297,8 @@ def _oracle_equivalence(cfg: ScenarioConfig) -> tuple:
     try:
         for ratio in ratios:
             row = oracle_point(point, float(ratio))
-            devs.append(max(row[4], row[9], row[14]))
+            errs = (v for c, v in zip(ORACLE_COLUMNS, row) if c.endswith("_rel_err"))
+            devs.append(max(errs))
     except DimensionCapError as exc:
         return None, f"dimension cap: {exc}"
     monotone = all(a >= b for a, b in zip(devs, devs[1:]))

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 import tlsbath.cli as cli
 import tlsbath.validation as validation
+from tlsbath.config import SweepAxis
 from tlsbath.dynamics import HEISENBERG_ATOL
 from tlsbath.validation import CriterionResult, ValidationReport
 
@@ -141,6 +142,42 @@ def test_bad_value_exit_code(capsys):
     code, _, err = _run(capsys, "rates", "--set", "bath.kappa_1=-1")
     assert code == cli.EXIT_CONFIG
     assert "bath.kappa_1" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sweep", "driving", "--set", "sweep.count=2", "--out", "{path}"],
+        ["rates", "--set", "output.path={path}"],
+        ["validate-all", "--out", "{path}"],
+    ],
+)
+def test_unwritable_output_path_is_config_error(monkeypatch, tmp_path, capsys, argv):
+    """An output path in a missing directory exits 1 with one line that
+    names the path."""
+    ok = CriterionResult(2, "weak-drive-rates", "pass", "max rel dev 1e-7", "rel < 1e-4", 0.02)
+    monkeypatch.setattr(validation, "validate_all", lambda cfg=None: ValidationReport((ok,)))
+    path = tmp_path / "missing" / "x.csv"
+    code, _, err = _run(capsys, *(a.format(path=path) for a in argv))
+    assert code == cli.EXIT_CONFIG
+    assert len(err.splitlines()) == 1
+    assert err.startswith(f"config error: output file {path}: ")
+
+
+def test_grid_too_large_for_memory_is_config_error(monkeypatch, capsys):
+    """A grid that does not fit in memory exits 1 with one line.  The
+    allocation is stubbed: on a host that overcommits, a real one can
+    succeed and then exhaust memory."""
+    message = "Unable to allocate 72.8 TiB for an array with shape (10000000000000,)"
+
+    def grid(self):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(SweepAxis, "grid", grid)
+    code, out, err = _run(capsys, "sweep", "driving", "--set", "sweep.count=1e13")
+    assert code == cli.EXIT_CONFIG
+    assert out == ""
+    assert err == f"config error: out of memory: {message}\n"
 
 
 _TAU = ["--set", "sweep.variable=tau", "--set", "sweep.start=0", "--set", "sweep.stop=10",

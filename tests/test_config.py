@@ -200,6 +200,29 @@ def test_validation_messages(raw, fragment):
         resolve(raw)
 
 
+@pytest.mark.parametrize(
+    "raw,fragment",
+    [
+        # of two bad keys, the earlier one in grammar order
+        ({"mode": {"Omega_0": "x"}, "bath": {"N": "0"}}, "mode.Omega_0: cannot parse"),
+        ({"oracle": {"gamma_0": "0"}, "sweep": {"count": "2.5"}}, "sweep.count: expected"),
+        # a bad key before the checks that relate keys
+        (
+            {"bath": {"Delta_B": "2"}, "environment": {"temperature": "-1"}},
+            "environment.temperature: must be >= 0",
+        ),
+        ({"sweep": {"start": "2e-3"}, "output": {"format": "yaml"}}, "output.format"),
+        ({"oracle": {"dim_cap": "10", "gamma_0": "0"}}, "oracle.gamma_0: must be > 0"),
+        # and those checks in turn: the drive frame, the sweep ranges, the cap
+        ({"bath": {"Delta_B": "2"}, "sweep": {"count": "1"}}, "bath.Delta_B: drive frequency"),
+        ({"sweep2": {"count": "1"}, "oracle": {"dim_cap": "10"}}, "sweep2.count: need"),
+    ],
+)
+def test_the_first_error_in_grammar_order_is_reported(raw, fragment):
+    with pytest.raises(ConfigError, match=fragment):
+        resolve(raw)
+
+
 def test_sweep_grid_endpoints():
     cfg = resolve(
         {"sweep": {"start": "1e-6", "stop": "1e-2", "count": "5", "scale": "log"}}
