@@ -1,10 +1,11 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 configuration error (an unwritable output
-path and a run too large for memory included), 2 numerical failure,
-3 validation failures present.  Every subcommand accepts `--config
-<ini-file>` plus repeatable `--set section.key=value` overrides; sweep
-output goes to `--out` (or the config's output path, or stdout).
+path, found before the run, and a run too large for memory included),
+2 numerical failure, 3 validation failures present.  Every subcommand
+accepts `--config <ini-file>` plus repeatable `--set section.key=value`
+overrides; sweep output goes to `--out` (or the config's output path,
+or stdout).
 """
 
 from __future__ import annotations
@@ -20,7 +21,14 @@ from .bath import saturation, transverse_rate
 from .config import FORMATS, ConfigError, load_config, resolved_items
 from .oracle import DimensionCapError
 from .rates import BelowThresholdError
-from .sweeps import SCENARIOS, SweepResult, rates_at, run_scenario, write_result
+from .sweeps import (
+    SCENARIOS,
+    SweepResult,
+    check_output_path,
+    rates_at,
+    run_scenario,
+    write_result,
+)
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -86,6 +94,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _config(args):
+    # an output path that cannot be written fails before the run, not after
+    cfg = load_config(args.config, args.overrides)
+    check_output_path(args.out or cfg.out_path)
+    return cfg
+
+
 def _emit(result: SweepResult, cfg, args) -> None:
     path = args.out or cfg.out_path
     write_result(result, path, args.format or cfg.out_format)
@@ -121,7 +136,7 @@ def _rates_result(cfg) -> SweepResult:
 
 
 def _cmd_rates(args) -> int:
-    cfg = load_config(args.config, args.overrides)
+    cfg = _config(args)
     result = _rates_result(cfg)
     if args.out or cfg.out_path or args.format:
         _emit(result, cfg, args)
@@ -132,7 +147,7 @@ def _cmd_rates(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    cfg = load_config(args.config, args.overrides)
+    cfg = _config(args)
     result = run_scenario(args.scenario, cfg)
     _emit(result, cfg, args)
     return EXIT_OK
@@ -142,7 +157,7 @@ def _cmd_validate(args) -> int:
     # the suite loads only for this command
     from .validation import report_rows, validate_all
 
-    cfg = load_config(args.config, args.overrides)
+    cfg = _config(args)
     report = validate_all(cfg)
     for line in report.lines():
         print(line)

@@ -12,9 +12,12 @@ adiabatic elimination.  The quadrature's 4x4 TLS generator is
 and its regression integral one 4x4 resolvent solve, written on the
 4-vector ``vec(rho)`` by index: trace, Hermitian part, ``<sigma+->``,
 the seed ``sigma~_beta rho`` and the contraction are picked entries of
-it, not 2x2 operator products.  Nothing here reuses the effective-rate
-pipeline; the only shared code is the linear-algebra kernel, and none of
-it uses SciPy.
+it, not 2x2 operator products.  The four ``(alpha, beta)`` components of
+one TLS and detuning share that work: a one-entry memo, keyed on the
+exact bits of ``theta`` and ``delta_m``, keeps the generator,
+``vec(rho)`` and the solution for each ``beta``.  Nothing here reuses
+the effective-rate pipeline; the only shared code is the linear-algebra
+kernel, and none of it uses SciPy.
 
 Matrix vectorization is row-major throughout: ``vec(A rho B) =
 kron(A, B.T) @ vec(rho)``.
@@ -25,6 +28,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
+import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -205,7 +209,11 @@ def build_liouvillian(spec: HilbertSpec) -> BlockTridiagonal:
 def tls_liouvillian(p: TlsParams, env: BathEnvironment) -> np.ndarray:
     """Vectorized generator of a single driven, damped TLS (dense 4x4):
     ``theta`` times the blocks built once from its Hamiltonian and jumps."""
-    return (np.array(_tls_coefficients(p, env)) @ _tls_blocks()).reshape(4, 4)
+    return _tls_generator(np.array(_tls_coefficients(p, env)))
+
+
+def _tls_generator(theta: np.ndarray) -> np.ndarray:
+    return (theta @ _tls_blocks()).reshape(4, 4)
 
 
 def _normalize_density(rho: np.ndarray) -> np.ndarray:
@@ -288,6 +296,56 @@ def steady_state_autogrow(
 # excited) basis: the Hermitian conjugate swaps the middle entries.
 _ADJOINT = np.array([0, 2, 1, 3])
 
+# The last TLS and detuning of the quadrature, as one entry: the exact
+# bits of (theta, delta_m) map to the generator L, the rank-one column
+# c vec(rho), vec(rho) and the solutions x by beta, all read-only.  What
+# is stored under a key never changes, so calls that race on the memo at
+# worst compute an entry twice and need no lock.
+_REGRESSION: dict = {}
+
+
+def _regression(p: TlsParams, env: BathEnvironment, beta: int, delta_m: float) -> tuple:
+    """``(vec(rho), x)`` of :func:`bloch_correlator_numeric`, from the memo
+    where the last call met the same ``theta`` and ``delta_m``.  An entry
+    is stored only once its kernel vector has passed ``null_vector``'s
+    checks and the trace-weight check, and an ``x`` only once its solve
+    has returned, so a call that raised leaves nothing behind and the
+    next one computes again."""
+    theta = np.array(_tls_coefficients(p, env))
+    key = theta.tobytes() + struct.pack("d", delta_m)
+    entry = _REGRESSION.get(key)
+    if entry is None:
+        _REGRESSION.clear()
+        liou = _tls_generator(theta)
+        vec = null_vector(liou)
+        trace = vec[0] + vec[3]
+        if abs(trace) < 1e-12:
+            raise ArithmeticError("kernel vector carries no trace weight")
+        vec = vec / trace
+        rho = 0.5 * (vec + vec[_ADJOINT].conj())
+        entry = liou, np.abs(liou).max() * rho, rho, {}
+        for a in entry[:3]:
+            a.flags.writeable = False
+        _REGRESSION[key] = entry
+    liou, rank_one, rho, solved = entry
+    x = solved.get(beta)
+    if x is None:
+        shifted = liou.copy()
+        shifted.flat[::5] += beta * 1j * delta_m  # the diagonal
+        shifted[:, 0] += rank_one  # c vec(rho) tr^T: columns 0 and 3
+        shifted[:, 3] += rank_one
+        # -x0 = <sigma_beta> rho - sigma_beta rho
+        if beta > 0:
+            rhs = rho[1] * rho
+            rhs[2:] -= rho[:2]
+        else:
+            rhs = rho[2] * rho
+            rhs[:2] -= rho[2:]
+        x = np.linalg.solve(shifted, rhs)
+        x.flags.writeable = False
+        solved[beta] = x
+    return rho, x
+
 
 def bloch_correlator_numeric(
     p: TlsParams,
@@ -316,29 +374,21 @@ def bloch_correlator_numeric(
     seed, and ``tr(sigma~_alpha x) = x[k] - <sigma_alpha> (x[0] + x[3])``
     with ``k = 1`` for ``alpha = +1``, 2 for -1.  A non-finite
     ``delta_m`` raises :class:`ValueError`.
+
+    ``vec(rho)`` depends on the TLS only through ``theta`` (see
+    :func:`tls_liouvillian`), and ``x`` on ``theta``, ``beta`` and
+    ``delta_m``; ``alpha`` only picks ``k``.  Both are kept in a memo of
+    one entry, keyed on the exact bits of ``theta`` and ``delta_m``, so
+    of the four components of one TLS and detuning called in a row the
+    first costs the kernel vector and one solve, the first of the other
+    ``beta`` one more solve, and the rest a lookup.  A call for another
+    TLS or detuning replaces the entry, the kept arrays are read-only,
+    and a call that raises keeps nothing, so the next one computes again.
     """
     if alpha not in (+1, -1) or beta not in (+1, -1):
         raise ValueError("alpha and beta must be +1 or -1")
     if not math.isfinite(delta_m):
         raise ValueError(f"delta_m must be finite, got {delta_m}")
-    liou = tls_liouvillian(p, env)
-    vec = null_vector(liou)
-    trace = vec[0] + vec[3]
-    if abs(trace) < 1e-12:
-        raise ArithmeticError("kernel vector carries no trace weight")
-    vec = vec / trace
-    rho = 0.5 * (vec + vec[_ADJOINT].conj())
-    rank_one = np.abs(liou).max() * rho
-    liou.flat[::5] += beta * 1j * delta_m  # the diagonal
-    liou[:, 0] += rank_one  # c vec(rho) tr^T: columns 0 and 3
-    liou[:, 3] += rank_one
-    # -x0 = <sigma_beta> rho - sigma_beta rho
-    if beta > 0:
-        rhs = rho[1] * rho
-        rhs[2:] -= rho[:2]
-    else:
-        rhs = rho[2] * rho
-        rhs[:2] -= rho[2:]
-    x = np.linalg.solve(liou, rhs)
+    rho, x = _regression(p, env, beta, delta_m)
     k = 1 if alpha > 0 else 2
     return complex(x[k] - rho[k] * (x[0] + x[3]))

@@ -41,9 +41,12 @@ Scenario semantics:
 from __future__ import annotations
 
 import dataclasses
+import errno
 import functools
 import math
+import os
 import re
+import stat
 import sys
 from dataclasses import dataclass
 from datetime import datetime, timezone
@@ -454,6 +457,33 @@ def render_json(result: SweepResult) -> str:
     return json.dumps(payload, indent=2) + "\n"
 
 
+def _unwritable(path, exc: OSError) -> ConfigError:
+    return ConfigError(f"output file {path}: {exc.strerror or exc}")
+
+
+def check_output_path(path) -> None:
+    """Raise the :class:`ConfigError` that :func:`write_result` would for a
+    ``path`` that cannot be opened for writing, before anything is
+    computed, and without creating or truncating it: an existing file is
+    opened for writing without either flag, and a new one needs a
+    directory that exists and is writable.  A pipe, named or the
+    ``/dev/fd/N`` of a process substitution, is left to the write, since
+    opening one can wait for its reader."""
+    if not path:
+        return
+    try:
+        try:
+            if not stat.S_ISFIFO(os.stat(path).st_mode):
+                os.close(os.open(path, os.O_WRONLY))
+        except FileNotFoundError:
+            parent = os.path.dirname(path) or "."
+            os.stat(parent)  # a missing directory raises here
+            if not os.access(parent, os.W_OK | os.X_OK):
+                raise PermissionError(errno.EACCES, os.strerror(errno.EACCES)) from None
+    except OSError as exc:
+        raise _unwritable(path, exc) from None
+
+
 def write_result(result: SweepResult, path=None, fmt: str = "csv") -> None:
     """Render ``result`` as CSV or JSON into ``path``, or to stdout without
     one.  A path that cannot be written raises :class:`ConfigError`."""
@@ -465,4 +495,4 @@ def write_result(result: SweepResult, path=None, fmt: str = "csv") -> None:
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
     except OSError as exc:
-        raise ConfigError(f"output file {path}: {exc.strerror or exc}") from None
+        raise _unwritable(path, exc) from None

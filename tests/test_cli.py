@@ -164,6 +164,53 @@ def test_unwritable_output_path_is_config_error(monkeypatch, tmp_path, capsys, a
     assert err.startswith(f"config error: output file {path}: ")
 
 
+def _never_called(*args, **kwargs):
+    raise AssertionError("the run started before its output path was checked")
+
+
+@pytest.mark.parametrize(
+    "argv, module, name",
+    [
+        (["validate-all", "--out", "{path}"], validation, "validate_all"),
+        (["sweep", "driving", "--set", "output.path={path}"], cli, "run_scenario"),
+    ],
+    ids=["validate-all", "sweep"],
+)
+@pytest.mark.parametrize("where", ["missing/x.csv", "file/x.csv", "directory"])
+def test_unwritable_output_path_fails_before_the_run(
+    monkeypatch, tmp_path, capsys, argv, module, name, where
+):
+    """Under a missing directory, under a file, or a directory itself."""
+    monkeypatch.setattr(module, name, _never_called)
+    (tmp_path / "file").write_text("")
+    (tmp_path / "directory").mkdir()
+    path = tmp_path / where
+    code, out, err = _run(capsys, *(a.format(path=path) for a in argv))
+    assert code == cli.EXIT_CONFIG
+    assert out == ""
+    assert err.startswith(f"config error: output file {path}: ")
+    assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("existing", [True, False], ids=["existing-file", "new-file"])
+def test_output_path_check_neither_creates_nor_truncates(monkeypatch, tmp_path, capsys, existing):
+    """A run that fails after the check leaves its output path as it was."""
+    path = tmp_path / "x.csv"
+    if existing:
+        path.write_text("kept\n")
+
+    def fail(*args):
+        raise ArithmeticError("stubbed failure")
+
+    monkeypatch.setattr(cli, "run_scenario", fail)
+    code, _, _ = _run(capsys, "sweep", "driving", "--out", str(path))
+    assert code == cli.EXIT_NUMERICAL
+    if existing:
+        assert path.read_text() == "kept\n"
+    else:
+        assert not path.exists()
+
+
 def test_grid_too_large_for_memory_is_config_error(monkeypatch, capsys):
     """A grid that does not fit in memory exits 1 with one line.  The
     allocation is stubbed: on a host that overcommits, a real one can

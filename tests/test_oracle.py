@@ -579,8 +579,89 @@ def test_bloch_correlator_refuses_a_traceless_kernel_vector(monkeypatch):
     """A kernel vector without trace weight cannot be scaled to a state."""
     traceless = np.array([1.0, 0.3, 0.3, -1.0], dtype=complex) / 2.0
     monkeypatch.setattr(oracle, "null_vector", lambda liou: traceless)
+    oracle._REGRESSION.clear()  # a memo hit would never reach the patch
     with pytest.raises(ArithmeticError, match="no trace weight"):
         bloch_correlator_numeric(_tls(1e-5, 0.0), ENV0, +1, -1, 0.0)
+
+
+def _bits(values) -> bytes:
+    return np.array(values, dtype=complex).tobytes()
+
+
+def _fresh(p, env, alpha, beta, delta_m) -> complex:
+    oracle._REGRESSION.clear()
+    return bloch_correlator_numeric(p, env, alpha, beta, delta_m)
+
+
+@settings(max_examples=30)
+@given(
+    first=_criterion_11_points(),
+    second=_criterion_11_points(),
+    detuning=st.floats(-5.0, 5.0),
+    data=st.data(),
+)
+def test_bloch_correlator_memo_is_invisible(first, second, detuning, data):
+    """The four components of one TLS and detuning, in any order and
+    interleaved with calls for a second TLS and a second detuning, equal
+    bit for bit what calls with the memo cleared before each one give."""
+    p, env, delta_m = first
+    points = [first, second, (p, env, detuning * transverse_rate(p, env))]
+    calls = [(i, alpha, beta) for i in range(3) for alpha in SIGNS for beta in SIGNS]
+    calls = data.draw(st.permutations(calls))
+    got = [bloch_correlator_numeric(*points[i][:2], a, b, points[i][2]) for i, a, b in calls]
+    want = [_fresh(*points[i][:2], a, b, points[i][2]) for i, a, b in calls]
+    assert _bits(got) == _bits(want)
+
+
+def _counting_null_vector(monkeypatch) -> list:
+    calls = []
+
+    def counted(a):
+        calls.append(a)
+        return null_vector(a)
+
+    monkeypatch.setattr(oracle, "null_vector", counted)
+    oracle._REGRESSION.clear()
+    return calls
+
+
+def test_bloch_correlator_takes_one_kernel_vector_per_tls_and_detuning(monkeypatch):
+    """Criterion 11's loop, alpha outside beta, at two detunings of one TLS."""
+    calls = _counting_null_vector(monkeypatch)
+    p = TlsParams(1.0, 1e-5, 1e-4, 3e-5 * np.exp(0.7j), 2e-5, (1e-8,))
+    for delta_m in (0.0, 1e-5):
+        for alpha in SIGNS:
+            for beta in SIGNS:
+                bloch_correlator_numeric(p, ENV0, alpha, beta, delta_m)
+    assert len(calls) == 2
+
+
+def test_bloch_correlator_memo_is_read_only():
+    p = _tls(8e-5, 0.0, Delta_B=3e-5, kappa2=2e-5)
+    for beta in SIGNS:
+        bloch_correlator_numeric(p, ENV0, +1, beta, 1e-5)
+    (liou, rank_one, rho, solved), = oracle._REGRESSION.values()
+    for array in (liou, rank_one, rho, *solved.values()):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0.0
+
+
+def test_bloch_correlator_after_a_failure_computes_again(monkeypatch):
+    """A call that raised leaves nothing in the memo: the same call raises
+    again from a new kernel vector, and once the fault is gone the value
+    is that of a fresh call."""
+    calls = _counting_null_vector(monkeypatch)
+    p = _tls(1e-5, 0.0)
+    traceless = np.array([1.0, 0.3, 0.3, -1.0], dtype=complex) / 2.0
+    with monkeypatch.context() as patch:
+        patch.setattr(oracle, "null_vector", lambda a: calls.append(a) or traceless)
+        for _ in range(2):
+            with pytest.raises(ArithmeticError, match="no trace weight"):
+                bloch_correlator_numeric(p, ENV0, +1, -1, 0.0)
+    assert len(calls) == 2
+    got = bloch_correlator_numeric(p, ENV0, +1, -1, 0.0)
+    assert len(calls) == 3
+    assert _bits([got]) == _bits([_fresh(p, ENV0, +1, -1, 0.0)])
 
 
 def test_bloch_correlator_rejects_bad_sign():
