@@ -26,9 +26,10 @@ suite when it runs), as do :mod:`configparser` for an INI file and
 benchmark's traced run wraps their functions by reading
 ``sys.modules["tlsbath.<module>"]`` after a bare ``import tlsbath``.
 All of it runs on NumPy alone: no SciPy module loads, not even in the
-exact oracle or the acceptance checks.  Only ``linalg.solve_linear`` and
-``linalg.expm_apply``, the generic references that tests and benchmark
-traces use, import SciPy when they are called.
+exact oracle or the acceptance checks.  No library code calls
+``linalg.solve_linear`` or ``linalg.expm_apply``, the generic references
+that tests use and the benchmark's traced run wraps by name; only
+``expm_apply`` imports SciPy, when it is called.
 """
 
 __version__ = "0.1.0"

@@ -292,8 +292,9 @@ def correlator_integral(p: TlsParams, env: BathEnvironment, delta_m) -> np.ndarr
     D, u and v in turn, never by their products, keeps ``|delta_m|`` up to
     1e300 finite.  Frequencies are in units of the power of two that brings
     kappa_t, ``|Delta_B|`` and ``|Omega_B|`` below 2 (rounding nothing), so
-    D overflows, raising :class:`OverflowError`, only where ``|Omega_B| /
-    kappa_t`` does; a NaN or infinite detuning raises :class:`ValueError`.
+    D overflows only where ``|Omega_B| / kappa_t`` or ``|delta_m|`` in that
+    unit does, raising :class:`OverflowError` that names the drive or the
+    detuning; a NaN or infinite detuning raises :class:`ValueError`.
 
     The grid of ``p`` and the detunings broadcast together; ``x[b, row]``
     has shape ``(2, 3)`` plus that broadcast shape, sign first, rows as in
@@ -319,6 +320,17 @@ def correlator_integral(p: TlsParams, env: BathEnvironment, delta_m) -> np.ndarr
         if not np.isfinite(delta_m).all():
             bad = delta_m[~np.isfinite(delta_m)].flat[0]
             raise ValueError(f"mode detuning delta_m must be finite, got {bad}")
+        with np.errstate(over="ignore"):  # s has warned already
+            bad = ~np.isfinite(delta_m / unit)
+        if bad.any():
+            # the detuning overflows in the TLS's unit: name its point on the
+            # broadcast grid, leading axes of length one (one mode) left out
+            index = _first(bad)
+            lead = next((k for k, n in enumerate(bad.shape) if n != 1), bad.ndim)
+            value = np.broadcast_to(delta_m, bad.shape)[index]
+            raise OverflowError(
+                f"resolvent overflows at mode detuning delta_m = {value:g}{_named(index[lead:])}"
+            )
         # the overflow is the TLS's: name its point on the grid of p
         bad = ~np.isfinite(d).all(axis=tuple(range(d.ndim - unit.ndim)))
         index = _first(bad)

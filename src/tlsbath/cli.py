@@ -1,17 +1,19 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 configuration error (an unwritable output
-path, found before the run, and a run too large for memory included),
-2 numerical failure, 3 validation failures present.  Every subcommand
-accepts `--config <ini-file>` plus repeatable `--set section.key=value`
-overrides; sweep output goes to `--out` (or the config's output path,
-or stdout).
+path, found before the run, a stdout whose reader has closed it, and a
+run too large for memory included), 2 numerical failure, 3 validation
+failures present.  Every subcommand accepts `--config <ini-file>` plus
+repeatable `--set section.key=value` overrides; sweep output goes to
+`--out` (or the config's output path, or stdout).
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import math
+import os
 import sys
 
 import numpy as np
@@ -174,11 +176,27 @@ def _cmd_validate(args) -> int:
     return EXIT_VALIDATION
 
 
+def _discard_stdout() -> None:
+    # what stdout still buffers goes to the null device, so that the flush
+    # at exit cannot fail again
+    with contextlib.suppress(OSError, ValueError):  # no file descriptor
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a reader that has gone fails here, not at exit
+        return code
+    except BrokenPipeError as exc:
+        _discard_stdout()
+        with contextlib.suppress(OSError):  # stderr may be the same pipe
+            print(f"config error: output stream closed: {exc.strerror or exc}", file=sys.stderr)
+        return EXIT_CONFIG
     except (
         DimensionCapError,
         BelowThresholdError,

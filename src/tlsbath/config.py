@@ -281,7 +281,8 @@ def _read_ini(text: str) -> list:
     try:
         parser.read_string(text)
     except configparser.Error as exc:
-        raise ConfigError(f"config syntax: {exc}") from None
+        # configparser spreads some messages over lines; one line is reported
+        raise ConfigError(f"config syntax: {' '.join(str(exc).split())}") from None
     return [(s, k, v) for s in parser.sections() for k, v in parser.items(s)]
 
 

@@ -41,10 +41,6 @@ __all__ = [
     "coherence_g1",
 ]
 
-# Tolerances for the physicality checks on a steady state.
-HEISENBERG_ATOL = 1e-9
-OCCUPATION_ATOL = 1e-9
-
 # A variance or det sigma whose forward rounding bound exceeds this
 # fraction of its value has lost its digits; the steady state then raises.
 DIGITS_RTOL = 1e-2
@@ -92,12 +88,9 @@ class SteadyStateReport:
     centered_pair: complex
     var_x: float
     var_p: float
-    cov_xp: float
     det_sigma: float
     xi: float
     squeezed: bool
-    heisenberg_ok: bool
-    occupation_ok: bool
 
 
 @dataclass(frozen=True, eq=False)
@@ -231,9 +224,8 @@ def steady_state(ms: MomentSystem, where=True) -> SteadyStateReport:
     points are not checked and mean nothing: a sweep passes its stable
     points, so that an error names its point by the index in the whole
     grid.  The report carries the centered covariance
-    matrix data, the squeezing factor ``xi = 1 / sqrt(2 * min eig
-    sigma)``, and physicality flags for the Heisenberg determinant bound
-    and the centered occupation.
+    matrix data and the squeezing factor ``xi = 1 / sqrt(2 * min eig
+    sigma)``.
 
     Both blocks are eliminated in closed form.  With ``dt = i delta' -
     gamma/2`` and the amplitude-block determinant ``D = |dt|^2 - 4 |g|^2
@@ -331,12 +323,9 @@ def steady_state(ms: MomentSystem, where=True) -> SteadyStateReport:
         centered_pair=m2,
         var_x=var_x,
         var_p=var_p,
-        cov_xp=m2.imag,
         det_sigma=det_sigma,
         xi=xi,
         squeezed=xi > 1.0,
-        heisenberg_ok=det_sigma >= 0.25 - HEISENBERG_ATOL,
-        occupation_ok=n_c >= -OCCUPATION_ATOL,
     )
 
 

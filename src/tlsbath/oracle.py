@@ -325,7 +325,7 @@ def _regression(p: TlsParams, env: BathEnvironment, beta: int, delta_m: float) -
         rho = 0.5 * (vec + vec[_ADJOINT].conj())
         entry = liou, np.abs(liou).max() * rho, rho, {}
         for a in entry[:3]:
-            a.flags.writeable = False
+            a.setflags(write=False)
         _REGRESSION[key] = entry
     liou, rank_one, rho, solved = entry
     x = solved.get(beta)
@@ -342,7 +342,7 @@ def _regression(p: TlsParams, env: BathEnvironment, beta: int, delta_m: float) -
             rhs = rho[2] * rho
             rhs[:2] -= rho[2:]
         x = np.linalg.solve(shifted, rhs)
-        x.flags.writeable = False
+        x.setflags(write=False)
         solved[beta] = x
     return rho, x
 

@@ -1,9 +1,11 @@
 """Command-line behavior: parsing, output routing, exit codes."""
 
+import ast
 import contextlib
 import io
 import json
 import math
+import pathlib
 import subprocess
 import sys
 
@@ -14,7 +16,6 @@ from hypothesis import strategies as st
 import tlsbath.cli as cli
 import tlsbath.validation as validation
 from tlsbath.config import SweepAxis
-from tlsbath.dynamics import HEISENBERG_ATOL
 from tlsbath.validation import CriterionResult, ValidationReport
 
 
@@ -258,6 +259,35 @@ def test_library_parameter_errors_are_config_errors(capsys, argv, fragment):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "setting, ini, fragment",
+    [
+        ("bath.G=inf", None, "bath.G: value must be finite"),
+        ("mode.Omega_0=nan+1j", None, "mode.Omega_0: value must be finite"),
+        ("sweep.count=ten", None, "sweep.count: cannot parse 'ten' as an integer"),
+        (None, "[bath]\nN = 1\nN = 2\n", "option 'n' in section 'bath' already exists"),
+        (None, "N = 1\n", "File contains no section headers"),
+    ],
+    ids=["non-finite-complex", "nan-complex", "non-numeric-integer", "duplicate-key",
+         "no-section-header"],
+)
+def test_typed_config_errors_name_their_field(tmp_path, capsys, setting, ini, fragment):
+    """A value that no parser takes, or INI text that configparser refuses,
+    exits 1 with one line naming the field or the syntax error."""
+    if setting:
+        argv = ["rates", "--set", setting]
+    else:
+        path = tmp_path / "bad.ini"
+        path.write_text(ini, encoding="utf-8")
+        argv = ["rates", "--config", str(path)]
+    code, out, err = _run(capsys, *argv)
+    assert code == cli.EXIT_CONFIG
+    assert out == ""
+    assert len(err.splitlines()) == 1, err
+    assert err.startswith("config error: ")
+    assert fragment in err
+
+
 def test_marginally_stable_steady_state_exits_zero(capsys):
     """max Re(lambda) = -1.2e-11 here: the large drive entries of the full
     drift once tripped the pivot check, and the centred occupation lost
@@ -390,6 +420,26 @@ def test_rates_far_detuned_mode_are_zero(capsys):
     for name in ("g_re", "g_im", "Gamma_re", "Gamma_im", "gamma_plus", "gamma_minus"):
         assert report[name] == 0.0
     assert abs(report["delta"]) < 1e-300
+
+
+@pytest.mark.parametrize(
+    "argv, where",
+    [
+        (["rates", "--set", "mode.Delta_0=1e308"], ""),
+        (["sweep", "freq-shift", "--set", "sweep.variable=Delta_0", "--set", "sweep.start=1",
+          "--set", "sweep.stop=1e308", "--set", "sweep.count=4"], " (grid index 3)"),
+    ],
+    ids=["rates", "freq-shift-sweep"],
+)
+def test_overflowing_mode_detuning_is_named(capsys, argv, where):
+    """A detuning of 1e308 overflows in the TLS's frequency unit: the error
+    names the detuning and its row, not the drive."""
+    code, out, err = _run(capsys, *argv)
+    assert code == cli.EXIT_NUMERICAL
+    assert out == ""
+    assert err == (
+        f"numerical failure: resolvent overflows at mode detuning delta_m = 1e+308{where}\n"
+    )
 
 
 def test_rates_strong_drive_needs_no_pivot_check(capsys):
@@ -596,7 +646,7 @@ def test_cancelled_variances_exit_two_or_keep_the_heisenberg_bound(capsys):
     assert code == cli.EXIT_OK
     doc = json.loads(out)
     for row in (dict(zip(doc["columns"], row)) for row in doc["rows"]):
-        assert row["det_sigma"] >= 0.25 - HEISENBERG_ATOL
+        assert row["det_sigma"] >= 0.25 - 1e-9
         assert not (row["squeezed"] == 1 and math.isinf(row["xi"]))
 
 
@@ -696,6 +746,22 @@ def test_console_script_entry_point():
     assert proc.stdout.strip().startswith("tlsbath ")
 
 
+def test_closed_stdout_exits_1_without_a_traceback():
+    """A reader that closes stdout before reading: the output, well over a
+    64 KiB pipe buffer, cannot all be written whatever the timing."""
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "tlsbath.cli", "steady-state", "--set", "sweep.count=20000"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == cli.EXIT_CONFIG
+    assert len(err.splitlines()) == 1, err
+    assert err.startswith("config error: output stream closed: ")
+
+
 _SCIPY_BOUNDARY = """
 import sys
 import numpy as np
@@ -775,3 +841,32 @@ def test_package_loads_no_scipy():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["[]", "1", "True", "[]", "True", "[]"]
+
+
+def _scipy_import_owners(tree):
+    """The function around each import of a SciPy module, None at module
+    level, for one parsed source file."""
+    parent = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names = [node.module]
+        else:
+            continue
+        if any(name.split(".")[0] == "scipy" for name in names):
+            up = parent.get(node)
+            while up is not None and not isinstance(up, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                up = parent.get(up)
+            yield up.name if up else None
+
+
+def test_scipy_is_imported_only_by_expm_apply():
+    """Parsed, no module of the package imports SciPy at module level, and
+    its one SciPy import is in the body of ``linalg.expm_apply``."""
+    found = [
+        (path.stem, owner)
+        for path in sorted(pathlib.Path(cli.__file__).parent.glob("*.py"))
+        for owner in _scipy_import_owners(ast.parse(path.read_text(encoding="utf-8")))
+    ]
+    assert found == [("linalg", "expm_apply")]
