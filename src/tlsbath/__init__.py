@@ -58,7 +58,6 @@ from .dynamics import (
 )
 from .linalg import (
     KernelDimensionError,
-    NoConvergenceError,
     eigenvalues,
     null_vector,
 )

@@ -22,7 +22,6 @@ from typing import NamedTuple
 import numpy as np
 
 __all__ = [
-    "NoConvergenceError",
     "KernelDimensionError",
     "BlockTridiagonal",
     "solve_linear",
@@ -48,10 +47,6 @@ _SAFE_PEAK = (1e-100, 1e100)
 _NORMEST_ITERATIONS = 5
 
 
-class NoConvergenceError(np.linalg.LinAlgError):
-    """Iterative eigenvalue reduction failed to converge."""
-
-
 class KernelDimensionError(np.linalg.LinAlgError):
     """Matrix kernel is not one-dimensional."""
 
@@ -72,17 +67,6 @@ class BlockTridiagonal(NamedTuple):
         return self.side, self.side
 
 
-def _square(a, stack: bool = False, finite: bool = True) -> np.ndarray:
-    # a square matrix, or with ``stack`` a stack of them (..., n, n),
-    # refused for a NaN or inf entry unless ``finite`` is false
-    a = np.asarray(a, dtype=complex)
-    if a.ndim < 2 or (a.ndim > 2 and not stack) or a.shape[-1] != a.shape[-2]:
-        raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    if finite:
-        _check_finite(a)
-    return a
-
-
 def _check_finite(a) -> None:
     if not np.isfinite(a).all():  # both parts; any memory layout
         raise ValueError("matrix contains non-finite entries")
@@ -98,13 +82,11 @@ def solve_linear(a, b) -> np.ndarray:
 
 
 def eigenvalues(a) -> np.ndarray:
-    """All eigenvalues of a square complex matrix (unordered), or of each
-    matrix of a stack ``(..., n, n)``, as ``(..., n)``."""
-    a = _square(a, stack=True)
-    try:
-        return np.linalg.eigvals(a)
-    except np.linalg.LinAlgError as exc:  # QR iteration failed
-        raise NoConvergenceError(str(exc)) from exc
+    """All eigenvalues of a square matrix (unordered), or of each matrix
+    of a stack ``(..., n, n)``, as ``(..., n)``: :func:`numpy.linalg.eigvals`,
+    whose :class:`numpy.linalg.LinAlgError` marks a matrix that is not
+    square or not finite, or a QR iteration that failed."""
+    return np.linalg.eigvals(a)
 
 
 def expm_apply(a, v, t: float) -> np.ndarray:
@@ -133,7 +115,9 @@ def null_vector(a) -> np.ndarray:
     threshold that an error message quotes are those of ``a`` itself, or
     of the scaled matrix where ``a`` was scaled.
     """
-    a = _square(a, finite=False)
+    a = np.asarray(a, dtype=complex)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {a.shape}")
     if a.shape[0] < 2:
         raise ValueError("kernel extraction needs at least a 2x2 matrix")
     mag = np.abs(a)

@@ -9,15 +9,15 @@ on three block diagonals over that index; the steady state is one
 block-LU solve, and expectation values are compared against the
 adiabatic elimination.  The quadrature's 4x4 TLS generator is
 ``theta`` times six blocks built once from the same Hamiltonian and jumps,
-and its regression integral one 4x4 resolvent solve, written on the
+and its regression integral a 4x4 resolvent solve, written on the
 4-vector ``vec(rho)`` by index: trace, Hermitian part, ``<sigma+->``,
 the seed ``sigma~_beta rho`` and the contraction are picked entries of
 it, not 2x2 operator products.  The four ``(alpha, beta)`` components of
-one TLS and detuning share that work: a one-entry memo, keyed on the
-exact bits of ``theta`` and ``delta_m``, keeps the generator,
-``vec(rho)`` and the solution for each ``beta``.  Nothing here reuses
-the effective-rate pipeline; the only shared code is the linear-algebra
-kernel, and none of it uses SciPy.
+one TLS and detuning come from one kernel vector and one solve over both
+``beta``, and the last four are kept, keyed on the exact bits of
+``theta`` and ``delta_m``.  Nothing here reuses the effective-rate
+pipeline; the only shared code is the linear-algebra kernel, and none of
+it uses SciPy.
 
 Matrix vectorization is row-major throughout: ``vec(A rho B) =
 kron(A, B.T) @ vec(rho)``.
@@ -216,21 +216,14 @@ def _tls_generator(theta: np.ndarray) -> np.ndarray:
     return (theta @ _tls_blocks()).reshape(4, 4)
 
 
-def _normalize_density(rho: np.ndarray) -> np.ndarray:
-    tr = np.trace(rho)
-    if abs(tr) < 1e-12:
-        raise ArithmeticError("kernel vector carries no trace weight")
-    rho = rho / tr
-    return 0.5 * (rho + rho.conj().T)
-
-
 def assert_physical_state(rho: np.ndarray, eig_floor: float = -1e-8) -> None:
-    """Validate Hermiticity, unit trace, and spectral positivity."""
-    if np.abs(rho - rho.conj().T).max() > 1e-10:
+    """Validate Hermiticity, unit trace, and spectral positivity; each
+    check fails on NaN."""
+    if not np.abs(rho - rho.conj().T).max() <= 1e-10:
         raise ArithmeticError("state is not Hermitian")
-    if abs(np.trace(rho) - 1.0) > 1e-10:
+    if not abs(np.trace(rho) - 1.0) <= 1e-10:
         raise ArithmeticError("state trace differs from one")
-    if np.linalg.eigvalsh(rho).min() < eig_floor:
+    if not np.linalg.eigvalsh(rho).min() >= eig_floor:
         raise ArithmeticError("state has a significantly negative eigenvalue")
 
 
@@ -243,7 +236,8 @@ def steady_state_full(liou) -> np.ndarray:
     vec = trace_null_vector(liou)
     rho = vec.reshape(2 * (math.isqrt(vec.size),))
     assert_physical_state(rho)
-    return _normalize_density(rho)
+    rho = rho / np.trace(rho)
+    return 0.5 * (rho + rho.conj().T)
 
 
 def _expectation(rho: np.ndarray, op: np.ndarray) -> complex:
@@ -296,55 +290,36 @@ def steady_state_autogrow(
 # excited) basis: the Hermitian conjugate swaps the middle entries.
 _ADJOINT = np.array([0, 2, 1, 3])
 
-# The last TLS and detuning of the quadrature, as one entry: the exact
-# bits of (theta, delta_m) map to the generator L, the rank-one column
-# c vec(rho), vec(rho) and the solutions x by beta, all read-only.  What
-# is stored under a key never changes, so calls that race on the memo at
-# worst compute an entry twice and need no lock.
-_REGRESSION: dict = {}
 
-
-def _regression(p: TlsParams, env: BathEnvironment, beta: int, delta_m: float) -> tuple:
-    """``(vec(rho), x)`` of :func:`bloch_correlator_numeric`, from the memo
-    where the last call met the same ``theta`` and ``delta_m``.  An entry
-    is stored only once its kernel vector has passed ``null_vector``'s
-    checks and the trace-weight check, and an ``x`` only once its solve
-    has returned, so a call that raised leaves nothing behind and the
-    next one computes again."""
-    theta = np.array(_tls_coefficients(p, env))
-    key = theta.tobytes() + struct.pack("d", delta_m)
-    entry = _REGRESSION.get(key)
-    if entry is None:
-        _REGRESSION.clear()
-        liou = _tls_generator(theta)
-        vec = null_vector(liou)
-        trace = vec[0] + vec[3]
-        if abs(trace) < 1e-12:
-            raise ArithmeticError("kernel vector carries no trace weight")
-        vec = vec / trace
-        rho = 0.5 * (vec + vec[_ADJOINT].conj())
-        entry = liou, np.abs(liou).max() * rho, rho, {}
-        for a in entry[:3]:
-            a.setflags(write=False)
-        _REGRESSION[key] = entry
-    liou, rank_one, rho, solved = entry
-    x = solved.get(beta)
-    if x is None:
-        shifted = liou.copy()
-        shifted.flat[::5] += beta * 1j * delta_m  # the diagonal
-        shifted[:, 0] += rank_one  # c vec(rho) tr^T: columns 0 and 3
-        shifted[:, 3] += rank_one
-        # -x0 = <sigma_beta> rho - sigma_beta rho
-        if beta > 0:
-            rhs = rho[1] * rho
-            rhs[2:] -= rho[:2]
-        else:
-            rhs = rho[2] * rho
-            rhs[:2] -= rho[2:]
-        x = np.linalg.solve(shifted, rhs)
-        x.setflags(write=False)
-        solved[beta] = x
-    return rho, x
+@functools.lru_cache(maxsize=1)
+def _components(key: bytes) -> tuple:
+    """The four components of :func:`bloch_correlator_numeric` for the
+    ``theta`` and ``delta_m`` whose exact bits make up ``key``, as
+    ``[alpha < 0][beta < 0]``: one kernel vector, and one solve over the
+    shifted generators of both ``beta`` stacked."""
+    theta = np.frombuffer(key, complex, 6)
+    (delta_m,) = struct.unpack_from("d", key, theta.nbytes)
+    liou = _tls_generator(theta)
+    vec = null_vector(liou)
+    trace = vec[0] + vec[3]
+    if abs(trace) < 1e-12:
+        raise ArithmeticError("kernel vector carries no trace weight")
+    vec = vec / trace
+    rho = 0.5 * (vec + vec[_ADJOINT].conj())
+    rank_one = np.abs(liou).max() * rho
+    shifted = np.array([liou, liou])  # beta = +1, -1
+    shifted.reshape(2, 16)[:, ::5] += [[beta * 1j * delta_m] for beta in (1, -1)]  # the diagonals
+    shifted[:, :, 0] += rank_one  # c vec(rho) tr^T: columns 0 and 3
+    shifted[:, :, 3] += rank_one
+    # -x0 = <sigma_beta> rho - sigma_beta rho
+    rhs = np.array([rho[1] * rho, rho[2] * rho])
+    rhs[0, 2:] -= rho[:2]
+    rhs[1, :2] -= rho[2:]
+    x = np.linalg.solve(shifted, rhs[..., None])[..., 0]
+    # tr(sigma~_alpha x) = x[k] - <sigma_alpha> tr x, k = 1 for alpha = +1,
+    # in Python complex
+    x, rho = x.tolist(), rho.tolist()
+    return tuple(tuple(xb[k] - rho[k] * (xb[0] + xb[3]) for xb in x) for k in (1, 2))
 
 
 def bloch_correlator_numeric(
@@ -375,20 +350,16 @@ def bloch_correlator_numeric(
     with ``k = 1`` for ``alpha = +1``, 2 for -1.  A non-finite
     ``delta_m`` raises :class:`ValueError`.
 
-    ``vec(rho)`` depends on the TLS only through ``theta`` (see
-    :func:`tls_liouvillian`), and ``x`` on ``theta``, ``beta`` and
-    ``delta_m``; ``alpha`` only picks ``k``.  Both are kept in a memo of
-    one entry, keyed on the exact bits of ``theta`` and ``delta_m``, so
-    of the four components of one TLS and detuning called in a row the
-    first costs the kernel vector and one solve, the first of the other
-    ``beta`` one more solve, and the rest a lookup.  A call for another
-    TLS or detuning replaces the entry, the kept arrays are read-only,
-    and a call that raises keeps nothing, so the next one computes again.
+    The components depend on the TLS only through ``theta`` (see
+    :func:`tls_liouvillian`), so a call computes all four of its
+    ``theta`` and ``delta_m`` from one kernel vector and one solve over
+    both ``beta``, and keeps them, keyed on the exact bits of both, until
+    a call for another TLS or detuning: the other three components are
+    a lookup.  A call that raises keeps nothing.
     """
     if alpha not in (+1, -1) or beta not in (+1, -1):
         raise ValueError("alpha and beta must be +1 or -1")
     if not math.isfinite(delta_m):
         raise ValueError(f"delta_m must be finite, got {delta_m}")
-    rho, x = _regression(p, env, beta, delta_m)
-    k = 1 if alpha > 0 else 2
-    return complex(x[k] - rho[k] * (x[0] + x[3]))
+    theta = np.array(_tls_coefficients(p, env))
+    return _components(theta.tobytes() + struct.pack("d", delta_m))[alpha < 0][beta < 0]

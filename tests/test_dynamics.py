@@ -75,7 +75,8 @@ _phase = st.floats(0.0, 2 * np.pi).map(lambda p: np.exp(1j * p))
 
 @st.composite
 def _detuned_rates(draw, ratio):
-    """Rate set whose detuning is ``ratio`` times 2|g|, either sign."""
+    """Rate set whose detuning is ``ratio`` times 2|g|, either sign; its
+    Gamma is not bounded by the bath (see :func:`_positive_bath`)."""
     mag = draw(_log(-9, -6))
     sign = draw(st.sampled_from((-1.0, 1.0)))
     return SingleModeRates(
@@ -97,9 +98,15 @@ def _stable_system(draw, ratio, margin):
     r = draw(_detuned_rates(ratio))
     re_sigma = np.sqrt(max(4.0 * abs(r.g) ** 2 - r.delta**2, 0.0))
     gamma0 = max(2.0 * re_sigma - r.gamma, 0.0) + draw(margin)
+    return build_moment_system(_positive_bath(draw, r, gamma0), gamma0)
+
+
+def _positive_bath(draw, r, gamma0):
+    """``r`` with Gamma redrawn under |Gamma|^2 <= gamma_+ (gamma_- +
+    gamma0), which keeps the stationary occupation nonnegative."""
     bound = np.sqrt(r.gamma_plus * (r.gamma_minus + gamma0))
     gg = draw(st.floats(0.0, 1.0)) * bound * draw(_phase)
-    return build_moment_system(dataclasses.replace(r, Gamma=gg), gamma0)
+    return dataclasses.replace(r, Gamma=gg)
 
 
 def _centred_by_mpmath(ms):
@@ -222,7 +229,7 @@ def test_coherence_closed_form_matches_expm(near, offset, ratio, data):
     margin = data.draw(_log(-1.5, 1.0)) * 2.0 * abs(r.g)
     re_sigma = np.sqrt(max(4.0 * abs(r.g) ** 2 - r.delta**2, 0.0))
     gamma0 = max(2.0 * re_sigma - r.gamma, 0.0) + margin
-    ms = build_moment_system(r, gamma0)
+    ms = build_moment_system(_positive_bath(data.draw, r, gamma0), gamma0)
     rep = steady_state(ms)
     tau = np.append(default_tau_grid(ms.gamma_total), 1e4 / ms.gamma_total)
     series = coherence_g1(ms, rep, tau)

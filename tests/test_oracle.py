@@ -259,6 +259,17 @@ def test_steady_state_full_checks_the_raw_kernel_vector(monkeypatch, raw):
         steady_state_full(np.zeros((4, 4), dtype=complex))
 
 
+@pytest.mark.parametrize(
+    "state",
+    [np.full((2, 2), np.nan), [[0.5, 0.0], [0.0, np.nan]]],
+    ids=["all-nan", "one-nan"],
+)
+def test_physical_state_check_refuses_nan(state):
+    """Each comparison fails on NaN, so no check lets such a state pass."""
+    with pytest.raises(ArithmeticError):
+        oracle.assert_physical_state(np.array(state, dtype=complex))
+
+
 def _complex(scale):
     return st.builds(
         lambda r, phi: r * np.exp(1j * phi),
@@ -580,7 +591,7 @@ def test_bloch_correlator_refuses_a_traceless_kernel_vector(monkeypatch):
     """A kernel vector without trace weight cannot be scaled to a state."""
     traceless = np.array([1.0, 0.3, 0.3, -1.0], dtype=complex) / 2.0
     monkeypatch.setattr(oracle, "null_vector", lambda liou: traceless)
-    oracle._REGRESSION.clear()  # a memo hit would never reach the patch
+    oracle._components.cache_clear()  # a memo hit would never reach the patch
     with pytest.raises(ArithmeticError, match="no trace weight"):
         bloch_correlator_numeric(_tls(1e-5, 0.0), ENV0, +1, -1, 0.0)
 
@@ -590,7 +601,7 @@ def _bits(values) -> bytes:
 
 
 def _fresh(p, env, alpha, beta, delta_m) -> complex:
-    oracle._REGRESSION.clear()
+    oracle._components.cache_clear()
     return bloch_correlator_numeric(p, env, alpha, beta, delta_m)
 
 
@@ -622,29 +633,33 @@ def _counting_null_vector(monkeypatch) -> list:
         return null_vector(a)
 
     monkeypatch.setattr(oracle, "null_vector", counted)
-    oracle._REGRESSION.clear()
+    oracle._components.cache_clear()
     return calls
 
 
-def test_bloch_correlator_takes_one_kernel_vector_per_tls_and_detuning(monkeypatch):
+def _criterion_11_loop():
     """Criterion 11's loop, alpha outside beta, at two detunings of one TLS."""
-    calls = _counting_null_vector(monkeypatch)
     p = TlsParams(1.0, 1e-5, 1e-4, 3e-5 * np.exp(0.7j), 2e-5, (1e-8,))
     for delta_m in (0.0, 1e-5):
         for alpha in SIGNS:
             for beta in SIGNS:
                 bloch_correlator_numeric(p, ENV0, alpha, beta, delta_m)
+
+
+def test_bloch_correlator_takes_one_kernel_vector_per_tls_and_detuning(monkeypatch):
+    calls = _counting_null_vector(monkeypatch)
+    _criterion_11_loop()
     assert len(calls) == 2
 
 
-def test_bloch_correlator_memo_is_read_only():
-    p = _tls(8e-5, 0.0, Delta_B=3e-5, kappa2=2e-5)
-    for beta in SIGNS:
-        bloch_correlator_numeric(p, ENV0, +1, beta, 1e-5)
-    (liou, rank_one, rho, solved), = oracle._REGRESSION.values()
-    for array in (liou, rank_one, rho, *solved.values()):
-        with pytest.raises(ValueError, match="read-only"):
-            array[0] = 0.0
+def test_bloch_correlator_takes_one_solve_per_tls_and_detuning(monkeypatch):
+    """Both beta of one TLS and detuning share one stacked solve."""
+    calls = []
+    solve = np.linalg.solve
+    monkeypatch.setattr(np.linalg, "solve", lambda a, b: calls.append(a.shape) or solve(a, b))
+    oracle._components.cache_clear()
+    _criterion_11_loop()
+    assert calls == [(2, 4, 4)] * 2
 
 
 def test_bloch_correlator_after_a_failure_computes_again(monkeypatch):
