@@ -5,8 +5,8 @@ The package is organized bottom-up:
 - :mod:`tlsbath.linalg`: numerical kernel of the oracle and the checks
   (block-tridiagonal trace-row kernel vector, dense kernel vector,
   spectrum) with explicit failure types.
-- :mod:`tlsbath.bath`: driven-TLS Bloch machinery and the spectral
-  densities of the dipole fluctuations.
+- :mod:`tlsbath.bath`: driven-TLS Bloch statics, read once per TLS group
+  by the dipole-fluctuation spectral densities and the first-order drive.
 - :mod:`tlsbath.rates`: assembly of the induced master-equation rates and
   the independent closed-form limits.
 - :mod:`tlsbath.dynamics`: Gaussian moment dynamics of a single mode

@@ -10,7 +10,8 @@ integrals are the closed-form driven-TLS resolvent (Mollow, Phys. Rev.
 188, 1969 (1969)): no linear system is solved.  One stationary state
 fixes both fluctuation signs, so the correlators and the resolvent carry
 the sign as their leading array axis, and each TLS costs one evaluation
-of its Bloch statics and one of the resolvent.
+of its Bloch statics and one of the resolvent: rate assembly reads the
+first-order drive ``N G <sigma+>`` from that same evaluation.
 
 The spectral densities of a bath coupled to M modes form one complex
 array ``table[..., a, b, m, n]`` of shape ``(..., 2, 2, M, M)``: ``a``
@@ -40,7 +41,6 @@ __all__ = [
     "transverse_rate",
     "saturation",
     "correlator_integral",
-    "dipole_drive",
     "psd",
     "build_psd_table",
 ]
@@ -195,8 +195,8 @@ def _named(index) -> str:
 
 def _statics(p: TlsParams, env: BathEnvironment):
     """``(kappa_t, nbar, unit, drive, |drive|^2, sigma+, sigma_z, s)``
-    over the grid of ``p``, read by :func:`saturation`, :func:`dipole_drive`
-    and the resolvent.  ``unit`` is the power of two that brings the
+    over the grid of ``p``, read by :func:`saturation`, the resolvent and
+    the first-order drive.  ``unit`` is the power of two that brings the
     largest of kappa_t, ``|Delta_B|`` and ``|Omega_B|`` into ``[1, 2)``:
     dividing by it rounds nothing.  ``drive`` is Omega_B in that unit.
     Everything is real arithmetic, which rounds a grid and a single TLS
@@ -268,7 +268,7 @@ def same_time_correlators(sigma_plus, sigma_z) -> np.ndarray:
     return raw - mean * mean[:2, None]
 
 
-def correlator_integral(p: TlsParams, env: BathEnvironment, delta_m) -> np.ndarray:
+def correlator_integral(p: TlsParams, env: BathEnvironment, delta_m, statics=None) -> np.ndarray:
     """Half-line Laplace transform of the Bloch fluctuation correlators.
 
     ``x[b] = integral_0^inf dtau <sigma~_vec(tau) sigma~_beta(0)> exp(s tau)``,
@@ -301,9 +301,10 @@ def correlator_integral(p: TlsParams, env: BathEnvironment, delta_m) -> np.ndarr
     :func:`same_time_correlators`.  A single TLS and detuning take the same
     array loops, so they round as one point of a grid.  Like the rest of
     the table, it runs under the caller's ``np.errstate``: inputs that
-    give non-finite values warn before either error.
+    give non-finite values warn before either error.  A caller that holds
+    ``_statics(p, env)`` already passes it as ``statics``.
     """
-    kt, nbar, unit, ob, ob2, sigma_plus, sigma_z, _ = _statics(p, env)
+    kt, nbar, unit, ob, ob2, sigma_plus, sigma_z, _ = statics or _statics(p, env)
     delta_m = np.asarray(delta_m, dtype=float)
     # (sign, grid) arrays: the grid of p aligns with the last axes of delta_m
     grid = (1,) * (delta_m.ndim - unit.ndim) + unit.shape
@@ -369,19 +370,6 @@ def _grouped(tls_list, counts, n_modes: int):
     return [(params[key], weight) for key, weight in weights.items()]
 
 
-def dipole_drive(tls_list, env: BathEnvironment, n_modes: int, counts=None) -> np.ndarray:
-    """First-order drive of the bath on each of ``n_modes`` modes,
-    ``sum_i N_i G_im <sigma+_i>``: stationary dipoles times couplings,
-    over the grid of the bath, modes last."""
-    out = np.zeros(n_modes, dtype=complex)
-    # an overflow leaves inf or NaN, with no warning, for the caller to raise
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for p, weight in _grouped(tls_list, counts, n_modes):
-            sigma_plus = _statics(p, env)[5]
-            out = out + weight * np.array(p.couplings) * sigma_plus[..., None]
-    return out
-
-
 def psd(
     tls_list,
     env: BathEnvironment,
@@ -404,9 +392,7 @@ def psd(
     return table[..., SIGNS.index(alpha), SIGNS.index(beta), m, n][()]
 
 
-def build_psd_table(
-    tls_list, env: BathEnvironment, detunings, counts=None
-) -> np.ndarray:
+def build_psd_table(tls_list, env: BathEnvironment, detunings, counts=None) -> np.ndarray:
     """All spectral-density components for a set of modes.
 
     ``detunings`` holds one entry per mode: a scalar, or an array over
@@ -417,9 +403,15 @@ def build_psd_table(
     :func:`correlator_integral` call, over both exponent signs, all M
     detunings and the whole grid at once, from which every entry follows.
     """
-    detunings = np.asarray(detunings, dtype=float)
-    if detunings.ndim == 0:
-        detunings = detunings[None]
+    return _bath_terms(tls_list, env, detunings, counts, drive=False)[0]
+
+
+def _bath_terms(tls_list, env: BathEnvironment, detunings, counts, drive=True):
+    """The :func:`build_psd_table` table and the first-order drive ``sum_i
+    N_i G_im <sigma+_i>`` (modes last; zeros unless ``drive``), from one
+    Bloch-statics evaluation per TLS group.  An overflow leaves inf or NaN,
+    unwarned, for the caller."""
+    detunings = np.atleast_1d(np.asarray(detunings, dtype=float))
     n_modes, det_grid = len(detunings), detunings.shape[1:]
     groups = _grouped(tls_list, counts, n_modes)
     # modes first, then every grid axis, so the mode axis never meets a
@@ -428,17 +420,20 @@ def build_psd_table(
     if extra > 0:
         detunings = detunings.reshape((n_modes,) + (1,) * extra + det_grid)
     table = np.zeros((2, 2, n_modes, n_modes), dtype=complex)
-    # an overflow leaves inf or NaN, with no warning, for the caller to raise
+    dipoles = np.zeros(n_modes, dtype=complex)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for p, weight in groups:
+            statics = _statics(p, env)
             # couplings [a, n]: G for sign +1, conj(G) for sign -1
             cpl = np.array([p.couplings, [g.conjugate() for g in p.couplings]])
             # correlator integrals [b, row, m, ...], kept as [..., a, b, m]
             # over the raising and lowering rows
-            integ = correlator_integral(p, env, detunings)[:, :2]
+            integ = correlator_integral(p, env, detunings, statics)[:, :2]
             integ = integ.transpose(tuple(range(3, integ.ndim)) + (1, 0, 2))
             # product order ((N G_n) G_m) I, as in the bath sum written out
             table = table + (
                 (weight * cpl[:, None, None, :]) * cpl[None, :, :, None]
             ) * integ[..., None]
-    return table
+            if drive:
+                dipoles = dipoles + weight * cpl[0] * statics[5][..., None]
+    return table, dipoles

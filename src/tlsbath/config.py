@@ -145,9 +145,14 @@ class SweepAxis:
     scale: str
 
     def grid(self) -> np.ndarray:
-        if self.scale == "log":
-            return np.geomspace(self.start, self.stop, self.count)
-        return np.linspace(self.start, self.stop, self.count)
+        """``np.linspace``, or on a log scale ``np.logspace`` between the ends'
+        ``np.log10`` with both ends then set exactly: ``np.geomspace`` bit for
+        bit at the ``0 < start < stop``, ``count >= 2`` that ``resolve`` enforces."""
+        if self.scale != "log":
+            return np.linspace(self.start, self.stop, self.count)
+        grid = np.logspace(np.log10(self.start), np.log10(self.stop), self.count)
+        grid[0], grid[-1] = self.start, self.stop
+        return grid
 
 
 @dataclass(frozen=True)

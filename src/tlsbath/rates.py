@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bath import BathEnvironment, _finite, _first, _named, build_psd_table, dipole_drive
+from .bath import BathEnvironment, _bath_terms, _finite, _first, _named
 
 __all__ = [
     "ModeParams",
@@ -118,7 +118,8 @@ def assemble_rates(
 ) -> MasterEqRates:
     """Assemble all second-order rates from the bath spectral densities.
 
-    The spectral-density table is contracted into the rate matrices.  The
+    The spectral-density table, read with the first-order drive from one
+    Bloch-statics evaluation per TLS group, forms the rate matrices.  The
     frequency-shift and incoherent-rate matrices are each a matrix plus
     its adjoint (times +-i/2 for the shift), which IEEE arithmetic keeps
     exactly Hermitian, with diagonals whose imaginary part is exactly 0;
@@ -130,10 +131,10 @@ def assemble_rates(
     """
     modes = list(modes)
     detunings = tuple(m.detuning for m in modes)
-    table = build_psd_table(tls_list, env, detunings, counts=counts)
+    table, dipoles = _bath_terms(tls_list, env, detunings, counts)
     # the bare mode drives plus the stationary TLS dipoles, modes last
     bare = np.array([complex(m.Omega) for m in modes], dtype=complex)
-    omega_prime = bare + dipole_drive(tls_list, env, len(bare), counts)
+    omega_prime = bare + dipoles
     _check_finite(table, "spectral-density table", (-4, -3, -2, -1))
     _check_finite(omega_prime, "effective drive", -1)
     # pm is the (alpha, beta) = (+1, -1) block, and so on (see bath.SIGNS)

@@ -123,21 +123,20 @@ class SweepResult:
     @functools.cached_property
     def _scalars(self) -> tuple:
         # (plain scalars in C order, own shape) of each column: a numeric one
-        # with the dtype and bits of an earlier one reuses its entry, and one
-        # whose entries all have the same bits is a single scalar; comparing
-        # bits keeps -0.0 and 0.0, and NaN payloads, apart
-        out, seen = [], []  # seen: (dtype, bits, entry) of each numeric column
+        # with the dtype, shape and bytes of an earlier one reuses its entry,
+        # and one whose entries all have the same bits is a single scalar;
+        # keying on bytes keeps -0.0 and 0.0, and NaN payloads, apart
+        out, seen = [], {}  # seen: (dtype, shape, bytes) -> entry, numeric columns
         for c in self.data:
             if c.dtype == object:
                 out.append((c.reshape(-1).tolist(), c.shape))
                 continue
-            bits = c.view(np.int64) if c.dtype == np.float64 else c
-            entry = next((e for d, b, e in seen if d == c.dtype and np.array_equal(b, bits)), None)
-            if entry is None:
-                constant = bits.size and (bits == bits.flat[0]).all()
-                entry = ([c.flat[0].item()], ()) if constant else (c.reshape(-1).tolist(), c.shape)
-                seen.append((c.dtype, bits, entry))
-            out.append(entry)
+            key = (c.dtype, c.shape, c.tobytes())
+            if key not in seen:
+                bits = c.view(np.int64) if c.dtype == np.float64 else c
+                same = bits.size and (bits == bits.flat[0]).all()
+                seen[key] = ([c.flat[0].item()], ()) if same else (c.reshape(-1).tolist(), c.shape)
+            out.append(seen[key])
         return tuple(out)
 
     @functools.cached_property

@@ -4,12 +4,13 @@ import struct
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from tlsbath.config import (
     ConfigError,
     SWEEP_VARIABLES,
+    SweepAxis,
     _canonical,
     _parse_complex,
     load_config,
@@ -237,6 +238,38 @@ def test_sweep_grid_endpoints():
         {"sweep": {"start": "-2", "stop": "2", "count": "5", "scale": "linear"}}
     ).sweep.grid()
     assert np.allclose(lin, [-2, -1, 0, 1, 2])
+
+
+@given(
+    start=st.floats(-320.0, 300.0).map(lambda e: 10.0**e),
+    ratio=st.floats(0.0, 50.0).map(lambda e: 10.0**e),
+    count=st.integers(2, 3000),
+)
+@example(start=1e300, ratio=np.finfo(float).max / 1e300, count=3)
+@example(start=5e-324, ratio=2.0, count=2)
+def test_log_grid_is_geomspace_bit_for_bit(start, ratio, count):
+    """The log grid is ``np.geomspace`` bit for bit over the positive
+    range, subnormal starts and an end at the largest float included,
+    where the last power overflows before the end is set."""
+    stop = start * ratio
+    assume(start < stop < np.inf)
+    # both overflow alike at the largest float, before the end is set
+    with np.errstate(over="ignore"):
+        grid = SweepAxis("Omega_B", start, stop, count, "log").grid()
+        want = np.geomspace(start, stop, count)
+    assert grid.view(np.int64).tolist() == want.view(np.int64).tolist()
+
+
+@given(
+    start=st.floats(-1e300, 1e300),
+    width=st.floats(0.0, 1e300, exclude_min=True),
+    count=st.integers(2, 3000),
+)
+def test_linear_grid_is_linspace_bit_for_bit(start, width, count):
+    stop = start + width
+    assume(start < stop)
+    grid = SweepAxis("Delta_0", start, stop, count, "linear").grid()
+    assert grid.view(np.int64).tolist() == np.linspace(start, stop, count).view(np.int64).tolist()
 
 
 def test_sweep_variable_choices_are_exactly_the_contract():

@@ -10,10 +10,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 from test_bath import bloch_state
 
+from tlsbath import bath
 from tlsbath.bath import (
     BathEnvironment,
     TlsParams,
-    dipole_drive,
     psd,
     transverse_rate,
 )
@@ -350,9 +350,40 @@ def test_one_coupling_per_mode_is_required(couplings):
     ]
     tls = TlsParams(1.0, KAPPA_1, 0.0, _drive(2.0), 0.0, couplings)
     with pytest.raises(ValueError):
-        dipole_drive([tls], ENV0, len(modes))
-    with pytest.raises(ValueError):
         assemble_rates(modes, [tls], ENV0)
+
+
+_P1 = TlsParams(1.0, 1e-4, 0.0, 4e-5 + 3e-5j, 1e-5, (1e-8 + 4e-9j, 3e-9 - 2e-8j))
+_P2 = TlsParams(1.0, 3e-4, 2e-5, 1e-4, -4e-5, (2e-8j, 1.5e-8 + 5e-9j))
+_GRID = TlsParams(
+    1.0, 1e-4, 0.0, np.array([[1e-5], [4e-5 + 1e-5j]]), np.array([0.0, 2e-5, -3e-5]), (1e-8, 2e-8j)
+)
+
+
+@pytest.mark.parametrize(
+    "tls_list, counts, groups",
+    [
+        ([_P1, _P2], [200.0, 50.0], [(_P1, 200.0), (_P2, 50.0)]),
+        ([_GRID], [3.0], [(_GRID, 3.0)]),
+        ([_P1, _P1, _P1], [1.0, 2.5, 4.0], [(_P1, 7.5)]),
+    ],
+    ids=["two-groups", "grid", "repeated"],
+)
+def test_rates_evaluate_the_statics_once_per_tls_group(monkeypatch, tls_list, counts, groups):
+    """The spectral table and the first-order drive read one Bloch-statics
+    evaluation per TLS group, and Omega_prime is the bare drive plus
+    sum_i N_i G_im <sigma+_i>, summed group by group, bit for bit."""
+    modes = [ModeParams(3e-5, 1e-7, Omega=1e-6), ModeParams(-7e-5, 1e-7, Omega=-2e-6j)]
+    env = BathEnvironment(temperature=0.2)
+    dipoles = np.zeros(len(modes), dtype=complex)
+    for p, weight in groups:
+        dipoles = dipoles + weight * np.array(p.couplings) * bath._statics(p, env)[5][..., None]
+    want = np.array([m.Omega for m in modes]) + dipoles
+    calls, original = [], bath._statics
+    monkeypatch.setattr(bath, "_statics", lambda p, env: calls.append(p) or original(p, env))
+    got = assemble_rates(modes, tls_list, env, counts=counts).Omega_prime
+    assert [id(p) for p in calls] == [id(p) for p, _ in groups]
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 def test_two_mode_rates_match_entrywise_formulas():

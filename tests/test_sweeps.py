@@ -530,6 +530,29 @@ def test_equal_values_of_other_bits_are_not_a_constant_column():
     assert lines[-4:] == ["0.0,nan", "-0.0,nan", "0.0,nan", "-0.0,nan"]
 
 
+def test_repeated_columns_are_keyed_on_dtype_shape_and_bytes():
+    """A column reuses an earlier one's scalars only where dtype, own shape
+    and bytes all match: an int64 0 and a float64 +0.0 share their bytes
+    but render 0 and 0.0; equal bytes at own shapes (2, 1) and (1, 2) each
+    broadcast along their own axis; and a bit-equal column, a Fortran-order
+    copy included, shares the earlier one's list object."""
+    res = sweeps.SweepResult("edge", ("i", "f"), (np.zeros(3, dtype=np.int64), np.zeros(3)), ())
+    assert render_csv(res).splitlines()[-3:] == ["0,0.0"] * 3
+    assert [tuple(map(type, row)) for row in res.rows] == [(int, float)] * 3
+
+    down, across = np.array([[1.0], [2.0]]), np.array([[1.0, 2.0]])
+    res = sweeps.SweepResult("edge", ("down", "across"), (down, across), ())
+    assert res.rows == ((1.0, 1.0), (1.0, 2.0), (2.0, 1.0), (2.0, 2.0))
+    assert render_csv(res).splitlines()[-4:] == ["1.0,1.0", "1.0,2.0", "2.0,1.0", "2.0,2.0"]
+
+    column = np.array([[0.5, -0.0], [np.nan, 3.0]])
+    data = (column, column.copy(), np.asfortranarray(column), column + 0.0)
+    res = sweeps.SweepResult("edge", ("a", "b", "c", "d"), data, ())
+    values = [v for v, _ in res._scalars]
+    assert values[0] is values[1] is values[2] and values[3] is not values[0]
+    assert all(row[0] is row[1] is row[2] for row in res.rows)
+
+
 def test_rows_expand_the_columns_in_c_order():
     x, y = np.ix_(np.array([1.0, 2.0]), np.array([10.0, 20.0, 30.0]))
     data = (x, y, x * y, np.arange(6).reshape(2, 3))
