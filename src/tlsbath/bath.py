@@ -301,8 +301,8 @@ def correlator_integral(p: TlsParams, env: BathEnvironment, delta_m, statics=Non
     :func:`same_time_correlators`.  A single TLS and detuning take the same
     array loops, so they round as one point of a grid.  Like the rest of
     the table, it runs under the caller's ``np.errstate``: inputs that
-    give non-finite values warn before either error.  A caller that holds
-    ``_statics(p, env)`` already passes it as ``statics``.
+    give non-finite values warn before either error.  ``statics``, if given,
+    must be ``_statics(p, env)``: nothing checks that it is.
     """
     kt, nbar, unit, ob, ob2, sigma_plus, sigma_z, _ = statics or _statics(p, env)
     delta_m = np.asarray(delta_m, dtype=float)
@@ -403,14 +403,14 @@ def build_psd_table(tls_list, env: BathEnvironment, detunings, counts=None) -> n
     :func:`correlator_integral` call, over both exponent signs, all M
     detunings and the whole grid at once, from which every entry follows.
     """
-    return _bath_terms(tls_list, env, detunings, counts, drive=False)[0]
+    return _bath_terms(tls_list, env, detunings, counts)[0]
 
 
-def _bath_terms(tls_list, env: BathEnvironment, detunings, counts, drive=True):
+def _bath_terms(tls_list, env: BathEnvironment, detunings, counts):
     """The :func:`build_psd_table` table and the first-order drive ``sum_i
-    N_i G_im <sigma+_i>`` (modes last; zeros unless ``drive``), from one
-    Bloch-statics evaluation per TLS group.  An overflow leaves inf or NaN,
-    unwarned, for the caller."""
+    N_i G_im <sigma+_i>`` (modes last), from one Bloch-statics evaluation
+    per TLS group.  An overflow leaves inf or NaN, unwarned, for the
+    caller."""
     detunings = np.atleast_1d(np.asarray(detunings, dtype=float))
     n_modes, det_grid = len(detunings), detunings.shape[1:]
     groups = _grouped(tls_list, counts, n_modes)
@@ -434,6 +434,5 @@ def _bath_terms(tls_list, env: BathEnvironment, detunings, counts, drive=True):
             table = table + (
                 (weight * cpl[:, None, None, :]) * cpl[None, :, :, None]
             ) * integ[..., None]
-            if drive:
-                dipoles = dipoles + weight * cpl[0] * statics[5][..., None]
+            dipoles = dipoles + weight * cpl[0] * statics[5][..., None]
     return table, dipoles

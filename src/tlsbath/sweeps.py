@@ -123,20 +123,21 @@ class SweepResult:
     @functools.cached_property
     def _scalars(self) -> tuple:
         # (plain scalars in C order, own shape) of each column: a numeric one
-        # with the dtype, shape and bytes of an earlier one reuses its entry,
-        # and one whose entries all have the same bits is a single scalar;
-        # keying on bytes keeps -0.0 and 0.0, and NaN payloads, apart
-        out, seen = [], {}  # seen: (dtype, shape, bytes) -> entry, numeric columns
+        # with the dtype, shape and bits of an earlier one, found by the hash
+        # of its bytes, reuses its entry, and one whose entries all have the
+        # same bits is a single scalar; bits keep -0.0, 0.0 and NaN payloads apart
+        out, seen = [], {}  # seen: (dtype, shape, hash of bytes) -> [(bits view, entry)]
         for c in self.data:
             if c.dtype == object:
                 out.append((c.reshape(-1).tolist(), c.shape))
                 continue
-            key = (c.dtype, c.shape, c.tobytes())
-            if key not in seen:
-                bits = c.view(np.int64) if c.dtype == np.float64 else c
-                same = bits.size and (bits == bits.flat[0]).all()
-                seen[key] = ([c.flat[0].item()], ()) if same else (c.reshape(-1).tolist(), c.shape)
-            out.append(seen[key])
+            bits = c.view(np.int64) if c.dtype == np.float64 else c
+            alike = seen.setdefault((c.dtype, c.shape, hash(c.tobytes())), [])
+            if (entry := next((e for b, e in alike if np.array_equal(b, bits)), None)) is None:
+                constant = bits.size and (bits == bits.flat[0]).all()
+                entry = ([c.flat[0].item()], ()) if constant else (c.reshape(-1).tolist(), c.shape)
+                alike.append((bits, entry))
+            out.append(entry)
         return tuple(out)
 
     @functools.cached_property

@@ -553,6 +553,18 @@ def test_repeated_columns_are_keyed_on_dtype_shape_and_bytes():
     assert all(row[0] is row[1] is row[2] for row in res.rows)
 
 
+def test_columns_whose_byte_hashes_collide_are_told_apart_by_their_bits(monkeypatch):
+    """The byte hash only finds candidates: with every hash equal, columns
+    of other bits still keep their own entries and equal ones share one."""
+    monkeypatch.setattr(sweeps, "hash", lambda _: 0, raising=False)
+    zeros, column = np.array([0.0, -0.0]), np.array([0.5, np.nan])
+    data = (zeros, -zeros, column, column.copy(), zeros + 0.0)
+    res = sweeps.SweepResult("edge", tuple("abcde"), data, ())
+    assert render_csv(res).splitlines()[-2:] == ["0.0,-0.0,0.5,0.5,0.0", "-0.0,0.0,nan,nan,0.0"]
+    values = [v for v, _ in res._scalars]
+    assert values[2] is values[3] and len({id(v) for v in values}) == 4
+
+
 def test_rows_expand_the_columns_in_c_order():
     x, y = np.ix_(np.array([1.0, 2.0]), np.array([10.0, 20.0, 30.0]))
     data = (x, y, x * y, np.arange(6).reshape(2, 3))
