@@ -5,7 +5,7 @@ The package is organized bottom-up:
 - :mod:`tlsbath.linalg`: numerical kernel of the oracle and the checks
   (block-tridiagonal trace-row kernel vector, dense kernel vector,
   spectrum) with explicit failure types.
-- :mod:`tlsbath.bath`: driven-TLS Bloch statics, read once per TLS group
+- :mod:`tlsbath.bath`: driven-TLS Bloch statics, read once per TLS entry
   by the dipole-fluctuation spectral densities and the first-order drive.
 - :mod:`tlsbath.rates`: assembly of the induced master-equation rates and
   the independent closed-form limits.

@@ -66,8 +66,9 @@ class TlsParams:
 
     ``kappa1``, ``kappa2``, ``Omega_B`` and ``Delta_B`` may be arrays that
     broadcast to one grid shape; every function of this module then
-    carries that grid as its leading axes, element by element.  A grid is
-    not hashable, and groups in a bath only with itself.
+    carries that grid as its leading axes, element by element.  A bath
+    evaluates each entry of its TLS list once; N identical TLS are one
+    entry with count N (the ``counts`` argument of the bath functions).
 
     Attributes
     ----------
@@ -345,29 +346,23 @@ def correlator_integral(p: TlsParams, env: BathEnvironment, delta_m, statics=Non
     return x / unit
 
 
-def _grouped(tls_list, counts, n_modes: int):
-    """Collapse repeated entries of one TLS into ``(params, weight)`` pairs.
+def _entries(tls_list, counts, n_modes: int):
+    """``(params, weight)`` pairs, one per entry of ``tls_list``.
 
-    ``counts`` holds one positive real weight per entry of ``tls_list``
-    (``None`` means 1 each); the rates are linear in it, so a fractional N
-    is honoured, not truncated.  An N-fold ensemble then costs one
-    closed-form evaluation.  Every TLS must carry
-    exactly one coupling per mode, ``n_modes`` in all.
+    ``counts`` holds one positive real weight per entry (``None`` means 1
+    each): N identical TLS are one entry of weight N, which costs one
+    closed-form evaluation.  The rates are linear in it, so a fractional N
+    is honoured, not truncated.  Every TLS must carry exactly one coupling
+    per mode, ``n_modes`` in all.
     """
     if counts is None:
         counts = [1.0] * len(tls_list)
     counts = [float(c) for c in counts]
     if len(counts) != len(tls_list) or not all(0 < c < math.inf for c in counts):
         raise ValueError("counts must hold one positive finite weight per TLS")
-    # keyed by identity: a grid-valued TLS is not hashable
-    params: dict[int, TlsParams] = {}
-    weights: dict[int, float] = {}
-    for p, c in zip(tls_list, counts):
-        if len(p.couplings) != n_modes:
-            raise ValueError("each TLS needs exactly one coupling per mode")
-        params[id(p)] = p
-        weights[id(p)] = weights.get(id(p), 0.0) + c
-    return [(params[key], weight) for key, weight in weights.items()]
+    if any(len(p.couplings) != n_modes for p in tls_list):
+        raise ValueError("each TLS needs exactly one coupling per mode")
+    return list(zip(tls_list, counts))
 
 
 def psd(
@@ -399,7 +394,7 @@ def build_psd_table(tls_list, env: BathEnvironment, detunings, counts=None) -> n
     a grid that all array entries share.  Returns the complex array
     ``table[..., a, b, m, n]`` of shape ``(..., 2, 2, M, M)`` laid out as
     described in the module docstring, with the broadcast grid of the bath
-    and the detunings leading.  Each TLS group takes one
+    and the detunings leading.  Each TLS entry takes one
     :func:`correlator_integral` call, over both exponent signs, all M
     detunings and the whole grid at once, from which every entry follows.
     """
@@ -409,20 +404,20 @@ def build_psd_table(tls_list, env: BathEnvironment, detunings, counts=None) -> n
 def _bath_terms(tls_list, env: BathEnvironment, detunings, counts):
     """The :func:`build_psd_table` table and the first-order drive ``sum_i
     N_i G_im <sigma+_i>`` (modes last), from one Bloch-statics evaluation
-    per TLS group.  An overflow leaves inf or NaN, unwarned, for the
+    per TLS entry.  An overflow leaves inf or NaN, unwarned, for the
     caller."""
     detunings = np.atleast_1d(np.asarray(detunings, dtype=float))
     n_modes, det_grid = len(detunings), detunings.shape[1:]
-    groups = _grouped(tls_list, counts, n_modes)
+    entries = _entries(tls_list, counts, n_modes)
     # modes first, then every grid axis, so the mode axis never meets a
     # grid axis of the bath
-    extra = max(len(p.grid_shape) for p, _ in groups) - len(det_grid)
+    extra = max(len(p.grid_shape) for p, _ in entries) - len(det_grid)
     if extra > 0:
         detunings = detunings.reshape((n_modes,) + (1,) * extra + det_grid)
     table = np.zeros((2, 2, n_modes, n_modes), dtype=complex)
     dipoles = np.zeros(n_modes, dtype=complex)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for p, weight in groups:
+        for p, weight in entries:
             statics = _statics(p, env)
             # couplings [a, n]: G for sign +1, conj(G) for sign -1
             cpl = np.array([p.couplings, [g.conjugate() for g in p.couplings]])

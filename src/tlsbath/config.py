@@ -265,6 +265,11 @@ def _resolve(entries) -> ScenarioConfig:
             )
         if axis.scale == "log" and axis.start <= 0:
             raise ConfigError(f"{section}.start: log scale requires start > 0, got {axis.start}")
+        if axis.variable in ("gamma_0", "tau") and axis.start < 0:
+            raise ConfigError(
+                f"{section}.start: a {axis.variable} axis must start at 0 or above, "
+                f"got {axis.start}"
+            )
     fock_start, dim_cap = fields["oracle_fock_start"], fields["oracle_dim_cap"]
     if dim_cap < 2 * fock_start:
         raise ConfigError(

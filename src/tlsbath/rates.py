@@ -119,7 +119,7 @@ def assemble_rates(
     """Assemble all second-order rates from the bath spectral densities.
 
     The spectral-density table, read with the first-order drive from one
-    Bloch-statics evaluation per TLS group, forms the rate matrices.  The
+    Bloch-statics evaluation per TLS entry, forms the rate matrices.  The
     frequency-shift and incoherent-rate matrices are each a matrix plus
     its adjoint (times +-i/2 for the shift), which IEEE arithmetic keeps
     exactly Hermitian, with diagonals whose imaginary part is exactly 0;

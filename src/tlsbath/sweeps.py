@@ -183,10 +183,17 @@ def _split(z) -> list:
     return [z.real, z.imag, _abs(z)]
 
 
-def _steady_state_cols(r, gamma_0) -> list:
+def _stable_state(r, gamma_0) -> tuple:
+    """``(stable, report)``: the stability verdict over the grid of the rates
+    ``r`` and ``gamma_0``, and the steady state at its stable points (see
+    :func:`~tlsbath.dynamics.steady_state` for what the rest holds)."""
     ms = build_moment_system(r, gamma_0)
     stable = stability(ms).stable
-    rep = steady_state(ms, where=stable)
+    return stable, steady_state(ms, where=stable)
+
+
+def _steady_state_cols(r, gamma_0) -> list:
+    stable, rep = _stable_state(r, gamma_0)
     cols = (
         rep.occupation,
         rep.amplitude.real,
@@ -200,9 +207,7 @@ def _steady_state_cols(r, gamma_0) -> list:
 
 
 def _squeezing_cols(r, gamma_0) -> list:
-    ms = build_moment_system(r, gamma_0)
-    stable = stability(ms).stable
-    rep = steady_state(ms, where=stable)
+    stable, rep = _stable_state(r, gamma_0)
     # pair pumping switched off: stable too, as gamma > 0 and Re sigma = 0 without g
     ms0 = build_moment_system(dataclasses.replace(r, g=np.zeros_like(r.g)), gamma_0)
     cols = (rep.xi, steady_state(ms0, where=stable).xi, rep.var_x, rep.var_p, rep.det_sigma)
@@ -266,19 +271,6 @@ def _grid_columns(cfg: ScenarioConfig, axes, read) -> tuple:
         point["Omega_B"] = point["Omega_B"].astype(complex)
     columns = list(mesh) + read(rates_at(cfg.replace(**point)), gamma_0)
     return tuple(np.asarray(c) for c in columns)
-
-
-def _normalize_row(row) -> tuple:
-    # plain Python scalars only, so JSON and CSV render identically
-    out = []
-    for v in row:
-        if isinstance(v, str):
-            out.append(v)
-        elif isinstance(v, (bool, int, np.integer)):
-            out.append(int(v))
-        else:
-            out.append(float(v))
-    return tuple(out)
 
 
 def run_scenario(name: str, cfg: ScenarioConfig) -> SweepResult:
@@ -349,36 +341,29 @@ ORACLE_COLUMNS = (
 
 def oracle_point(cfg: ScenarioConfig, ratio: float) -> tuple:
     """Effective-model and exact moments at one coupling ratio: one row
-    of :data:`ORACLE_COLUMNS`."""
-    n = int(round(cfg.n_tls))
-    tls = cfg.tls_params()
-    env = cfg.environment()
-    kt = transverse_rate(tls, env)
-    coupling = ratio * kt
-    tls = dataclasses.replace(tls, couplings=(coupling,))
-    mode = dataclasses.replace(cfg.mode_params(), gamma0=cfg.oracle_gamma_0)
-
-    rates = single_mode_rates(mode, [tls], env, counts=[n])
-    rep = steady_state(build_moment_system(rates, mode.gamma0))
-
+    of :data:`ORACLE_COLUMNS`, as plain Python scalars (``fock_dim`` an
+    int, every other entry a float).  Both sides read one config: ``cfg``
+    with the coupling ``G = ratio * kappa_t`` and the mode decay rate of
+    ``[oracle]``."""
+    kt = transverse_rate(cfg.tls_params(), cfg.environment())
+    point = cfg.replace(G=complex(ratio * kt), gamma_0=cfg.oracle_gamma_0)
+    rep = steady_state(build_moment_system(rates_at(point), point.gamma_0))
     rho, spec = steady_state_autogrow(
-        mode,
-        (tls,) * n,
-        env,
-        fock_start=cfg.oracle_fock_start,
-        dim_cap=cfg.oracle_dim_cap,
+        point.mode_params(),
+        (point.tls_params(),) * int(round(point.n_tls)),
+        point.environment(),
+        fock_start=point.oracle_fock_start,
+        dim_cap=point.oracle_dim_cap,
     )
     occ_x, amp_x, pair_x = mode_moments(rho, spec)
 
     def rel(a, b):
         return abs(a - b) / max(abs(b), 1e-300)
 
-    return (
-        ratio,
-        spec.fock_dim,
+    values = (
         rep.occupation,
-        occ_x.real,
-        rel(rep.occupation, occ_x.real),
+        occ_x,
+        rel(rep.occupation, occ_x),
         rep.amplitude.real,
         rep.amplitude.imag,
         amp_x.real,
@@ -390,6 +375,7 @@ def oracle_point(cfg: ScenarioConfig, ratio: float) -> tuple:
         pair_x.imag,
         rel(rep.pair_amplitude, pair_x),
     )
+    return (float(ratio), int(spec.fock_dim), *map(float, values))
 
 
 def _oracle_rows(cfg: ScenarioConfig) -> list:
@@ -401,7 +387,7 @@ def _oracle_rows(cfg: ScenarioConfig) -> list:
         )
     if cfg.Omega_B == 0:
         raise ConfigError("bath.Omega_B: the oracle comparison needs a driven bath")
-    return [_normalize_row(oracle_point(cfg, ratio)) for ratio in cfg.oracle_ratios]
+    return [oracle_point(cfg, ratio) for ratio in cfg.oracle_ratios]
 
 
 def _table_text(result: SweepResult) -> list:

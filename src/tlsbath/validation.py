@@ -17,7 +17,8 @@ reason rather than a silent pass.
 
 Each line or grid of points a criterion checks is one call of the CLI's
 batched path (``rates_at`` with the swept values as arrays, then the
-moment system over that grid), and each verdict one array expression.
+moment system over that grid, its steady state read where it is stable
+as the sweeps read it), and each verdict one array expression.
 Loops remain for criterion 5's bracket zoom on the peak (eight calls of
 65 points each), criterion 4's scalar closed form, the exact solver of
 criteria 10 and 11, and the random draws of criterion 12.
@@ -33,16 +34,11 @@ import numpy as np
 
 from .bath import BathEnvironment, TlsParams, _abs, build_psd_table, transverse_rate
 from .config import ScenarioConfig, resolve
-from .dynamics import (
-    build_moment_system,
-    drift_matrix,
-    stability,
-    steady_state,
-)
+from .dynamics import build_moment_system, drift_matrix, stability
 from .linalg import eigenvalues
 from .oracle import DimensionCapError, bloch_correlator_numeric
 from .rates import mollow_sideband, optimal_detuning, resonant_closed_form
-from .sweeps import ORACLE_COLUMNS, oracle_point, rates_at
+from .sweeps import ORACLE_COLUMNS, _stable_state, oracle_point, rates_at
 
 N_TLS = 1e5
 COUPLING = 1e-8
@@ -256,18 +252,17 @@ def _stability_map(_cfg) -> tuple:
     )
 
 
-def _xi_where_stable(rates, gamma_0) -> np.ndarray:
+def _xi_where_stable(rates) -> np.ndarray:
     # the squeezing factor over the grid of the rates, NaN where unstable
-    ms = build_moment_system(rates, gamma_0)
-    stable = stability(ms).stable
-    return np.where(stable, steady_state(ms, where=stable).xi, np.nan)
+    stable, rep = _stable_state(rates, GAMMA_0)
+    return np.where(stable, rep.xi, np.nan)
 
 
 def _squeezing(_cfg) -> tuple:
     s_grid = np.geomspace(1e-3, 10.0, 150)
     r = rates_at(BASELINE.replace(Omega_B=_drive_for_saturation(s_grid) + 0j))
-    xi_full = _xi_where_stable(r, GAMMA_0)
-    xi_nog = _xi_where_stable(dataclasses.replace(r, g=np.zeros_like(r.g)), GAMMA_0)
+    xi_full = _xi_where_stable(r)
+    xi_nog = _xi_where_stable(dataclasses.replace(r, g=np.zeros_like(r.g)))
     near = (s_grid > 0.05) & (s_grid < 0.2)
     squeezed_near = bool(np.all(xi_full[near] > 1.0))
     nonempty = bool(np.any(xi_full > 1.0))
@@ -372,9 +367,7 @@ def _physicality(_cfg) -> tuple:
                 Delta_B=delta_b[at],
                 Delta_0=delta_0[at],
             )
-            ms = build_moment_system(rates_at(point), gamma0[at])
-            stable = stability(ms).stable
-            rep = steady_state(ms, where=stable)
+            stable, rep = _stable_state(rates_at(point), gamma0[at])
             checked += int(stable.sum())
             worst_det = min(worst_det, rep.det_sigma[stable].min(initial=np.inf))
             worst_occ = min(worst_occ, rep.centered_occupation[stable].min(initial=np.inf))

@@ -328,18 +328,18 @@ def test_correlator_integral_carries_the_sign_axis_first(delta_m):
 @pytest.mark.parametrize("species", [1, 2])
 def test_psd_table_takes_one_resolvent_call_per_tls_group(monkeypatch, species):
     """One Bloch evaluation serves both exponent signs: a bath of one or
-    two TLS species costs one resolvent call per species, however many
-    TLS of each there are, and a single psd entry costs one call."""
+    two distinct TLS entries costs one resolvent call per entry, whatever
+    its count, and a single psd entry costs one call."""
     p1 = TlsParams(1.0, 1e-4, 0.0, 5e-5 + 2e-5j, 1e-5, (1e-8 + 3e-9j, 2e-8j))
     p2 = TlsParams(1.0, 2e-4, 1e-5, 8e-5, -2e-5, (3e-8, 1e-8 - 4e-9j))
-    tls = [p1, p2][:species] * 3
+    tls = [p1, p2][:species]
     detunings = np.array([2e-5, -1e-5])
     calls, original = [], bath.correlator_integral
     monkeypatch.setattr(bath, "correlator_integral", lambda *a: calls.append(a) or original(*a))
-    build_psd_table(tls, ENV0, detunings)
+    build_psd_table(tls, ENV0, detunings, counts=[3.0] * species)
     assert len(calls) == species
     calls.clear()
-    psd(tls, ENV0, detunings, +1, -1, 0, 1)
+    psd(tls, ENV0, detunings, +1, -1, 0, 1, counts=[3.0] * species)
     assert len(calls) == species
 
 

@@ -246,9 +246,14 @@ _TAU = ["--set", "sweep.variable=tau", "--set", "sweep.start=0", "--set", "sweep
         (["coherence", *_TAU], "unoccupied mode"),
         (["sweep", "driving", "--jobs", "0"], "--jobs"),
         (["steady-state", "--jobs", "-3"], "--jobs"),
+        (["steady-state", "--set", "sweep.variable=gamma_0", "--set", "sweep.start=-1e-7",
+          "--set", "sweep.scale=linear"], "sweep.start: a gamma_0 axis must start at 0"),
+        (["coherence", "--set", "sweep.variable=tau", "--set", "sweep.start=-1",
+          "--set", "sweep.scale=linear"], "sweep.start: a tau axis must start at 0"),
     ],
     ids=["drive-frequency", "mode-frequency", "Delta_B-sweep", "Delta_0-sweep",
-         "undriven-coherence", "jobs-zero", "jobs-negative"],
+         "undriven-coherence", "jobs-zero", "jobs-negative", "negative-gamma_0-sweep",
+         "negative-tau-sweep"],
 )
 def test_library_parameter_errors_are_config_errors(capsys, argv, fragment):
     code, _, err = _run(capsys, *argv)

@@ -194,6 +194,15 @@ def test_bad_override_shapes():
         ({"oracle": {"gamma_0": "0"}}, "oracle.gamma_0: must be > 0"),
         ({"oracle": {"ratios": " , "}}, "need at least one ratio"),
         ({"oracle": {"ratios": "0.1, -0.5"}}, "ratios must be > 0"),
+        # a linear axis of a quantity that cannot be negative
+        (
+            {"sweep": {"variable": "gamma_0", "start": "-1e-7", "scale": "linear"}},
+            "sweep.start: a gamma_0 axis must start at 0 or above, got -1e-07",
+        ),
+        (
+            {"sweep2": {"variable": "tau", "start": "-1", "scale": "linear"}},
+            "sweep2.start: a tau axis must start at 0 or above, got -1.0",
+        ),
     ],
 )
 def test_validation_messages(raw, fragment):

@@ -365,14 +365,15 @@ _GRID = TlsParams(
     [
         ([_P1, _P2], [200.0, 50.0], [(_P1, 200.0), (_P2, 50.0)]),
         ([_GRID], [3.0], [(_GRID, 3.0)]),
-        ([_P1, _P1, _P1], [1.0, 2.5, 4.0], [(_P1, 7.5)]),
+        ([_P1, _P1, _P1], [1.0, 2.5, 4.0], [(_P1, 1.0), (_P1, 2.5), (_P1, 4.0)]),
     ],
     ids=["two-groups", "grid", "repeated"],
 )
 def test_rates_evaluate_the_statics_once_per_tls_group(monkeypatch, tls_list, counts, groups):
     """The spectral table and the first-order drive read one Bloch-statics
-    evaluation per TLS group, and Omega_prime is the bare drive plus
-    sum_i N_i G_im <sigma+_i>, summed group by group, bit for bit."""
+    evaluation per TLS entry, a repeated one included, and Omega_prime is
+    the bare drive plus sum_i N_i G_im <sigma+_i>, summed entry by entry,
+    bit for bit."""
     modes = [ModeParams(3e-5, 1e-7, Omega=1e-6), ModeParams(-7e-5, 1e-7, Omega=-2e-6j)]
     env = BathEnvironment(temperature=0.2)
     dipoles = np.zeros(len(modes), dtype=complex)

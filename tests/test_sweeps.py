@@ -310,6 +310,16 @@ def test_oracle_scenario_single_tls_agreement():
     assert row["occupation_exact"] > 0
 
 
+def test_oracle_rows_hold_plain_scalars():
+    """``fock_dim`` is an int and every other column a float, type-exact,
+    in ``rows`` and in the JSON rows alike."""
+    cfg = _cfg(bath={"N": "1", "Omega_B": "7.1e-5"}, oracle={"ratios": "0.03, 0.01"})
+    res = run_scenario("oracle-validate", cfg)
+    want = [int if c == "fock_dim" else float for c in res.columns]
+    for rows in (res.rows, json.loads(render_json(res))["rows"]):
+        assert [[type(v) for v in row] for row in rows] == [want, want]
+
+
 def test_oracle_scenario_leaves_the_global_rng_alone():
     cfg = _cfg(bath={"N": "1", "Omega_B": "7.1e-5"}, oracle={"ratios": "0.03", "dim_cap": "32"})
     np.random.seed(20261019)
